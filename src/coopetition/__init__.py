@@ -57,6 +57,7 @@ from .oracle import (
     GridBudgetError,
     GridSpec,
     enumerate_equilibria_grid,
+    enumerate_vertices_bruteforce,
     lexmax_surplus_grid,
     vcg_bruteforce,
 )
@@ -109,6 +110,7 @@ __all__ = [
     "egalitarian_solve",
     "enumerate_equilibria_grid",
     "enumerate_vertices",
+    "enumerate_vertices_bruteforce",
     "evaluate_contracts",
     "first_cef_violation",
     "first_ir_violation",

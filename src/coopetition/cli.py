@@ -523,11 +523,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.func(args)
+        text = render(args.func(args), args.format)
     except (CliError, InstanceError, GridBudgetError, RuntimeError, ValueError) as exc:
         sys.stderr.write(render({"error": str(exc)}, args.format))
         return 1
-    sys.stdout.write(render(report, args.format))
+    sys.stdout.write(text)
     return 0
 
 

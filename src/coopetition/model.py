@@ -96,11 +96,16 @@ def format_scalar(x: Fraction) -> str:
 
 
 def display_scalar(x: Fraction) -> str:
-    """Human-facing rendering: adds an approximate decimal to fraction forms."""
+    """Human-facing rendering: adds an approximate decimal to fraction forms
+    whose magnitude fits in a float."""
     decimal = _terminating_decimal(x)
     if decimal is not None:
         return decimal
-    return f"{x.numerator}/{x.denominator} (~{float(x):.6g})"
+    try:
+        approximation = f" (~{float(x):.6g})"
+    except OverflowError:
+        approximation = ""
+    return f"{x.numerator}/{x.denominator}{approximation}"
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,14 @@ the other side of a disagreement: grid enumeration walks every bid vector on
 an epsilon lattice and keeps the ones where the winner stays ahead and every
 positive bidder is within epsilon of being undercut; the truthful-payment
 check searches each member's breakpoint value directly instead of using the
-closed form.
+closed form; polytope vertices come from one square solve per d-subset of
+rows instead of the pruned depth-first walk.
 
 Grids are evaluated exactly. Bids, values and epsilon are rescaled by a
 common denominator to small integers, and the lattice is swept in chunked
 numpy int64 arithmetic, so tolerance comparisons are integer comparisons.
+numpy is imported by the grid sweep itself, so importing this module (and
+the CLI, which imports it) does not load numpy.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from itertools import combinations
 
 from .mechanisms import VcgResult
 from .model import AuctionInstance, BidProfile
+from .polytope import CefPolytope, in_polytope, vertex_rows
+from .simplex import solve_square_system
 
 _CHUNK = 1 << 15
 
@@ -72,6 +76,8 @@ def enumerate_equilibria_grid(instance: AuctionInstance, grid: GridSpec) -> list
     a rival ad excluding it whose total trails the winner's by less than
     epsilon.
     """
+    import numpy as np
+
     winner, _ = _winner(instance)
     members = sorted(instance.members(winner))
     denominator, values, eps = _scaled(instance, grid)
@@ -210,3 +216,18 @@ def vcg_bruteforce(instance: AuctionInstance) -> VcgResult:
     return VcgResult(
         winner=winner, payments=payments_t, revenue=sum(payments_t, Fraction(0))
     )
+
+
+def enumerate_vertices_bruteforce(polytope: CefPolytope) -> list[tuple[Fraction, ...]]:
+    """Polytope vertices by one exact square solve per d-subset of rows.
+
+    The reference for `polytope.enumerate_vertices`: same rows, same
+    feasibility test, no pruning and no budget.
+    """
+    dimension = len(polytope.members)
+    found: set[tuple[Fraction, ...]] = set()
+    for chosen in combinations(vertex_rows(polytope), dimension):
+        solution = solve_square_system([row[0] for row in chosen], [row[1] for row in chosen])
+        if solution is not None and in_polytope(polytope, solution):
+            found.add(tuple(solution))
+    return sorted(found)

@@ -23,12 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Mapping, Sequence
 
 from .mechanisms import efficient_winner
 from .model import AuctionInstance, BidProfile, check_bids, format_scalar
-from .simplex import solve_min, solve_square_system
+# benchmarks/spans.py wraps polytope.solve_square_system by name in its traced
+# run, so the name stays bound here although nothing in this module calls it.
+from .simplex import solve_min, solve_square_system  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -234,20 +235,17 @@ def sample_pareto_equilibrium(
     return profile
 
 
-def enumerate_vertices(
-    polytope: CefPolytope, combination_budget: int = 500_000
-) -> list[tuple[Fraction, ...]]:
-    """All vertices of the polytope, as member-bid vectors in member order.
+def vertex_rows(polytope: CefPolytope) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+    """The rows a vertex can be tight on, as (coefficients, rhs) in member order.
 
-    Brute force over d-subsets of tight constraints; intended for desk-scale
-    instances. Envy-free rows with rhs 0 are implied generators (tight only
-    when each of their coordinates is zero) and are skipped.
+    Envy-free rows with rhs 0 are implied generators (tight only when each
+    of their coordinates is zero) and are skipped. Every member contributes
+    its lower bound 0 and, when its value is positive, its cap. Duplicates
+    are dropped; the order is otherwise fixed.
     """
     members = polytope.members
     dimension = len(members)
     position = {member: p for p, member in enumerate(members)}
-    uppers = [polytope.instance.values[member] for member in members]
-
     rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
     for constraint in polytope.constraints:
         if constraint.rhs == 0:
@@ -256,15 +254,58 @@ def enumerate_vertices(
         for i in constraint.bidders:
             coeffs[position[i]] = Fraction(1)
         rows.append((tuple(coeffs), constraint.rhs))
-    for p in range(dimension):
+    for p, member in enumerate(members):
         unit = tuple(
             Fraction(1) if q == p else Fraction(0) for q in range(dimension)
         )
         rows.append((unit, Fraction(0)))
-        if uppers[p] != 0:
-            rows.append((unit, uppers[p]))
-    rows = list(dict.fromkeys(rows))
+        upper = polytope.instance.values[member]
+        if upper != 0:
+            rows.append((unit, upper))
+    return list(dict.fromkeys(rows))
 
+
+def in_polytope(polytope: CefPolytope, point: Sequence[Fraction]) -> bool:
+    """Whether member bids (in member order) are IR and satisfy every envy-free row."""
+    members = polytope.members
+    values = polytope.instance.values
+    if any(x < 0 or x > values[member] for x, member in zip(point, members)):
+        return False
+    bids = dict(zip(members, point))
+    return all(
+        sum((bids[i] for i in c.bidders), Fraction(0)) >= c.rhs
+        for c in polytope.constraints
+    )
+
+
+def _eliminate(row: list[Fraction], pivot_row: list[Fraction], pivot: int) -> list[Fraction]:
+    """row minus the multiple of pivot_row (which is 1 at pivot) that zeroes row[pivot]."""
+    factor = row[pivot]
+    if factor == 0:
+        return row
+    return [entry - factor * p if p else entry for entry, p in zip(row, pivot_row)]
+
+
+def enumerate_vertices(
+    polytope: CefPolytope, combination_budget: int = 500_000
+) -> list[tuple[Fraction, ...]]:
+    """All vertices of the polytope, as member-bid vectors in member order, sorted.
+
+    A vertex is a point of the polytope at which d linearly independent rows
+    of `vertex_rows` are tight (d = number of members). The d-subsets of
+    those rows are walked depth first, in row order, while the chosen rows
+    are kept as a reduced row-echelon basis and every row still to choose
+    is kept reduced against it. A row that reduces to zero is linearly
+    dependent on the chosen prefix, so every subset holding both is singular
+    and the row is dropped for the whole branch. At depth d the basis is the
+    identity and its right-hand side is the candidate point, which is kept
+    when it is IR and satisfies every envy-free row.
+
+    Raises RuntimeError when there are more than `combination_budget`
+    d-subsets, before enumerating any.
+    """
+    rows = vertex_rows(polytope)
+    dimension = len(polytope.members)
     total = math.comb(len(rows), dimension)
     if total > combination_budget:
         raise RuntimeError(
@@ -273,18 +314,34 @@ def enumerate_vertices(
         )
 
     found: set[tuple[Fraction, ...]] = set()
-    for chosen in combinations(rows, dimension):
-        solution = solve_square_system([row[0] for row in chosen], [row[1] for row in chosen])
-        if solution is None:
-            continue
-        if any(x < 0 or x > u for x, u in zip(solution, uppers)):
-            continue
-        point = tuple(solution)
-        if all(
-            sum((point[position[i]] for i in c.bidders), Fraction(0)) >= c.rhs
-            for c in polytope.constraints
-        ):
-            found.add(point)
+
+    def extend(basis: list[tuple[int, list[Fraction]]], candidates: list[list[Fraction]]) -> None:
+        # basis: (pivot column, row) pairs, each row 1 at its pivot and 0 at
+        # the other pivots; candidates: rows reduced against the basis, none zero.
+        if len(basis) == dimension:
+            point = [Fraction(0)] * dimension
+            for pivot, row in basis:
+                point[pivot] = row[dimension]
+            vertex = tuple(point)
+            if in_polytope(polytope, vertex):
+                found.add(vertex)
+            return
+        for k in range(len(candidates) - (dimension - len(basis)) + 1):
+            row = candidates[k]
+            pivot = next(col for col in range(dimension) if row[col] != 0)
+            if row[pivot] != 1:
+                scale = row[pivot]
+                row = [entry / scale for entry in row]
+            grown = [(p, _eliminate(b, row, pivot)) for p, b in basis]
+            grown.append((pivot, row))
+            rest = []
+            for other in candidates[k + 1 :]:
+                reduced = _eliminate(other, row, pivot)
+                if any(reduced[:dimension]):
+                    rest.append(reduced)
+            extend(grown, rest)
+
+    extend([], [list(coeffs) + [rhs] for coeffs, rhs in rows if any(coeffs)])
     return sorted(found)
 
 

@@ -175,9 +175,13 @@ def solve_square_system(
             return None
         work[col], work[pivot_row] = work[pivot_row], work[col]
         pivot = work[col][col]
-        work[col] = [entry / pivot for entry in work[col]]
+        if pivot != 1:
+            work[col] = [entry / pivot for entry in work[col]]
         for r in range(size):
             if r != col and work[r][col] != 0:
                 factor = work[r][col]
-                work[r] = [entry - factor * p for entry, p in zip(work[r], work[col])]
+                work[r] = [
+                    entry - factor * p if p else entry
+                    for entry, p in zip(work[r], work[col])
+                ]
     return [work[r][size] for r in range(size)]

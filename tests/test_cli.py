@@ -5,9 +5,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coopetition
 from coopetition import parse_scalar
 from coopetition.cli import main
 from helpers import F
@@ -129,6 +134,56 @@ class TestSolve:
         code, out, _ = run(capsys, ["solve", "-", "vcg"])
         assert code == 0
         assert "revenue: 2" in out
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_unprintable_scalar_is_an_error_report(self, capsys, tmp_path, fmt):
+        # 10^5000 parses and solves exactly, but printing its 5001 digits
+        # exceeds the interpreter's int-to-str limit while rendering.
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"advertisers": [{"name": "A", "value": "1e5000"}, {"name": "B", "value": "1"}],'
+            ' "ads": [["A"], ["B"]]}'
+        )
+        code, out, err = run(capsys, ["solve", str(path), "vcg", "--format", fmt])
+        assert code == 1 and out == ""
+        assert "Traceback" not in err
+        if fmt == "json":
+            message = json.loads(err)["error"]
+        elif fmt == "csv":
+            (header, (key, message)) = list(csv.reader(io.StringIO(err)))
+            assert header == ["key", "value"] and key == "error"
+        else:
+            assert err.startswith("error: ")
+            message = err
+        assert "digits" in message
+
+    def test_table_omits_approximation_beyond_float_range(self, capsys, tmp_path):
+        price = F(10**400 + 1, 3)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "advertisers": [
+                {"name": "A", "value": "1e401"},
+                {"name": "B", "value": f"{price.numerator}/{price.denominator}"},
+            ],
+            "ads": [["A"], ["B"]],
+        }))
+        code, out, err = run(capsys, ["solve", str(path), "vcg"])
+        assert code == 0 and err == ""
+        assert f"revenue: {price.numerator}/{price.denominator}\n" in out
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # numpy is only needed by the oracle grid sweep, which imports it itself.
+    probe = "import sys, coopetition.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(coopetition.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 class TestVerify:

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import math
 import random
+import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coopetition import (
+    AuctionInstance,
     build_polytope,
     canonical_bids,
     enumerate_vertices,
+    enumerate_vertices_bruteforce,
     first_cef_violation,
     first_ir_violation,
     is_cef,
@@ -22,6 +26,7 @@ from coopetition import (
     sample_pareto_equilibrium,
     vcg,
 )
+from coopetition.polytope import vertex_rows
 from helpers import (
     F,
     ab_e,
@@ -32,6 +37,35 @@ from helpers import (
     single_ad,
     triangle,
 )
+
+
+@st.composite
+def instances(draw, max_n: int) -> AuctionInstance:
+    """Instances with at most 6 ads (plus one covering anyone left out) that
+    shrink toward fewer advertisers, fewer ads and small, often tied values
+    (where vertices are degenerate)."""
+    n = draw(st.integers(1, max_n))
+    names = string.ascii_uppercase[:n]
+    values = draw(
+        st.lists(
+            st.builds(F, st.integers(0, 12), st.sampled_from((1, 2, 3))),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    everyone = (1 << n) - 1
+    masks = draw(st.lists(st.integers(1, everyone), min_size=1, max_size=6, unique=True))
+    uncovered = everyone
+    for mask in masks:
+        uncovered &= ~mask
+    if uncovered:
+        masks.append(uncovered)
+    ads = [[names[i] for i in range(n) if mask >> i & 1] for mask in masks]
+    return AuctionInstance.build(dict(zip(names, values)), ads)
+
+
+def combinations_to_solve(polytope) -> int:
+    return math.comb(len(vertex_rows(polytope)), len(polytope.members))
 
 
 def tri_bids(a, b, c):
@@ -168,6 +202,23 @@ class TestVertices:
         polytope = build_polytope(triangle())
         with pytest.raises(RuntimeError, match="budget"):
             enumerate_vertices(polytope, combination_budget=1)
+
+    def test_matches_bruteforce_on_the_acceptance_family(self):
+        rng = random.Random(0)
+        checked = 0
+        while checked < 100:
+            polytope = build_polytope(random_instance(rng, max_n=8, max_m=6))
+            if combinations_to_solve(polytope) > 5000:
+                continue
+            assert enumerate_vertices(polytope) == enumerate_vertices_bruteforce(polytope)
+            checked += 1
+
+    @given(instances(max_n=6))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_bruteforce(self, instance):
+        polytope = build_polytope(instance)
+        assume(combinations_to_solve(polytope) <= 5000)
+        assert enumerate_vertices(polytope) == enumerate_vertices_bruteforce(polytope)
 
 
 class TestRevenueRange:
