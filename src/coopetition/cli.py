@@ -246,7 +246,6 @@ def cmd_verify(args: argparse.Namespace) -> dict[str, Node]:
     }
     if result:
         witnesses: dict[str, Node] = {}
-        assert result.certificate is not None
         for member in polytope.members:
             ad = result.certificate.witnesses[member]
             witnesses[instance.names[member]] = (

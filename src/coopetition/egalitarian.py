@@ -92,7 +92,8 @@ def egalitarian_solve(
                 continue
             slack = winner_total - total_bid(instance, bids, j)
             step = min(step, slack / len(moving))
-        assert step >= 0, "a rival ad overtook the winner between rounds"
+        if step < 0:
+            raise RuntimeError("a rival ad overtook the winner between rounds")
 
         for k in unfixed:
             bids[k] -= step
@@ -109,7 +110,8 @@ def egalitarian_solve(
             if outside and total_bid(instance, bids, j) == winner_total:
                 events.append(RoundEvent(kind="tight", ad=j))
                 frozen.update(outside)
-        assert frozen, "a lowering round must fix at least one member"
+        if not frozen:
+            raise RuntimeError("a lowering round must fix at least one member")
         unfixed -= frozen
         rounds.append(
             LoweringRound(
@@ -119,11 +121,11 @@ def egalitarian_solve(
                 bids=tuple(bids),
             )
         )
-        assert all(
-            total_bid(instance, bids, j) <= winner_total for j in rivals
-        ), "lowering must preserve the winner"
+        if any(total_bid(instance, bids, j) > winner_total for j in rivals):
+            raise RuntimeError("lowering must preserve the winner")
 
-    assert len(rounds) <= len(members), "one round per member at most"
+    if len(rounds) > len(members):
+        raise RuntimeError("one round per member at most")
     profile = tuple(bids)
     outcome = settle(instance, winner, profile)
     trace = LoweringTrace(winner=winner, rounds=tuple(rounds))

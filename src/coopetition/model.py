@@ -137,9 +137,9 @@ class AuctionInstance:
             raise InstanceError("advertiser names must be unique")
         if len(self.values) != len(self.names):
             raise InstanceError("one value per advertiser is required")
-        for name, value in zip(self.names, self.values):
+        for k, value in enumerate(self.values):
             if value < 0:
-                raise InstanceError(f"advertiser {name!r}: negative value {format_scalar(value)}")
+                raise InstanceError(f"advertisers[{k}].value: negative value {format_scalar(value)}")
         if not self.ads:
             raise InstanceError("at least one ad is required")
         seen: dict[frozenset[int], int] = {}
@@ -206,12 +206,25 @@ class AuctionInstance:
         return cls(names=names, values=parsed, ads=tuple(built))
 
 
-def parse_instance(text: str) -> AuctionInstance:
-    """Parse and validate an instance document, reporting the failing location."""
+def load_document(text: str) -> object:
+    """Decode a JSON document, reporting a syntax error as an InstanceError."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"not valid JSON: {exc}") from None
+
+
+def parse_instance(text: str) -> AuctionInstance:
+    """Parse and validate an instance document, reporting the failing location."""
+    return instance_from_document(load_document(text))
+
+
+def instance_from_document(doc: object) -> AuctionInstance:
+    """Validate a decoded instance document, reporting the failing location.
+
+    Checks here cover what the built instance cannot see: document shape,
+    types, names and repeated members; `AuctionInstance` checks the rest.
+    """
     if not isinstance(doc, dict):
         raise InstanceError("top level: expected an object")
     advertisers = doc.get("advertisers")
@@ -227,19 +240,13 @@ def parse_instance(text: str) -> AuctionInstance:
             raise InstanceError(f"advertisers[{k}].name: expected a non-empty string")
         if name in names:
             raise InstanceError(f"advertisers[{k}].name: duplicate advertiser {name!r}")
-        value = parse_scalar(entry["value"], where=f"advertisers[{k}].value")
-        if value < 0:
-            raise InstanceError(
-                f"advertisers[{k}].value: negative value {format_scalar(value)}"
-            )
         names.append(name)
-        values.append(value)
+        values.append(parse_scalar(entry["value"], where=f"advertisers[{k}].value"))
     index = {name: i for i, name in enumerate(names)}
     ads_doc = doc.get("ads")
     if not isinstance(ads_doc, list) or not ads_doc:
         raise InstanceError("ads: expected a non-empty list")
     ads: list[Ad] = []
-    seen: dict[frozenset[int], int] = {}
     for j, entry in enumerate(ads_doc):
         if not isinstance(entry, list) or not entry:
             raise InstanceError(f"ads[{j}]: expected a non-empty list of advertiser names")
@@ -250,14 +257,7 @@ def parse_instance(text: str) -> AuctionInstance:
             if index[name] in members:
                 raise InstanceError(f"ads[{j}]: duplicate member {name!r}")
             members.add(index[name])
-        key = frozenset(members)
-        if key in seen:
-            raise InstanceError(f"ads[{j}]: identical member set to ads[{seen[key]}]")
-        seen[key] = j
-        ads.append(Ad(id=j, members=key))
-    for i, name in enumerate(names):
-        if not any(i in ad.members for ad in ads):
-            raise InstanceError(f"advertiser {name!r} appears in no ad")
+        ads.append(Ad(id=j, members=frozenset(members)))
     return AuctionInstance(names=tuple(names), values=tuple(values), ads=tuple(ads))
 
 
@@ -278,10 +278,7 @@ def parse_bids(text: str, instance: AuctionInstance) -> BidProfile:
     Returns a full profile, one bid per advertiser in instance order;
     advertisers missing from the document bid their value.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"not valid JSON: {exc}") from None
+    doc = load_document(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("bids"), dict):
         raise InstanceError('top level: expected {"bids": {name: amount}}')
     bids = list(instance.values)
@@ -297,7 +294,7 @@ def check_bids(instance: AuctionInstance, bids: Sequence[Fraction]) -> BidProfil
         raise InstanceError(
             f"bid profile has {len(bids)} entries, instance has {instance.n} advertisers"
         )
-    return tuple(Fraction(b) for b in bids)
+    return tuple(b if isinstance(b, Fraction) else Fraction(b) for b in bids)
 
 
 def total_value(instance: AuctionInstance, ad_id: int) -> Fraction:

@@ -203,7 +203,8 @@ def vcg_bruteforce(instance: AuctionInstance) -> VcgResult:
                 trial[j] == top and i in instance.members(j) for j in range(instance.m)
             )
 
-        assert still_wins(ladder[-1]), "truthful membership must hold at the top"
+        if not still_wins(ladder[-1]):
+            raise RuntimeError("truthful membership must hold at the top")
         lo, hi = 0, len(ladder) - 1
         while lo < hi:
             mid = (lo + hi) // 2

@@ -16,6 +16,16 @@ minimizing any strictly positive linear objective over it lands on one.
 
 Non-winners take no action in this analysis: their bids are fixed at their
 values, the standing threat level.
+
+In surplus coordinates y = value - bid the polytope is a 0/1 packing
+system: each envy-free row becomes
+
+    sum of y over (T minus S)  <=  sum of values over (T minus S) - rhs,
+
+and IR becomes 0 <= y <= value. The right-hand side is the winner's value
+minus the rival's, restricted to where they differ, so it is non-negative
+because T is efficient. Truthful bidding (y = 0) is therefore always
+feasible, which lets the LP start from the slack basis in a single phase.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from .mechanisms import efficient_winner
 from .model import AuctionInstance, BidProfile, check_bids, format_scalar
 # benchmarks/spans.py wraps polytope.solve_square_system by name in its traced
 # run, so the name stays bound here although nothing in this module calls it.
-from .simplex import solve_min, solve_square_system  # noqa: F401
+from .simplex import ONE, ZERO, solve_min, solve_square_system  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -91,7 +101,8 @@ def build_polytope(instance: AuctionInstance) -> CefPolytope:
         bidders = tuple(sorted(winner_members - rival))
         rhs = sum((instance.values[i] for i in rival - winner_members), Fraction(0))
         if not bidders:
-            assert rhs == 0, "an ad covering the winner cannot out-value it"
+            if rhs != 0:
+                raise RuntimeError("an ad covering the winner cannot out-value it")
             continue
         constraints.append(CefConstraint(ad=j, bidders=bidders, rhs=rhs))
     return CefPolytope(instance=instance, winner=winner, constraints=tuple(constraints))
@@ -211,28 +222,35 @@ def sample_pareto_equilibrium(
     weights = [Fraction(w) for w in weights]
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be strictly positive")
-    position = {member: p for p, member in enumerate(members)}
-    dimension = len(members)
-    ge_rows = []
-    for constraint in polytope.constraints:
-        coeffs = [Fraction(0)] * dimension
-        for i in constraint.bidders:
-            coeffs[position[i]] = Fraction(1)
-        ge_rows.append((coeffs, constraint.rhs))
-    le_rows = []
-    for p, member in enumerate(members):
-        coeffs = [Fraction(0)] * dimension
-        coeffs[p] = Fraction(1)
-        le_rows.append((coeffs, polytope.instance.values[member]))
-    _, solution = solve_min(weights, ge=ge_rows, le=le_rows)
+    values = [polytope.instance.values[member] for member in members]
+    # Minimizing w . bid is maximizing w . y over the packing rows and caps.
+    rows = [
+        (coeffs, sum((v for a, v in zip(coeffs, values) if a), Fraction(0)) - rhs)
+        for coeffs, rhs in cef_rows(polytope)
+    ]
+    rows.extend((_unit(p, len(members)), value) for p, value in enumerate(values))
+    _, surplus = solve_min([-w for w in weights], le=rows)
     bids = list(polytope.instance.values)
-    for p, member in enumerate(members):
-        bids[member] = solution[p]
+    for member, value, y in zip(members, values, surplus):
+        bids[member] = value - y
     profile = tuple(bids)
     verdict = is_equilibrium(polytope, profile)
     if not verdict.ok:
         raise RuntimeError(f"optimizer left the equilibrium set: {verdict.failure}")
     return profile
+
+
+def cef_rows(polytope: CefPolytope) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+    """Each envy-free row as (0/1 coefficients in member order, rhs)."""
+    members = polytope.members
+    return [
+        (tuple(ONE if k in c.bidders else ZERO for k in members), c.rhs)
+        for c in polytope.constraints
+    ]
+
+
+def _unit(p: int, dimension: int) -> tuple[Fraction, ...]:
+    return tuple(ONE if q == p else ZERO for q in range(dimension))
 
 
 def vertex_rows(polytope: CefPolytope) -> list[tuple[tuple[Fraction, ...], Fraction]]:
@@ -244,20 +262,9 @@ def vertex_rows(polytope: CefPolytope) -> list[tuple[tuple[Fraction, ...], Fract
     are dropped; the order is otherwise fixed.
     """
     members = polytope.members
-    dimension = len(members)
-    position = {member: p for p, member in enumerate(members)}
-    rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for constraint in polytope.constraints:
-        if constraint.rhs == 0:
-            continue
-        coeffs = [Fraction(0)] * dimension
-        for i in constraint.bidders:
-            coeffs[position[i]] = Fraction(1)
-        rows.append((tuple(coeffs), constraint.rhs))
+    rows = [(coeffs, rhs) for coeffs, rhs in cef_rows(polytope) if rhs != 0]
     for p, member in enumerate(members):
-        unit = tuple(
-            Fraction(1) if q == p else Fraction(0) for q in range(dimension)
-        )
+        unit = _unit(p, len(members))
         rows.append((unit, Fraction(0)))
         upper = polytope.instance.values[member]
         if upper != 0:
@@ -351,16 +358,19 @@ def revenue_range(polytope: CefPolytope) -> tuple[Fraction, Fraction]:
     The minimum comes from the exact LP with unit weights; the maximum from
     polytope vertices filtered down to equilibria (the equilibrium set is a
     union of faces, so a linear maximum over it sits at a polytope vertex).
+    Vertices are visited by descending revenue, so the first equilibrium is
+    the maximum, and none at or below the minimum needs checking.
     """
     members = polytope.members
     cheapest = sample_pareto_equilibrium(polytope, [Fraction(1)] * len(members))
     low = sum((cheapest[i] for i in members), Fraction(0))
-    high = low
-    instance = polytope.instance
-    for vertex in enumerate_vertices(polytope):
-        bids = list(instance.values)
+    vertices = enumerate_vertices(polytope)
+    for revenue, vertex in sorted(((sum(v, ZERO), v) for v in vertices), reverse=True):
+        if revenue <= low:
+            break
+        bids = list(polytope.instance.values)
         for p, member in enumerate(members):
             bids[member] = vertex[p]
         if is_equilibrium(polytope, tuple(bids)).ok:
-            high = max(high, sum(vertex, Fraction(0)))
-    return low, high
+            return low, revenue
+    return low, low

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 import string
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import coopetition
 from coopetition import (
     AuctionInstance,
     build_polytope,
@@ -64,6 +69,23 @@ def instances(draw, max_n: int) -> AuctionInstance:
     return AuctionInstance.build(dict(zip(names, values)), ads)
 
 
+def rival_family(rng: random.Random, members: int) -> AuctionInstance:
+    """A winner of `members` advertisers (ad 0) against one rival ad per member.
+
+    Each rival shares part of the winner and adds an outsider worth less than
+    the part it lacks, so the winner stays strictly efficient.
+    """
+    winner = [f"W{i}" for i in range(members)]
+    values = {name: F(rng.randint(1, 40), rng.choice((1, 2, 3, 4))) for name in winner}
+    ads = [winner]
+    for r in range(members):
+        shared = rng.sample(winner, rng.randint(0, members - 1))
+        lacking = sum((values[name] for name in winner if name not in shared), F(0))
+        values[f"R{r}"] = lacking * F(rng.randint(1, 19), 20)
+        ads.append(shared + [f"R{r}"])
+    return AuctionInstance.build(values, ads)
+
+
 def combinations_to_solve(polytope) -> int:
     return math.comb(len(vertex_rows(polytope)), len(polytope.members))
 
@@ -93,6 +115,29 @@ class TestBuildPolytope:
         # vacuous and dropped.
         instance = make_instance({"A": 2, "B": 0}, [["A"], ["A", "B"]])
         assert build_polytope(instance).constraints == ()
+
+    def test_covering_rival_of_a_wrong_winner_raises_under_optimization(self):
+        # The invariant is checked by an explicit raise, so `python -O`,
+        # which strips asserts, still reports it.
+        probe = (
+            "from coopetition import AuctionInstance, polytope\n"
+            "instance = AuctionInstance.build({'A': 1, 'B': 1}, [['A'], ['A', 'B']])\n"
+            "polytope.efficient_winner = lambda instance: 0\n"
+            "try:\n"
+            "    polytope.build_polytope(instance)\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(coopetition.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "an ad covering the winner cannot out-value it"
 
 
 class TestCanonicalBids:
@@ -185,6 +230,34 @@ class TestSamplePareto:
             sample_pareto_equilibrium(polytope, (F(1),))
         with pytest.raises(ValueError, match="strictly positive"):
             sample_pareto_equilibrium(polytope, (F(1), F(0)))
+
+    def test_weighted_optimum_matches_scipy_on_the_bid_form(self):
+        # Winners of 12-20 members, beyond the acceptance suite's n <= 8. The
+        # LP runs in surplus coordinates; scipy solves the bid-form rows
+        # sum(bids) >= rhs directly, so this also checks the change of
+        # coordinates.
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        rng = random.Random(4)
+        for case in range(40):
+            polytope = build_polytope(rival_family(rng, 12 + case % 9))
+            members = polytope.members
+            caps = [(0.0, float(polytope.instance.values[k])) for k in members]
+            random_weights = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in members]
+            for weights in ([F(1)] * len(members), random_weights):
+                bids = sample_pareto_equilibrium(polytope, weights)
+                exact = float(sum(w * bids[k] for w, k in zip(weights, members)))
+                result = scipy_optimize.linprog(
+                    c=[float(w) for w in weights],
+                    A_ub=[
+                        [-1.0 if k in c.bidders else 0.0 for k in members]
+                        for c in polytope.constraints
+                    ],
+                    b_ub=[-float(c.rhs) for c in polytope.constraints],
+                    bounds=caps,
+                    method="highs",
+                )
+                assert result.success
+                assert abs(exact - result.fun) <= 1e-9 * max(1.0, abs(result.fun))
 
 
 class TestVertices:
