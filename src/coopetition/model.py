@@ -42,11 +42,32 @@ class InstanceError(ValueError):
     """A document or value failed validation; the message says where."""
 
 
+# CPython's default int-to-str limit. A literal with more digits could not be
+# printed back, and an exponent in the millions makes Fraction() spend
+# seconds building a power of ten before anything else is checked.
+_MAX_DIGITS = 4300
+
+
+def _check_literal_size(text: str, where: str) -> None:
+    if len(text) > _MAX_DIGITS and sum(ch.isdigit() for ch in text) > _MAX_DIGITS:
+        raise InstanceError(f"{where}: number literal has more than {_MAX_DIGITS} digits")
+    _, marker, exponent = text.lower().partition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if marker and digits.isdecimal() and (
+        len(digits) > len(str(_MAX_DIGITS)) or int(digits) > _MAX_DIGITS
+    ):
+        raise InstanceError(
+            f"{where}: exponent larger than {_MAX_DIGITS} in magnitude, "
+            f"the number would have more than {_MAX_DIGITS} digits"
+        )
+
+
 def parse_scalar(value: object, where: str = "value") -> Fraction:
     """Parse an exact scalar from a JSON value (string or integer).
 
     Floats are rejected: by the time json has produced one, exactness is
-    already lost.
+    already lost. String literals with more than 4300 digits or an exponent
+    beyond ±4300 are rejected before they are converted.
     """
     if isinstance(value, bool):
         raise InstanceError(f"{where}: expected a number, got a boolean")
@@ -55,8 +76,10 @@ def parse_scalar(value: object, where: str = "value") -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        _check_literal_size(text, where)
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise InstanceError(f"{where}: not an exact number: {value!r}") from None
     if isinstance(value, float):

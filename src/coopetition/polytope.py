@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .mechanisms import efficient_winner
 from .model import AuctionInstance, BidProfile, check_bids, format_scalar
@@ -166,30 +166,25 @@ def is_equilibrium(polytope: CefPolytope, bids: Sequence[Fraction]) -> Equilibri
                 f"[0, {format_scalar(instance.values[violator])}]"
             ),
         )
-    violated = first_cef_violation(polytope, profile)
-    if violated is not None:
-        return EquilibriumResult(
-            ok=False,
-            certificate=None,
-            failure=(
-                f"not CEF: against {instance.label(violated.ad)} the uncovered members "
-                f"bid {format_scalar(violated.slack(profile) + violated.rhs)}, below the "
-                f"outside value {format_scalar(violated.rhs)}"
-            ),
-        )
+    slacks = [(c, c.slack(profile)) for c in polytope.constraints]
+    for violated, slack in slacks:
+        if slack < 0:
+            return EquilibriumResult(
+                ok=False,
+                certificate=None,
+                failure=(
+                    f"not CEF: against {instance.label(violated.ad)} the uncovered members "
+                    f"bid {format_scalar(slack + violated.rhs)}, below the "
+                    f"outside value {format_scalar(violated.rhs)}"
+                ),
+            )
+    tight = [c for c, slack in slacks if slack == 0]
     witnesses: dict[int, int | None] = {}
     for k in polytope.members:
         if profile[k] == 0:
             witnesses[k] = None
             continue
-        witness = next(
-            (
-                c.ad
-                for c in polytope.constraints
-                if k in c.bidders and c.slack(profile) == 0
-            ),
-            None,
-        )
+        witness = next((c.ad for c in tight if k in c.bidders), None)
         if witness is None:
             return EquilibriumResult(
                 ok=False,
@@ -285,92 +280,174 @@ def in_polytope(polytope: CefPolytope, point: Sequence[Fraction]) -> bool:
     )
 
 
-def _eliminate(row: list[Fraction], pivot_row: list[Fraction], pivot: int) -> list[Fraction]:
-    """row minus the multiple of pivot_row (which is 1 at pivot) that zeroes row[pivot]."""
+def _eliminate(
+    row: list[int], pivot_row: list[int], pivot: int, det: int, previous: int
+) -> list[int]:
+    """One fraction-free Gauss-Jordan step: (det * row - row[pivot] * pivot_row) / previous.
+
+    `pivot_row` holds det at `pivot`, and every row entering the step is the
+    previous determinant times its reduced form, so each entry of the result
+    is a minor of the integer rows and the division is exact (Sylvester's
+    identity; Bareiss 1968).
+    """
     factor = row[pivot]
     if factor == 0:
-        return row
-    return [entry - factor * p if p else entry for entry, p in zip(row, pivot_row)]
+        return row if det == previous else [det * entry // previous for entry in row]
+    if previous == 1:
+        return [det * entry - factor * p for entry, p in zip(row, pivot_row)]
+    return [(det * entry - factor * p) // previous for entry, p in zip(row, pivot_row)]
 
 
-def enumerate_vertices(
-    polytope: CefPolytope, combination_budget: int = 500_000
-) -> list[tuple[Fraction, ...]]:
-    """All vertices of the polytope, as member-bid vectors in member order, sorted.
+_COMBINATION_BUDGET = 500_000
 
-    A vertex is a point of the polytope at which d linearly independent rows
-    of `vertex_rows` are tight (d = number of members). The d-subsets of
-    those rows are walked depth first, in row order, while the chosen rows
-    are kept as a reduced row-echelon basis and every row still to choose
-    is kept reduced against it. A row that reduces to zero is linearly
-    dependent on the chosen prefix, so every subset holding both is singular
-    and the row is dropped for the whole branch. At depth d the basis is the
-    identity and its right-hand side is the candidate point, which is kept
-    when it is IR and satisfies every envy-free row.
+
+def _walk_vertices(
+    polytope: CefPolytope,
+    visit: Callable[[list[int], int, list[int]], None],
+    combination_budget: int,
+) -> None:
+    """Call visit(numerators, denominator, slacks) at each leaf of the walk inside the polytope.
+
+    The d-subsets of `vertex_rows` (d = number of members) are walked depth
+    first, in row order, in Python integers: every rhs is multiplied by
+    `scale`, the lcm of their denominators, and the chosen rows are kept as
+    a reduced row-echelon basis scaled by its determinant, with every row
+    still to choose reduced against it (`_eliminate`). A row that reduces
+    to zero is linearly dependent on the chosen prefix, so every subset
+    holding both is singular and the row is dropped for the whole branch.
+    At depth d every basis row holds the determinant at its pivot, so the
+    leaf is the point numerators / (det * scale), with a positive
+    denominator. A leaf inside the polytope (IR and every envy-free row,
+    tested in integers) is visited with the slack of each row of
+    `polytope.constraints`, scaled like the point. A vertex at which more
+    than d rows are tight is visited once per basis that reaches it.
 
     Raises RuntimeError when there are more than `combination_budget`
-    d-subsets, before enumerating any.
+    d-subsets, before walking any.
     """
     rows = vertex_rows(polytope)
-    dimension = len(polytope.members)
+    members = polytope.members
+    dimension = len(members)
     total = math.comb(len(rows), dimension)
     if total > combination_budget:
         raise RuntimeError(
             f"vertex enumeration needs {total} constraint combinations, "
             f"budget is {combination_budget}"
         )
+    scale = math.lcm(*(rhs.denominator for _, rhs in rows))
+    # Every cap and every nonzero envy-free rhs is among the rows, so all
+    # of them are integers at this scale.
+    caps = [(polytope.instance.values[k] * scale).numerator for k in members]
+    position = {k: p for p, k in enumerate(members)}
+    envy = [
+        ([position[i] for i in c.bidders], (c.rhs * scale).numerator)
+        for c in polytope.constraints
+    ]
 
-    found: set[tuple[Fraction, ...]] = set()
-
-    def extend(basis: list[tuple[int, list[Fraction]]], candidates: list[list[Fraction]]) -> None:
-        # basis: (pivot column, row) pairs, each row 1 at its pivot and 0 at
-        # the other pivots; candidates: rows reduced against the basis, none zero.
+    def extend(basis: list[tuple[int, list[int]]], candidates: list[list[int]], det: int) -> None:
+        # basis: (pivot column, row) pairs, each row det at its pivot and 0 at
+        # the other pivots; candidates: rows reduced against the basis and
+        # scaled by det, none zero.
         if len(basis) == dimension:
-            point = [Fraction(0)] * dimension
+            point = [0] * dimension
             for pivot, row in basis:
                 point[pivot] = row[dimension]
-            vertex = tuple(point)
-            if in_polytope(polytope, vertex):
-                found.add(vertex)
+            if det < 0:
+                point = [-x for x in point]
+                det = -det
+            if any(x < 0 or x > cap * det for x, cap in zip(point, caps)):
+                return
+            slacks = [sum(point[p] for p in bidders) - rhs * det for bidders, rhs in envy]
+            if any(slack < 0 for slack in slacks):
+                return
+            visit(point, det * scale, slacks)
             return
         for k in range(len(candidates) - (dimension - len(basis)) + 1):
             row = candidates[k]
-            pivot = next(col for col in range(dimension) if row[col] != 0)
-            if row[pivot] != 1:
-                scale = row[pivot]
-                row = [entry / scale for entry in row]
-            grown = [(p, _eliminate(b, row, pivot)) for p, b in basis]
+            pivot = next(col for col in range(dimension) if row[col])
+            grown = [(p, _eliminate(b, row, pivot, row[pivot], det)) for p, b in basis]
             grown.append((pivot, row))
             rest = []
             for other in candidates[k + 1 :]:
-                reduced = _eliminate(other, row, pivot)
+                reduced = _eliminate(other, row, pivot, row[pivot], det)
                 if any(reduced[:dimension]):
                     rest.append(reduced)
-            extend(grown, rest)
+            extend(grown, rest, row[pivot])
 
-    extend([], [list(coeffs) + [rhs] for coeffs, rhs in rows if any(coeffs)])
+    integer_rows = [
+        [int(a) for a in coeffs] + [(rhs * scale).numerator]
+        for coeffs, rhs in rows
+        if any(coeffs)
+    ]
+    extend([], integer_rows, 1)
+
+
+def enumerate_vertices(
+    polytope: CefPolytope, combination_budget: int = _COMBINATION_BUDGET
+) -> list[tuple[Fraction, ...]]:
+    """All vertices of the polytope, as member-bid vectors in member order, sorted.
+
+    A vertex is a point of the polytope at which d linearly independent rows
+    of `vertex_rows` are tight (d = number of members). `_walk_vertices`
+    solves every nonsingular d-subset with fraction-free integer
+    elimination (each step divides exactly by the previous pivot) and tests
+    IR and the envy-free rows in integers; a Fraction point is built only
+    for a leaf inside the polytope.
+
+    Raises RuntimeError when there are more than `combination_budget`
+    d-subsets, before enumerating any.
+    """
+    found: set[tuple[Fraction, ...]] = set()
+
+    def keep(numerators: list[int], denominator: int, slacks: list[int]) -> None:
+        found.add(tuple(Fraction(x, denominator) for x in numerators))
+
+    _walk_vertices(polytope, keep, combination_budget)
     return sorted(found)
 
 
 def revenue_range(polytope: CefPolytope) -> tuple[Fraction, Fraction]:
     """Smallest and largest winner revenue over the equilibrium set.
 
-    The minimum comes from the exact LP with unit weights; the maximum from
-    polytope vertices filtered down to equilibria (the equilibrium set is a
-    union of faces, so a linear maximum over it sits at a polytope vertex).
-    Vertices are visited by descending revenue, so the first equilibrium is
-    the maximum, and none at or below the minimum needs checking.
+    The minimum comes from the exact LP with unit weights. The maximum is
+    over the polytope vertices that are equilibria (the equilibrium set is a
+    union of faces, so a linear maximum over it sits at a polytope vertex):
+    at each integer leaf of `_walk_vertices` inside the polytope, the pin
+    test keeps the leaf when every member with a positive bid lies in an
+    envy-free row whose slack is zero, which for a point of the polytope is
+    exactly the equilibrium condition. Only the maximizing leaf becomes a
+    bid profile, and it is re-verified with `is_equilibrium`.
     """
     members = polytope.members
     cheapest = sample_pareto_equilibrium(polytope, [Fraction(1)] * len(members))
     low = sum((cheapest[i] for i in members), Fraction(0))
-    vertices = enumerate_vertices(polytope)
-    for revenue, vertex in sorted(((sum(v, ZERO), v) for v in vertices), reverse=True):
-        if revenue <= low:
-            break
+    position = {k: p for p, k in enumerate(members)}
+    masks = [sum(1 << position[i] for i in c.bidders) for c in polytope.constraints]
+    high, argmax = low, None
+
+    def pin(numerators: list[int], denominator: int, slacks: list[int]) -> None:
+        nonlocal high, argmax
+        pinned = 0
+        for mask, slack in zip(masks, slacks):
+            if slack == 0:
+                pinned |= mask
+        positive = sum(1 << p for p, x in enumerate(numerators) if x)
+        if positive & ~pinned:
+            return
+        revenue = Fraction(sum(numerators), denominator)
+        if revenue > high:
+            high, argmax = revenue, (numerators, denominator)
+
+    _walk_vertices(polytope, pin, _COMBINATION_BUDGET)
+    if argmax is not None:
+        numerators, denominator = argmax
         bids = list(polytope.instance.values)
-        for p, member in enumerate(members):
-            bids[member] = vertex[p]
-        if is_equilibrium(polytope, tuple(bids)).ok:
-            return low, revenue
-    return low, low
+        for member, x in zip(members, numerators):
+            bids[member] = Fraction(x, denominator)
+        verdict = is_equilibrium(polytope, tuple(bids))
+        if not verdict.ok:
+            raise RuntimeError(
+                f"the pin test and is_equilibrium disagree at the revenue maximum: "
+                f"{verdict.failure}"
+            )
+    return low, high

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -140,8 +141,8 @@ class TestSolve:
     )
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_unprintable_scalar_is_an_error_report(self, capsys, tmp_path, fmt):
-        # 10^5000 parses and solves exactly, but printing its 5001 digits
-        # exceeds the interpreter's int-to-str limit while rendering.
+        # 10^5000 would have 5001 digits, beyond the interpreter's int-to-str
+        # limit, so parsing rejects its exponent with a located error.
         path = tmp_path / "huge.json"
         path.write_text(
             '{"advertisers": [{"name": "A", "value": "1e5000"}, {"name": "B", "value": "1"}],'
@@ -159,6 +160,27 @@ class TestSolve:
             assert err.startswith("error: ")
             message = err
         assert "digits" in message
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_huge_exponent_is_rejected_quickly(self, capsys, tmp_path, fmt):
+        # Building 10^20000000 exactly would take seconds; the literal is
+        # rejected by its exponent first.
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"advertisers": [{"name": "A", "value": "1e20000000"}, {"name": "B", "value": "1"}],'
+            ' "ads": [["A"], ["B"]]}'
+        )
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["solve", str(path), "vcg", "--format", fmt])
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        message = json.loads(err)["error"] if fmt == "json" else err
+        assert "advertisers[0].value" in message and "digits" in message
+
+    def test_huge_weight_is_rejected(self, capsys, triangle_path):
+        code, out, err = run(capsys, ["polytope", triangle_path, "--weights", "1,1,1e9999"])
+        assert code == 1 and out == ""
+        assert "weights[2]" in err and "digits" in err
 
     def test_table_omits_approximation_beyond_float_range(self, capsys, tmp_path):
         price = F(10**400 + 1, 3)

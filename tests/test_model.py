@@ -60,6 +60,23 @@ class TestParseScalar:
         with pytest.raises(InstanceError, match=r"advertisers\[0\]\.value"):
             parse_scalar(0.5, where="advertisers[0].value")
 
+    @pytest.mark.parametrize(
+        "raw",
+        ["1e4301", "1E-4301", "2.5e+00004301", "1e4_301 ", "1e" + "9" * 5000, "9" * 4301],
+        ids=["exponent", "negative", "padded", "underscore", "long-exponent", "4301-digits"],
+    )
+    def test_oversized_literals_are_rejected_before_conversion(self, raw):
+        with pytest.raises(InstanceError, match=r"^bids\['A'\]: .*digits"):
+            parse_scalar(raw, where="bids['A']")
+
+    @pytest.mark.parametrize(
+        "raw",
+        ["1e4300", "1e-4300", "9" * 4300, "1/" + "3" * 4299],
+        ids=["exponent", "negative", "4300-digits", "4300-digit-fraction"],
+    )
+    def test_literals_at_the_limit_parse(self, raw):
+        assert parse_scalar(raw) == F(raw)
+
 
 class TestFormatScalar:
     @pytest.mark.parametrize(

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
 import string
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -31,7 +33,8 @@ from coopetition import (
     sample_pareto_equilibrium,
     vcg,
 )
-from coopetition.polytope import vertex_rows
+from coopetition import polytope as polytope_module
+from coopetition.polytope import EquilibriumResult, vertex_rows
 from helpers import (
     F,
     ab_e,
@@ -88,6 +91,57 @@ def rival_family(rng: random.Random, members: int) -> AuctionInstance:
 
 def combinations_to_solve(polytope) -> int:
     return math.comb(len(vertex_rows(polytope)), len(polytope.members))
+
+
+def small_polytopes(seed: int, count: int, make=random_instance):
+    """The first `count` polytopes of make(rng), rng seeded with `seed`, that
+    need at most 5000 vertex combinations; by default the acceptance family
+    (n <= 8, m <= 6)."""
+    rng = random.Random(seed)
+    checked = 0
+    while checked < count:
+        polytope = build_polytope(make(rng))
+        if combinations_to_solve(polytope) > 5000:
+            continue
+        yield polytope
+        checked += 1
+
+
+def bruteforce_max_revenue(polytope):
+    """Largest member-bid total over the brute-force vertices that pass
+    `is_equilibrium`."""
+    members = polytope.members
+    revenues = []
+    for vertex in enumerate_vertices_bruteforce(polytope):
+        bids = list(polytope.instance.values)
+        for member, bid in zip(members, vertex):
+            bids[member] = bid
+        if is_equilibrium(polytope, tuple(bids)).ok:
+            revenues.append(sum(vertex, F(0)))
+    return max(revenues)
+
+
+# Values over the primes 7-19, so that the vertex walk scales every rhs by a
+# large lcm (up to 7*11*13*17*19 and beyond).
+PRIME_DENOMINATOR_VALUES = [F(k, p) for p in (7, 11, 13, 17, 19) for k in range(1, 80)]
+
+
+def prime_rival_family(rng: random.Random) -> AuctionInstance:
+    """A winner of 3-5 advertisers (ad 0) against two more rival ads than it
+    has members, each sharing 1 to all but one of its members plus an
+    outsider worth less than the part it lacks. Values have prime
+    denominators, and the overlapping rival rows give square subsystems with
+    determinants other than +-1."""
+    members = rng.randint(3, 5)
+    winner = [f"W{i}" for i in range(members)]
+    values = {name: rng.choice(PRIME_DENOMINATOR_VALUES) for name in winner}
+    ads = [winner]
+    for r in range(members + 2):
+        shared = rng.sample(winner, rng.randint(1, members - 1))
+        lacking = sum((values[name] for name in winner if name not in shared), F(0))
+        values[f"R{r}"] = lacking * rng.choice(PRIME_DENOMINATOR_VALUES) / 80
+        ads.append(shared + [f"R{r}"])
+    return AuctionInstance.build(values, ads)
 
 
 def tri_bids(a, b, c):
@@ -271,20 +325,49 @@ class TestVertices:
             (F(1), F(1), F(1)),
         ]
 
+    def test_vertex_behind_a_non_unit_pivot(self):
+        # The envy-free rows A+B, B+C, A+C >= 6 meet only at (3, 3, 3), where
+        # their square system has determinant 2 and each bid is more than
+        # half of its value 4.
+        instance = make_instance(
+            {"A": 4, "B": 4, "C": 4, "X": 6, "Y": 6, "Z": 6},
+            [["A", "B", "C"], ["C", "X"], ["A", "Y"], ["B", "Z"]],
+        )
+        polytope = build_polytope(instance)
+        vertices = enumerate_vertices(polytope)
+        assert (F(3), F(3), F(3)) in vertices
+        assert vertices == enumerate_vertices_bruteforce(polytope)
+
     def test_budget_guard(self):
         polytope = build_polytope(triangle())
         with pytest.raises(RuntimeError, match="budget"):
             enumerate_vertices(polytope, combination_budget=1)
 
     def test_matches_bruteforce_on_the_acceptance_family(self):
-        rng = random.Random(0)
-        checked = 0
-        while checked < 100:
-            polytope = build_polytope(random_instance(rng, max_n=8, max_m=6))
-            if combinations_to_solve(polytope) > 5000:
-                continue
+        for polytope in small_polytopes(0, 100):
             assert enumerate_vertices(polytope) == enumerate_vertices_bruteforce(polytope)
-            checked += 1
+
+    def test_matches_bruteforce_with_prime_denominators(self, monkeypatch):
+        # The walk divides exactly by the previous pivot; record the pivots
+        # it meets so that the test shows it met some other than +-1.
+        eliminate = polytope_module._eliminate
+        pivots: set[int] = set()
+
+        def recording(row, pivot_row, pivot, det, previous):
+            pivots.add(abs(det))
+            return eliminate(row, pivot_row, pivot, det, previous)
+
+        monkeypatch.setattr(polytope_module, "_eliminate", recording)
+        large_scales = 0
+        for polytope in itertools.chain(
+            small_polytopes(1, 40, partial(random_instance, value_pool=PRIME_DENOMINATOR_VALUES)),
+            small_polytopes(2, 40, prime_rival_family),
+        ):
+            assert enumerate_vertices(polytope) == enumerate_vertices_bruteforce(polytope)
+            scale = math.lcm(*(rhs.denominator for _, rhs in vertex_rows(polytope)))
+            large_scales += scale >= 7 * 11 * 13
+        assert large_scales >= 20
+        assert max(pivots) > 1
 
     @given(instances(max_n=6))
     @settings(max_examples=100, deadline=None)
@@ -306,6 +389,29 @@ class TestRevenueRange:
     )
     def test_exact_ranges(self, instance, expected):
         assert revenue_range(build_polytope(instance)) == expected
+
+    def test_maximum_matches_bruteforce_on_the_acceptance_family(self):
+        for polytope in small_polytopes(0, 100):
+            assert revenue_range(polytope)[1] == bruteforce_max_revenue(polytope)
+
+    def test_maximum_matches_bruteforce_with_prime_denominators(self):
+        for polytope in small_polytopes(2, 40, prime_rival_family):
+            assert revenue_range(polytope)[1] == bruteforce_max_revenue(polytope)
+
+    def test_maximizer_is_reverified(self, monkeypatch):
+        # The triangle's maximum (2) lies above its LP minimum (1), so the
+        # maximizing leaf is re-checked with is_equilibrium.
+        polytope = build_polytope(triangle())
+        check = polytope_module.is_equilibrium
+
+        def reject_the_maximum(polytope, bids):
+            if sum(bids[k] for k in polytope.members) == 2:
+                return EquilibriumResult(ok=False, certificate=None, failure="rejected")
+            return check(polytope, bids)
+
+        monkeypatch.setattr(polytope_module, "is_equilibrium", reject_the_maximum)
+        with pytest.raises(RuntimeError, match="disagree.*rejected"):
+            revenue_range(polytope)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
