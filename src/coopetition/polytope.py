@@ -39,7 +39,7 @@ from .mechanisms import efficient_winner
 from .model import AuctionInstance, BidProfile, check_bids, format_scalar
 # benchmarks/spans.py wraps polytope.solve_square_system by name in its traced
 # run, so the name stays bound here although nothing in this module calls it.
-from .simplex import ONE, ZERO, solve_min, solve_square_system  # noqa: F401
+from .simplex import ONE, ZERO, _eliminate, solve_min, solve_square_system  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -218,13 +218,12 @@ def sample_pareto_equilibrium(
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be strictly positive")
     values = [polytope.instance.values[member] for member in members]
-    # Minimizing w . bid is maximizing w . y over the packing rows and caps.
+    # Minimizing w . bid is maximizing w . y over the packing rows, y <= value.
     rows = [
         (coeffs, sum((v for a, v in zip(coeffs, values) if a), Fraction(0)) - rhs)
         for coeffs, rhs in cef_rows(polytope)
     ]
-    rows.extend((_unit(p, len(members)), value) for p, value in enumerate(values))
-    _, surplus = solve_min([-w for w in weights], le=rows)
+    _, surplus = solve_min([-w for w in weights], le=rows, upper=values)
     bids = list(polytope.instance.values)
     for member, value, y in zip(members, values, surplus):
         bids[member] = value - y
@@ -278,24 +277,6 @@ def in_polytope(polytope: CefPolytope, point: Sequence[Fraction]) -> bool:
         sum((bids[i] for i in c.bidders), Fraction(0)) >= c.rhs
         for c in polytope.constraints
     )
-
-
-def _eliminate(
-    row: list[int], pivot_row: list[int], pivot: int, det: int, previous: int
-) -> list[int]:
-    """One fraction-free Gauss-Jordan step: (det * row - row[pivot] * pivot_row) / previous.
-
-    `pivot_row` holds det at `pivot`, and every row entering the step is the
-    previous determinant times its reduced form, so each entry of the result
-    is a minor of the integer rows and the division is exact (Sylvester's
-    identity; Bareiss 1968).
-    """
-    factor = row[pivot]
-    if factor == 0:
-        return row if det == previous else [det * entry // previous for entry in row]
-    if previous == 1:
-        return [det * entry - factor * p for entry, p in zip(row, pivot_row)]
-    return [(det * entry - factor * p) // previous for entry, p in zip(row, pivot_row)]
 
 
 _COMBINATION_BUDGET = 500_000

@@ -1,15 +1,18 @@
 """Exact linear programming over rationals.
 
-A dense single-phase simplex with Bland's anti-cycling rule, for `<=` rows
-with non-negative right-hand sides: the slack basis is then a feasible
-start, so no phase 1 is needed. Problem sizes in this package are tiny (a
-dozen variables), so the implementation favours exactness and auditability
-over speed: every tableau entry is a Fraction and every comparison is exact,
-which is what makes the equilibrium geometry downstream trustworthy.
+A single-phase bounded-variable simplex with Bland's anti-cycling rule, for
+`<=` rows with non-negative right-hand sides and optional upper bounds, so
+x = 0 is feasible and the slack basis starts the only phase. The tableau is
+condensed (Tucker: one row per basic variable, one column per nonbasic one);
+a variable at its upper bound is complemented, x -> u - x, so the bounds
+need no rows (Dantzig 1955); and the entries are Python integers over one
+common denominator, each pivot dividing exactly by the previous one
+(`_eliminate`; Edmonds 1967, Bareiss 1968). Every comparison is exact.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -23,69 +26,121 @@ class UnboundedError(Exception):
     """The objective is unbounded below on the feasible region."""
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    pivot = tableau[row][col]
-    tableau[row] = [entry / pivot for entry in tableau[row]]
-    for r, other in enumerate(tableau):
-        if r != row and other[col] != 0:
-            factor = other[col]
-            tableau[r] = [entry - factor * p for entry, p in zip(other, tableau[row])]
-    basis[row] = col
+def _eliminate(
+    row: list[int], pivot_row: list[int], pivot: int, det: int, previous: int
+) -> list[int]:
+    """One fraction-free Gauss-Jordan step: (det * row - row[pivot] * pivot_row) / previous.
 
-
-def _optimize(tableau: list[list[Fraction]], basis: list[int], ncols: int) -> None:
-    """Pivot the tableau (last row = reduced costs) to optimality, Bland's rule."""
-    rows = len(tableau) - 1
-    while True:
-        objective = tableau[-1]
-        entering = next((j for j in range(ncols) if objective[j] < 0), None)
-        if entering is None:
-            return
-        leaving = None
-        best_ratio: Fraction | None = None
-        for r in range(rows):
-            coeff = tableau[r][entering]
-            if coeff > 0:
-                ratio = tableau[r][-1] / coeff
-                if (
-                    leaving is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[leaving])
-                ):
-                    leaving, best_ratio = r, ratio
-        if leaving is None:
-            raise UnboundedError("objective decreases without bound")
-        _pivot(tableau, basis, leaving, entering)
+    `pivot_row` holds det at `pivot`, and every row entering the step is the
+    previous determinant times its reduced form, so each entry of the result
+    is a minor of the integer rows and the division is exact (Sylvester's
+    identity; Bareiss 1968).
+    """
+    factor = row[pivot]
+    if factor == 0:
+        return row if det == previous else [det * entry // previous for entry in row]
+    if previous == 1:
+        return [det * entry - factor * p for entry, p in zip(row, pivot_row)]
+    return [(det * entry - factor * p) // previous for entry, p in zip(row, pivot_row)]
 
 
 def solve_min(
-    costs: Sequence[Fraction], le: Sequence[Row] = ()
+    costs: Sequence[Fraction],
+    le: Sequence[Row] = (),
+    upper: Sequence[Fraction | None] | None = None,
 ) -> tuple[Fraction, list[Fraction]]:
-    """Minimize costs . x subject to x >= 0 and the rows a.x <= rhs.
+    """Minimize costs . x subject to the rows a.x <= rhs and 0 <= x <= upper.
 
-    le is a sequence of (coefficients, rhs) with every rhs >= 0, so x = 0 is
-    feasible and the slack basis starts the single phase. Returns (optimal
-    value, optimal x). Raises ValueError on a negative rhs and UnboundedError
-    when the objective has no minimum.
+    le is a sequence of (coefficients, rhs) with every rhs >= 0; upper holds
+    one bound >= 0 or None (no bound) per variable. Returns (optimal value,
+    optimal x). Raises ValueError on a negative rhs or bound and
+    UnboundedError when the objective has no minimum.
     """
-    n = len(costs)
-    tableau: list[list[Fraction]] = []
-    for r, (coeffs, rhs) in enumerate(le):
-        rhs = Fraction(rhs)
+    n, m = len(costs), len(le)
+    upper = [None] * n if upper is None else upper
+    bounds = [None if u is None else Fraction(u) for u in upper]
+    if len(bounds) != n:
+        raise ValueError(f"expected {n} upper bounds, got {len(bounds)}")
+    rows = [([Fraction(a) for a in coeffs], Fraction(rhs)) for coeffs, rhs in le]
+    for r, (_, rhs) in enumerate(rows):
         if rhs < 0:
             raise ValueError(f"le[{r}]: negative right-hand side {rhs}; x = 0 must be feasible")
-        row = [Fraction(c) for c in coeffs] + [ZERO] * len(le) + [rhs]
-        row[n + r] = ONE
-        tableau.append(row)
-    tableau.append([Fraction(c) for c in costs] + [ZERO] * (len(le) + 1))
-    basis = list(range(n, n + len(le)))
-    _optimize(tableau, basis, n + len(le))
+    for j, u in enumerate(bounds):
+        if u is not None and u < 0:
+            raise ValueError(f"upper[{j}]: negative bound {u}; x = 0 must be feasible")
+    # Integer tableau: variables scaled by `scale` (bounds and rhs become
+    # integers), each row by the lcm of its coefficient denominators, costs
+    # by `cost_scale`. Row r reads basic[r] = (rhs - sum of entry * column
+    # variable) / det; the last row is the objective, the last column the rhs.
+    scale = math.lcm(*(r.denominator for _, r in rows), *(u.denominator for u in bounds if u))
+    tableau = []
+    for coeffs, rhs in rows:
+        multiplier = math.lcm(*(a.denominator for a in coeffs))
+        tableau.append([(a * multiplier).numerator for a in coeffs])
+        tableau[-1].append((rhs * scale * multiplier).numerator)
+    costs = [Fraction(c) for c in costs]
+    cost_scale = math.lcm(*(c.denominator for c in costs))
+    tableau.append([-(c * cost_scale).numerator for c in costs] + [0])
+    # Labels 0..n-1 are the variables, n.. the slacks; caps are scaled bounds.
+    caps = [None if u is None else (u * scale).numerator for u in bounds] + [None] * m
+    complemented = [False] * (n + m)
+    basic, nonbasic = list(range(n, n + m)), list(range(n))
+    det = 1
+    while True:
+        # Bland: the lowest label that lowers the objective; a cap of 0 fixes it.
+        objective = tableau[-1]
+        entering = [j for j, label in enumerate(nonbasic) if objective[j] > 0 and caps[label] != 0]
+        if not entering:
+            break
+        e = min(entering, key=nonbasic.__getitem__)
+        # Ratio test, ties to the lowest label: a basic variable falling to
+        # zero or rising to its cap, against the entering variable's own cap.
+        leaving, best = None, (0, 1)
+        for r in range(m):
+            coeff, rhs, cap = tableau[r][e], tableau[r][n], caps[basic[r]]
+            if coeff > 0:
+                ratio = (rhs, coeff)
+            elif coeff < 0 and cap is not None:
+                ratio = (cap * det - rhs, -coeff)
+            else:
+                continue
+            order = ratio[0] * best[1] - best[0] * ratio[1]
+            if leaving is None or order < 0 or (order == 0 and basic[r] < basic[leaving]):
+                leaving, best = r, ratio
+        cap = caps[nonbasic[e]]
+        if cap is not None and (leaving is None or cap * best[1] <= best[0]):
+            # Bound flip: the entering variable is complemented, no pivot.
+            for row in tableau:
+                row[n] -= row[e] * cap
+                row[e] = -row[e]
+            complemented[nonbasic[e]] ^= True
+            continue
+        if leaving is None:
+            raise UnboundedError("objective decreases without bound")
+        if tableau[leaving][e] < 0:
+            # A basic variable rising to its cap leaves complemented.
+            row = tableau[leaving]
+            tableau[leaving] = [-a for a in row[:n]] + [caps[basic[leaving]] * det - row[n]]
+            complemented[basic[leaving]] ^= True
+        pivot_row = tableau[leaving]
+        pivot = pivot_row[e]
+        for r, row in enumerate(tableau):
+            if r != leaving:
+                factor = row[e]
+                tableau[r] = _eliminate(row, pivot_row, e, pivot, det)
+                tableau[r][e] = -factor
+        pivot_row[e] = det
+        basic[leaving], nonbasic[e] = nonbasic[e], basic[leaving]
+        det = pivot
 
-    solution = [ZERO] * n
-    for r, col in enumerate(basis):
-        if col < n:
-            solution[col] = tableau[r][-1]
-    return -tableau[-1][-1], solution
+    row_of = {label: r for r, label in enumerate(basic)}
+    solution = []
+    for j in range(n):
+        x = tableau[row_of[j]][n] if j in row_of else 0
+        if complemented[j]:
+            x = caps[j] * det - x
+        solution.append(Fraction(x, det * scale))
+    return Fraction(tableau[-1][n], det * cost_scale * scale), solution
 
 
 def solve_square_system(

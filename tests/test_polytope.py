@@ -286,14 +286,15 @@ class TestSamplePareto:
             sample_pareto_equilibrium(polytope, (F(1), F(0)))
 
     def test_weighted_optimum_matches_scipy_on_the_bid_form(self):
-        # Winners of 12-20 members, beyond the acceptance suite's n <= 8. The
-        # LP runs in surplus coordinates; scipy solves the bid-form rows
-        # sum(bids) >= rhs directly, so this also checks the change of
-        # coordinates.
+        # Winners of 12-20 members, then a slice of 24-48, beyond the
+        # acceptance suite's n <= 8. The LP runs in surplus coordinates;
+        # scipy solves the bid-form rows sum(bids) >= rhs directly, so this
+        # also checks the change of coordinates.
         scipy_optimize = pytest.importorskip("scipy.optimize")
         rng = random.Random(4)
-        for case in range(40):
-            polytope = build_polytope(rival_family(rng, 12 + case % 9))
+        sizes = [12 + case % 9 for case in range(40)] + list(range(24, 49, 3))
+        for size in sizes:
+            polytope = build_polytope(rival_family(rng, size))
             members = polytope.members
             caps = [(0.0, float(polytope.instance.values[k])) for k in members]
             random_weights = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in members]

@@ -1,4 +1,4 @@
-"""Exact LP solver: known optima, degeneracy, cross-check against scipy."""
+"""Exact LP solver: known optima, degeneracy, upper bounds, cross-check against scipy."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from coopetition import simplex
 from coopetition.simplex import UnboundedError, solve_min, solve_square_system
 
 F = Fraction
@@ -65,6 +66,46 @@ def test_negative_rhs_is_rejected():
         solve_min([F(1)], le=[([F(1)], F(2)), ([F(-1)], F(-1))])
 
 
+def test_bound_flip_without_a_pivot(monkeypatch):
+    # min -x - y  s.t.  x + y <= 10, x <= 2, y <= 3: each variable reaches
+    # its own bound before the row binds, so the optimum takes two bound
+    # flips and no pivot.
+    pivots = []
+    eliminate = simplex._eliminate
+
+    def recording(*args):
+        pivots.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(simplex, "_eliminate", recording)
+    value, x = solve_min([F(-1), F(-1)], le=[([F(1), F(1)], F(10))], upper=[F(2), F(3)])
+    assert value == F(-5)
+    assert x == [F(2), F(3)]
+    assert pivots == []
+
+
+def test_basic_variable_leaves_at_its_bound():
+    # min -2x - y  s.t.  x - y <= 1, x + y <= 10, x <= 3. Bland enters x,
+    # which becomes basic on the first row (x = 1 + y); y enters next and
+    # lifts x to its bound at y = 2, so x leaves the basis at its cap. The
+    # optimum is (3, 7); without the cap it would be (11/2, 9/2).
+    le = [([F(1), F(-1)], F(1)), ([F(1), F(1)], F(10))]
+    assert solve_min([F(-2), F(-1)], le=le, upper=[F(3), None]) == (F(-13), [F(3), F(7)])
+    assert solve_min([F(-2), F(-1)], le=le) == (F(-31, 2), [F(11, 2), F(9, 2)])
+
+
+def test_zero_bound_fixes_the_variable():
+    value, x = solve_min([F(-1), F(-1)], le=[([F(1), F(1)], F(4))], upper=[F(0), None])
+    assert (value, x) == (F(-4), [F(0), F(4)])
+
+
+def test_negative_bound_is_rejected():
+    with pytest.raises(ValueError, match=r"upper\[1\]: negative bound"):
+        solve_min([F(1), F(1)], le=[], upper=[F(1), F(-1, 2)])
+    with pytest.raises(ValueError, match="expected 2 upper bounds"):
+        solve_min([F(1), F(1)], le=[], upper=[F(1)])
+
+
 def test_cross_check_against_scipy():
     scipy_optimize = pytest.importorskip("scipy.optimize")
     rng = random.Random(20240817)
@@ -101,3 +142,51 @@ def test_square_system_solution():
 def test_square_system_singular():
     matrix = [[F(1), F(1)], [F(2), F(2)]]
     assert solve_square_system(matrix, [F(1), F(3)]) is None
+
+
+def test_bounds_match_cap_rows_and_scipy():
+    # The seeded problem shapes of test_cross_check_against_scipy with
+    # rational coefficients, rhs and caps of mixed denominators: the caps as
+    # implicit bounds, as explicit unit rows and as scipy bounds must agree.
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(20240817)
+
+    def rational(low, high):
+        return F(rng.randint(low, high), rng.choice((1, 2, 3, 5, 7)))
+
+    for _ in range(60):
+        nvars = rng.randint(1, 4)
+        nrows = rng.randint(1, 3)
+        costs = [rational(-5, 5) for _ in range(nvars)]
+        le = [
+            ([rational(-2, 4) for _ in range(nvars)], rng.choice((F(0), rational(1, 6))))
+            for _ in range(nrows)
+        ]
+        upper = [rng.choice((None, F(0), rational(1, 8), rational(1, 8))) for _ in range(nvars)]
+        cap_rows = [
+            ([F(1) if k == j else F(0) for k in range(nvars)], u)
+            for j, u in enumerate(upper)
+            if u is not None
+        ]
+        result = scipy_optimize.linprog(
+            c=[float(c) for c in costs],
+            A_ub=[[float(a) for a in row] for row, _ in le],
+            b_ub=[float(b) for _, b in le],
+            bounds=[(0, None if u is None else float(u)) for u in upper],
+            method="highs",
+        )
+        try:
+            value, x = solve_min(costs, le=le, upper=upper)
+        except UnboundedError:
+            # x = 0 is feasible, so HiGHS reports unbounded or, from its
+            # presolve, "infeasible or unbounded".
+            assert result.status in (2, 3)
+            with pytest.raises(UnboundedError):
+                solve_min(costs, le=le + cap_rows)
+            continue
+        assert result.success
+        assert abs(float(value) - result.fun) <= 1e-8 * (1 + abs(result.fun))
+        assert all(F(0) <= xi and (u is None or xi <= u) for xi, u in zip(x, upper))
+        assert all(sum(a * xi for a, xi in zip(row, x)) <= b for row, b in le)
+        assert sum(c * xi for c, xi in zip(costs, x)) == value
+        assert solve_min(costs, le=le + cap_rows)[0] == value
