@@ -7,6 +7,14 @@ every member the rival does not contain freezes (lowering any of them further
 would hand the rival the slot). Events that coincide are processed in the
 same round, so the whole run takes at most one round per member.
 
+The rounds are progressive filling (Bertsekas & Gallager, *Data Networks*,
+2nd ed., §6.5.2) over running totals. Each rival keeps its slack, the
+winner's total minus its own, and the count of unfrozen winner members it
+lacks. A round lowers each slack by the decrement times that count, a rival
+goes tight when its count is positive and its slack reaches zero, and a
+member that freezes decrements the count of every rival lacking it. So ad
+totals are summed once, at the start.
+
 The resulting profile maximizes the sorted surplus vector lexicographically
 over the equilibrium set: the least-happy member is as happy as possible,
 then the next, and so on.
@@ -19,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .mechanisms import efficient_winner
-from .model import AuctionInstance, BidProfile, Outcome, display_scalar, settle, total_bid
+from .model import AuctionInstance, BidProfile, Outcome, display_scalar, settle, total_value
 from .oracle import GridSpec, enumerate_equilibria_grid
 from .polytope import build_polytope, is_equilibrium
 
@@ -72,31 +80,36 @@ def egalitarian_solve(
 ) -> tuple[BidProfile, Outcome, LoweringTrace]:
     """Run the lowering rounds; returns (bids, outcome, trace).
 
-    Non-winners stay at their values. The winner never changes: after every
-    round the winning ad's total still weakly beats every rival total, which
-    is asserted as the rounds proceed.
+    Non-winners stay at their values. The winner never changes: every rival's
+    slack stays non-negative. The invariants raise RuntimeError, also under
+    `python -O`: a negative slack or decrement, a round that freezes no one,
+    or more rounds than members.
     """
     winner = efficient_winner(instance)
-    members = sorted(instance.members(winner))
+    winner_members = instance.members(winner)
+    members = sorted(winner_members)
     bids = list(instance.values)
     unfixed = set(members)
     rivals = [j for j in range(instance.m) if j != winner]
+    winner_total = total_value(instance, winner)
+    slack = {j: winner_total - total_value(instance, j) for j in rivals}
+    moving = {j: len(winner_members - instance.members(j)) for j in rivals}
+    lacking = {k: [j for j in rivals if k not in instance.members(j)] for k in members}
     rounds: list[LoweringRound] = []
 
     while unfixed:
-        winner_total = total_bid(instance, bids, winner)
         step = min(bids[k] for k in unfixed)
         for j in rivals:
-            moving = [k for k in unfixed if k not in instance.members(j)]
-            if not moving:
-                continue
-            slack = winner_total - total_bid(instance, bids, j)
-            step = min(step, slack / len(moving))
+            if moving[j]:
+                step = min(step, slack[j] / moving[j])
         if step < 0:
             raise RuntimeError("a rival ad overtook the winner between rounds")
 
         for k in unfixed:
             bids[k] -= step
+        for j in rivals:
+            if moving[j]:
+                slack[j] -= step * moving[j]
 
         events: list[RoundEvent] = []
         frozen: set[int] = set()
@@ -104,15 +117,16 @@ def egalitarian_solve(
             if bids[k] == 0:
                 events.append(RoundEvent(kind="zero", bidder=k))
                 frozen.add(k)
-        winner_total = total_bid(instance, bids, winner)
         for j in rivals:
-            outside = [k for k in unfixed if k not in instance.members(j)]
-            if outside and total_bid(instance, bids, j) == winner_total:
+            if moving[j] and slack[j] == 0:
                 events.append(RoundEvent(kind="tight", ad=j))
-                frozen.update(outside)
+                frozen.update(k for k in unfixed if k not in instance.members(j))
         if not frozen:
             raise RuntimeError("a lowering round must fix at least one member")
         unfixed -= frozen
+        for k in frozen:
+            for j in lacking[k]:
+                moving[j] -= 1
         rounds.append(
             LoweringRound(
                 decrement=step,
@@ -121,7 +135,7 @@ def egalitarian_solve(
                 bids=tuple(bids),
             )
         )
-        if any(total_bid(instance, bids, j) > winner_total for j in rivals):
+        if any(s < 0 for s in slack.values()):
             raise RuntimeError("lowering must preserve the winner")
 
     if len(rounds) > len(members):

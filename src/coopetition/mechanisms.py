@@ -53,16 +53,22 @@ def vcg(instance: AuctionInstance) -> VcgResult:
     the winning ad faces no real competition everyone pays zero, so two
     advertisers sharing an ad can ride each other's values all the way to
     free clicks.
+
+    In closed form, with t_j the total value of ad j and W = t_winner, member
+    i pays max(0, max_j (t_j - [i in j]·v_i) - (W - v_i)). The totals are
+    summed once, so the cost is O(|winner|·m) after one pass over the ads.
     """
     winner = efficient_winner(instance)
-    welfare = total_value(instance, winner)
+    totals = [total_value(instance, j) for j in range(instance.m)]
+    welfare = totals[winner]
     payments = [Fraction(0)] * instance.n
     for i in instance.members(winner):
+        value = instance.values[i]
         best_without = max(
-            sum((instance.values[k] for k in instance.members(j) if k != i), Fraction(0))
-            for j in range(instance.m)
+            total - value if i in ad.members else total
+            for ad, total in zip(instance.ads, totals)
         )
-        shortfall = best_without - (welfare - instance.values[i])
+        shortfall = best_without - (welfare - value)
         payments[i] = max(Fraction(0), shortfall)
     payments_t = tuple(payments)
     return VcgResult(

@@ -18,13 +18,38 @@ from coopetition import (
 from helpers import (
     F,
     ab_e,
+    bottleneck_failure,
+    egalitarian_by_rounds,
     four_ones,
     hundreds,
     make_instance,
     random_instance,
+    rival_family,
     single_ad,
     triangle,
 )
+
+
+def criterion_7_instances():
+    """The 200 instances of acceptance criterion 7 (same seed and family)."""
+    rng = random.Random(702024)
+    quarter_values = [F(k, 4) for k in range(9)]
+    for _ in range(200):
+        yield random_instance(rng, max_n=5, max_m=4, value_pool=quarter_values)
+
+
+def golden_instances():
+    yield from (ab_e(), four_ones(), triangle(), hundreds(), single_ad())
+    yield make_instance({"A": 10, "B": 1, "E": 3}, [["A", "B"], ["E"]])
+    yield make_instance({"A": 1, "B": 1, "E": 0}, [["A", "B"], ["E"]])
+
+
+def wide_slice():
+    """Winners of 32-48 members, two rival ads per member (the shape of the
+    benchmark's wide workload)."""
+    rng = random.Random(48)
+    for members in range(32, 49, 2):
+        yield rival_family(rng, members, rivals_per_member=2)
 
 
 class TestGoldenRuns:
@@ -120,3 +145,34 @@ class TestInvariants:
             winner_total = total_bid(instance, r.bids, polytope.winner)
             for j in range(instance.m):
                 assert total_bid(instance, r.bids, j) <= winner_total
+
+
+class TestAgainstTheRoundLoop:
+    """Progressive filling returns exactly what the round loop returns."""
+
+    def test_golden_and_criterion_7_instances(self):
+        for instance in (*golden_instances(), *criterion_7_instances()):
+            assert egalitarian_solve(instance) == egalitarian_by_rounds(instance)
+
+    def test_random_instances(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            instance = random_instance(rng, max_n=10, max_m=8)
+            assert egalitarian_solve(instance) == egalitarian_by_rounds(instance)
+
+    def test_wide_slice(self):
+        for instance in wide_slice():
+            assert egalitarian_solve(instance) == egalitarian_by_rounds(instance)
+
+
+class TestLexmaxCertificate:
+    def test_bottleneck_holds_at_wide_size(self):
+        for instance in wide_slice():
+            bids, _, trace = egalitarian_solve(instance)
+            assert any(e.kind == "tight" for r in trace.rounds for e in r.events)
+            assert bottleneck_failure(instance, bids) is None
+
+    def test_lopsided_equilibrium_has_no_bottleneck(self):
+        # An equilibrium, but the only tight row (rival C, bidders A and B)
+        # gives A the larger surplus, so B's positive bid has no bottleneck.
+        assert bottleneck_failure(hundreds(), (F(0), F(99), F(99))) == "B has no bottleneck row"

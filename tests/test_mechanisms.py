@@ -14,9 +14,19 @@ from coopetition import (
     revenue_lower_bound,
     total_value,
     vcg,
+    vcg_bruteforce,
     welfare_ties,
 )
-from helpers import F, ab_e, four_ones, make_instance, random_instance, single_ad, triangle
+from helpers import (
+    F,
+    ab_e,
+    four_ones,
+    make_instance,
+    random_instance,
+    rival_family,
+    single_ad,
+    triangle,
+)
 
 
 class TestEfficientWinner:
@@ -56,6 +66,25 @@ class TestVcg:
     def test_losing_ad_members_pay_nothing(self):
         result = vcg(ab_e())
         assert result.payments[2] == F(0)
+
+    def test_dropping_a_member_ties_other_ads(self):
+        # Without B the winner's other members keep 4, which ties {A, D} and
+        # {E}: B pays 0. Without A the best is {B, C, F} at 5 against 3: A
+        # pays 2.
+        instance = make_instance(
+            {"A": 3, "B": 2, "C": 1, "D": 1, "E": 4, "F": 2},
+            [["A", "B", "C"], ["A", "D"], ["E"], ["B", "C", "F"]],
+        )
+        expected = (F(2), F(0), F(0), F(0), F(0), F(0))
+        assert vcg(instance).payments == expected
+        assert vcg_bruteforce(instance) == vcg(instance)
+
+    def test_matches_the_breakpoint_oracle_beyond_eight_advertisers(self):
+        # Winners of 12-20 members against two rival ads per member.
+        rng = random.Random(12)
+        for case in range(27):
+            instance = rival_family(rng, 12 + case % 9, rivals_per_member=2)
+            assert vcg(instance) == vcg_bruteforce(instance)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=150, deadline=None)

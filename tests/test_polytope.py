@@ -42,6 +42,7 @@ from helpers import (
     hundreds,
     make_instance,
     random_instance,
+    rival_family,
     single_ad,
     triangle,
 )
@@ -70,23 +71,6 @@ def instances(draw, max_n: int) -> AuctionInstance:
         masks.append(uncovered)
     ads = [[names[i] for i in range(n) if mask >> i & 1] for mask in masks]
     return AuctionInstance.build(dict(zip(names, values)), ads)
-
-
-def rival_family(rng: random.Random, members: int) -> AuctionInstance:
-    """A winner of `members` advertisers (ad 0) against one rival ad per member.
-
-    Each rival shares part of the winner and adds an outsider worth less than
-    the part it lacks, so the winner stays strictly efficient.
-    """
-    winner = [f"W{i}" for i in range(members)]
-    values = {name: F(rng.randint(1, 40), rng.choice((1, 2, 3, 4))) for name in winner}
-    ads = [winner]
-    for r in range(members):
-        shared = rng.sample(winner, rng.randint(0, members - 1))
-        lacking = sum((values[name] for name in winner if name not in shared), F(0))
-        values[f"R{r}"] = lacking * F(rng.randint(1, 19), 20)
-        ads.append(shared + [f"R{r}"])
-    return AuctionInstance.build(values, ads)
 
 
 def combinations_to_solve(polytope) -> int:
