@@ -57,7 +57,6 @@ from .oracle import (
     GridBudgetError,
     GridSpec,
     enumerate_equilibria_grid,
-    enumerate_vertices_bruteforce,
     lexmax_surplus_grid,
     vcg_bruteforce,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "egalitarian_solve",
     "enumerate_equilibria_grid",
     "enumerate_vertices",
-    "enumerate_vertices_bruteforce",
     "evaluate_contracts",
     "first_cef_violation",
     "first_ir_violation",

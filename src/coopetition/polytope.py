@@ -26,6 +26,11 @@ and IR becomes 0 <= y <= value. The right-hand side is the winner's value
 minus the rival's, restricted to where they differ, so it is non-negative
 because T is efficient. Truthful bidding (y = 0) is therefore always
 feasible, which lets the LP start from the slack basis in a single phase.
+Every LP here is posed in these rows (`surplus_rows`): the frontier sample,
+the revenue minimum and the revenue maximum, which is the best of one
+lexicographic LP per irredundant cover of the members by tight rows
+(`revenue_range`). `enumerate_vertices` lists the vertices by one square
+solve per subset of rows; it is the reference the maximum is tested against.
 """
 
 from __future__ import annotations
@@ -33,13 +38,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from itertools import combinations
+from typing import Mapping, Sequence
 
 from .mechanisms import efficient_winner
 from .model import AuctionInstance, BidProfile, check_bids, format_scalar
-# benchmarks/spans.py wraps polytope.solve_square_system by name in its traced
-# run, so the name stays bound here although nothing in this module calls it.
-from .simplex import ONE, ZERO, _eliminate, solve_min, solve_square_system  # noqa: F401
+from .simplex import ONE, ZERO, solve_min, solve_square_system
 
 
 @dataclass(frozen=True)
@@ -219,28 +223,34 @@ def sample_pareto_equilibrium(
         raise ValueError("weights must be strictly positive")
     values = [polytope.instance.values[member] for member in members]
     # Minimizing w . bid is maximizing w . y over the packing rows, y <= value.
-    rows = [
-        (coeffs, sum((v for a, v in zip(coeffs, values) if a), Fraction(0)) - rhs)
-        for coeffs, rhs in cef_rows(polytope)
-    ]
-    _, surplus = solve_min([-w for w in weights], le=rows, upper=values)
-    bids = list(polytope.instance.values)
-    for member, value, y in zip(members, values, surplus):
-        bids[member] = value - y
-    profile = tuple(bids)
+    _, surplus = solve_min([-w for w in weights], le=surplus_rows(polytope), upper=values)
+    profile = _bids_from_surplus(polytope, surplus)
     verdict = is_equilibrium(polytope, profile)
     if not verdict.ok:
         raise RuntimeError(f"optimizer left the equilibrium set: {verdict.failure}")
     return profile
 
 
-def cef_rows(polytope: CefPolytope) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-    """Each envy-free row as (0/1 coefficients in member order, rhs)."""
+def surplus_rows(polytope: CefPolytope) -> list[tuple[tuple[int, ...], Fraction]]:
+    """Each envy-free row in surplus coordinates y = value - bid, as (0/1
+    coefficients in member order, room): coefficients . y <= room, where the
+    room is the value of the row's bidders minus the rival's outside value."""
     members = polytope.members
+    values = polytope.instance.values
     return [
-        (tuple(ONE if k in c.bidders else ZERO for k in members), c.rhs)
+        (
+            tuple(int(k in c.bidders) for k in members),
+            sum((values[i] for i in c.bidders), Fraction(0)) - c.rhs,
+        )
         for c in polytope.constraints
     ]
+
+
+def _bids_from_surplus(polytope: CefPolytope, surplus: Sequence[Fraction]) -> BidProfile:
+    bids = list(polytope.instance.values)
+    for member, y in zip(polytope.members, surplus):
+        bids[member] -= y
+    return tuple(bids)
 
 
 def _unit(p: int, dimension: int) -> tuple[Fraction, ...]:
@@ -256,7 +266,11 @@ def vertex_rows(polytope: CefPolytope) -> list[tuple[tuple[Fraction, ...], Fract
     are dropped; the order is otherwise fixed.
     """
     members = polytope.members
-    rows = [(coeffs, rhs) for coeffs, rhs in cef_rows(polytope) if rhs != 0]
+    rows = [
+        (tuple(ONE if k in c.bidders else ZERO for k in members), c.rhs)
+        for c in polytope.constraints
+        if c.rhs != 0
+    ]
     for p, member in enumerate(members):
         unit = _unit(p, len(members))
         rows.append((unit, Fraction(0)))
@@ -282,153 +296,112 @@ def in_polytope(polytope: CefPolytope, point: Sequence[Fraction]) -> bool:
 _COMBINATION_BUDGET = 500_000
 
 
-def _walk_vertices(
-    polytope: CefPolytope,
-    visit: Callable[[list[int], int, list[int]], None],
-    combination_budget: int,
-) -> None:
-    """Call visit(numerators, denominator, slacks) at each leaf of the walk inside the polytope.
-
-    The d-subsets of `vertex_rows` (d = number of members) are walked depth
-    first, in row order, in Python integers: every rhs is multiplied by
-    `scale`, the lcm of their denominators, and the chosen rows are kept as
-    a reduced row-echelon basis scaled by its determinant, with every row
-    still to choose reduced against it (`_eliminate`). A row that reduces
-    to zero is linearly dependent on the chosen prefix, so every subset
-    holding both is singular and the row is dropped for the whole branch.
-    At depth d every basis row holds the determinant at its pivot, so the
-    leaf is the point numerators / (det * scale), with a positive
-    denominator. A leaf inside the polytope (IR and every envy-free row,
-    tested in integers) is visited with the slack of each row of
-    `polytope.constraints`, scaled like the point. A vertex at which more
-    than d rows are tight is visited once per basis that reaches it.
-
-    Raises RuntimeError when there are more than `combination_budget`
-    d-subsets, before walking any.
-    """
-    rows = vertex_rows(polytope)
-    members = polytope.members
-    dimension = len(members)
-    total = math.comb(len(rows), dimension)
-    if total > combination_budget:
-        raise RuntimeError(
-            f"vertex enumeration needs {total} constraint combinations, "
-            f"budget is {combination_budget}"
-        )
-    scale = math.lcm(*(rhs.denominator for _, rhs in rows))
-    # Every cap and every nonzero envy-free rhs is among the rows, so all
-    # of them are integers at this scale.
-    caps = [(polytope.instance.values[k] * scale).numerator for k in members]
-    position = {k: p for p, k in enumerate(members)}
-    envy = [
-        ([position[i] for i in c.bidders], (c.rhs * scale).numerator)
-        for c in polytope.constraints
-    ]
-
-    def extend(basis: list[tuple[int, list[int]]], candidates: list[list[int]], det: int) -> None:
-        # basis: (pivot column, row) pairs, each row det at its pivot and 0 at
-        # the other pivots; candidates: rows reduced against the basis and
-        # scaled by det, none zero.
-        if len(basis) == dimension:
-            point = [0] * dimension
-            for pivot, row in basis:
-                point[pivot] = row[dimension]
-            if det < 0:
-                point = [-x for x in point]
-                det = -det
-            if any(x < 0 or x > cap * det for x, cap in zip(point, caps)):
-                return
-            slacks = [sum(point[p] for p in bidders) - rhs * det for bidders, rhs in envy]
-            if any(slack < 0 for slack in slacks):
-                return
-            visit(point, det * scale, slacks)
-            return
-        for k in range(len(candidates) - (dimension - len(basis)) + 1):
-            row = candidates[k]
-            pivot = next(col for col in range(dimension) if row[col])
-            grown = [(p, _eliminate(b, row, pivot, row[pivot], det)) for p, b in basis]
-            grown.append((pivot, row))
-            rest = []
-            for other in candidates[k + 1 :]:
-                reduced = _eliminate(other, row, pivot, row[pivot], det)
-                if any(reduced[:dimension]):
-                    rest.append(reduced)
-            extend(grown, rest, row[pivot])
-
-    integer_rows = [
-        [int(a) for a in coeffs] + [(rhs * scale).numerator]
-        for coeffs, rhs in rows
-        if any(coeffs)
-    ]
-    extend([], integer_rows, 1)
-
-
 def enumerate_vertices(
     polytope: CefPolytope, combination_budget: int = _COMBINATION_BUDGET
 ) -> list[tuple[Fraction, ...]]:
     """All vertices of the polytope, as member-bid vectors in member order, sorted.
 
     A vertex is a point of the polytope at which d linearly independent rows
-    of `vertex_rows` are tight (d = number of members). `_walk_vertices`
-    solves every nonsingular d-subset with fraction-free integer
-    elimination (each step divides exactly by the previous pivot) and tests
-    IR and the envy-free rows in integers; a Fraction point is built only
-    for a leaf inside the polytope.
+    of `vertex_rows` are tight (d = number of members). Every d-subset is
+    solved as an exact square system and kept when its solution is IR and
+    meets every envy-free row.
 
     Raises RuntimeError when there are more than `combination_budget`
-    d-subsets, before enumerating any.
+    d-subsets, before solving any.
     """
+    rows = vertex_rows(polytope)
+    dimension = len(polytope.members)
+    total = math.comb(len(rows), dimension)
+    if total > combination_budget:
+        raise RuntimeError(
+            f"vertex enumeration needs {total} constraint combinations, "
+            f"budget is {combination_budget}"
+        )
     found: set[tuple[Fraction, ...]] = set()
-
-    def keep(numerators: list[int], denominator: int, slacks: list[int]) -> None:
-        found.add(tuple(Fraction(x, denominator) for x in numerators))
-
-    _walk_vertices(polytope, keep, combination_budget)
+    for chosen in combinations(rows, dimension):
+        solution = solve_square_system([a for a, _ in chosen], [rhs for _, rhs in chosen])
+        if solution is not None and in_polytope(polytope, solution):
+            found.add(tuple(solution))
     return sorted(found)
+
+
+# Cover LPs `revenue_range` may solve for one maximum.
+_COVER_BUDGET = 100_000
 
 
 def revenue_range(polytope: CefPolytope) -> tuple[Fraction, Fraction]:
     """Smallest and largest winner revenue over the equilibrium set.
 
-    The minimum comes from the exact LP with unit weights. The maximum is
-    over the polytope vertices that are equilibria (the equilibrium set is a
-    union of faces, so a linear maximum over it sits at a polytope vertex):
-    at each integer leaf of `_walk_vertices` inside the polytope, the pin
-    test keeps the leaf when every member with a positive bid lies in an
-    envy-free row whose slack is zero, which for a point of the polytope is
-    exactly the equilibrium condition. Only the maximizing leaf becomes a
-    bid profile, and it is re-verified with `is_equilibrium`.
+    The minimum comes from the exact LP with unit weights.
+
+    The maximum comes from a cover search. For a set R of envy-free rows
+    with rhs > 0, let F_R be the points of the polytope where every row of
+    R is tight and every member that is no bidder of R bids 0. The
+    equilibrium set is the union of the F_R:
+
+    - In F_R each positive member is a bidder of a tight row of R, whose
+      rival excludes it, so it is pinned.
+    - An equilibrium lies in F_R for R its tight rows with rhs > 0. A tight
+      row with rhs 0 pins nobody, because all of its bidders bid 0.
+
+    If R' is a subset of R with the same bidders, F_R lies in F_R'. So only
+    irredundant covers need an LP: each row of R has a bidder that no other
+    row of R has. A cover with a redundant row stays redundant when rows
+    are added, so the depth-first walk over row subsets prunes there.
+
+    Each cover costs one two-stage LP in surplus coordinates. Stage 1
+    maximizes g . y, where g sums R's rows and the unit vectors of the
+    members outside R. It reaches the sum of R's rooms plus the values
+    outside R exactly when F_R is non-empty. Stage 2 minimizes the sum of
+    y, the revenue given up, over that optimal face, which is F_R. The
+    maximizer is re-verified with `is_equilibrium`.
+
+    Raises RuntimeError when the search needs more than `_COVER_BUDGET`
+    cover LPs.
     """
     members = polytope.members
     cheapest = sample_pareto_equilibrium(polytope, [Fraction(1)] * len(members))
     low = sum((cheapest[i] for i in members), Fraction(0))
-    position = {k: p for p, k in enumerate(members)}
-    masks = [sum(1 << position[i] for i in c.bidders) for c in polytope.constraints]
-    high, argmax = low, None
+    values = [polytope.instance.values[k] for k in members]
+    rows = surplus_rows(polytope)
+    positive = [row for row, c in zip(rows, polytope.constraints) if c.rhs > 0]
+    masks = [sum(a << p for p, a in enumerate(coeffs)) for coeffs, _ in positive]
+    high, argmax, solved = low, None, 0
 
-    def pin(numerators: list[int], denominator: int, slacks: list[int]) -> None:
-        nonlocal high, argmax
-        pinned = 0
-        for mask, slack in zip(masks, slacks):
-            if slack == 0:
-                pinned |= mask
-        positive = sum(1 << p for p, x in enumerate(numerators) if x)
-        if positive & ~pinned:
-            return
-        revenue = Fraction(sum(numerators), denominator)
-        if revenue > high:
-            high, argmax = revenue, (numerators, denominator)
+    def solve(cover: list[int]) -> None:
+        nonlocal high, argmax, solved
+        if solved == _COVER_BUDGET:
+            raise RuntimeError(
+                f"the revenue maximum needs more cover LPs than its budget: "
+                f"{solved} solved of {_COVER_BUDGET}"
+            )
+        solved += 1
+        counts = [sum(positive[i][0][p] for i in cover) for p in range(len(members))]
+        gain = [count or 1 for count in counts]
+        reach = sum((positive[i][1] for i in cover), Fraction(0)) + sum(
+            (v for v, count in zip(values, counts) if not count), Fraction(0)
+        )
+        value, surplus = solve_min(
+            [-g for g in gain], le=rows, upper=values, then=[Fraction(1)] * len(members)
+        )
+        revenue = sum(values, Fraction(0)) - sum(surplus, Fraction(0))
+        if value == -reach and revenue > high:
+            high, argmax = revenue, surplus
 
-    _walk_vertices(polytope, pin, _COMBINATION_BUDGET)
+    def extend(cover: list[int], union: int, own: list[int], start: int) -> None:
+        # own[k]: the members that only row cover[k] covers, none empty.
+        for i in range(start, len(positive)):
+            grown = [o & ~masks[i] for o in own] + [masks[i] & ~union]
+            if all(grown):
+                solve(cover + [i])
+                extend(cover + [i], union | masks[i], grown, i + 1)
+
+    extend([], 0, [], 0)
     if argmax is not None:
-        numerators, denominator = argmax
-        bids = list(polytope.instance.values)
-        for member, x in zip(members, numerators):
-            bids[member] = Fraction(x, denominator)
-        verdict = is_equilibrium(polytope, tuple(bids))
+        verdict = is_equilibrium(polytope, _bids_from_surplus(polytope, argmax))
         if not verdict.ok:
             raise RuntimeError(
-                f"the pin test and is_equilibrium disagree at the revenue maximum: "
+                f"the cover search and is_equilibrium disagree at the revenue maximum: "
                 f"{verdict.failure}"
             )
     return low, high

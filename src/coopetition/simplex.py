@@ -48,19 +48,27 @@ def solve_min(
     costs: Sequence[Fraction],
     le: Sequence[Row] = (),
     upper: Sequence[Fraction | None] | None = None,
+    then: Sequence[Fraction] | None = None,
 ) -> tuple[Fraction, list[Fraction]]:
     """Minimize costs . x subject to the rows a.x <= rhs and 0 <= x <= upper.
 
     le is a sequence of (coefficients, rhs) with every rhs >= 0; upper holds
-    one bound >= 0 or None (no bound) per variable. Returns (optimal value,
-    optimal x). Raises ValueError on a negative rhs or bound and
-    UnboundedError when the objective has no minimum.
+    one bound >= 0 or None (no bound) per variable. When `then` is given,
+    then . x is minimized next over the optimal face of costs . x, as in the
+    lexicographic simplex (Isermann 1982): after the first optimum only a
+    column whose reduced cost in costs is zero may enter, so costs . x keeps
+    its optimal value. Returns (optimal value of costs . x, optimal x).
+    Raises ValueError on a negative rhs or bound and UnboundedError when an
+    objective has no minimum.
     """
     n, m = len(costs), len(le)
     upper = [None] * n if upper is None else upper
     bounds = [None if u is None else Fraction(u) for u in upper]
     if len(bounds) != n:
         raise ValueError(f"expected {n} upper bounds, got {len(bounds)}")
+    objectives = [costs] if then is None else [costs, then]
+    if len(objectives[-1]) != n:
+        raise ValueError(f"expected {n} costs in then, got {len(objectives[-1])}")
     rows = [([Fraction(a) for a in coeffs], Fraction(rhs)) for coeffs, rhs in le]
     for r, (_, rhs) in enumerate(rows):
         if rhs < 0:
@@ -69,29 +77,40 @@ def solve_min(
         if u is not None and u < 0:
             raise ValueError(f"upper[{j}]: negative bound {u}; x = 0 must be feasible")
     # Integer tableau: variables scaled by `scale` (bounds and rhs become
-    # integers), each row by the lcm of its coefficient denominators, costs
-    # by `cost_scale`. Row r reads basic[r] = (rhs - sum of entry * column
-    # variable) / det; the last row is the objective, the last column the rhs.
+    # integers), each row by the lcm of its coefficient denominators, each
+    # objective by the lcm of its cost denominators. Row r reads basic[r] =
+    # (rhs - sum of entry * column variable) / det; rows m.. are the
+    # objectives in stage order, and the last column is the rhs.
     scale = math.lcm(*(r.denominator for _, r in rows), *(u.denominator for u in bounds if u))
     tableau = []
     for coeffs, rhs in rows:
         multiplier = math.lcm(*(a.denominator for a in coeffs))
         tableau.append([(a * multiplier).numerator for a in coeffs])
         tableau[-1].append((rhs * scale * multiplier).numerator)
-    costs = [Fraction(c) for c in costs]
-    cost_scale = math.lcm(*(c.denominator for c in costs))
-    tableau.append([-(c * cost_scale).numerator for c in costs] + [0])
+    cost_scales = []
+    for objective in objectives:
+        objective = [Fraction(c) for c in objective]
+        cost_scales.append(math.lcm(*(c.denominator for c in objective)))
+        tableau.append([-(c * cost_scales[-1]).numerator for c in objective] + [0])
     # Labels 0..n-1 are the variables, n.. the slacks; caps are scaled bounds.
     caps = [None if u is None else (u * scale).numerator for u in bounds] + [None] * m
     complemented = [False] * (n + m)
     basic, nonbasic = list(range(n, n + m)), list(range(n))
-    det = 1
+    det, stage = 1, m
     while True:
-        # Bland: the lowest label that lowers the objective; a cap of 0 fixes it.
-        objective = tableau[-1]
-        entering = [j for j, label in enumerate(nonbasic) if objective[j] > 0 and caps[label] != 0]
+        # Bland: the lowest label that lowers the objective; a cap of 0 fixes
+        # it, and in the second stage so does a nonzero first reduced cost.
+        objective = tableau[stage]
+        entering = [
+            j
+            for j, label in enumerate(nonbasic)
+            if objective[j] > 0 and caps[label] != 0 and (stage == m or tableau[m][j] == 0)
+        ]
         if not entering:
-            break
+            if stage + 1 == len(tableau):
+                break
+            stage += 1
+            continue
         e = min(entering, key=nonbasic.__getitem__)
         # Ratio test, ties to the lowest label: a basic variable falling to
         # zero or rising to its cap, against the entering variable's own cap.
@@ -140,7 +159,7 @@ def solve_min(
         if complemented[j]:
             x = caps[j] * det - x
         solution.append(Fraction(x, det * scale))
-    return Fraction(tableau[-1][n], det * cost_scale * scale), solution
+    return Fraction(tableau[m][n], det * cost_scales[0] * scale), solution
 
 
 def solve_square_system(

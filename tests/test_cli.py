@@ -115,6 +115,12 @@ class TestSolve:
         assert "revenue_min: 3" in out
         assert "revenue_max: 3" in out
 
+    def test_cover_budget_is_an_error_report(self, capsys, triangle_path, monkeypatch):
+        monkeypatch.setattr(coopetition.polytope, "_COVER_BUDGET", 2)
+        code, out, err = run(capsys, ["solve", triangle_path, "bounds", "--format", "json"])
+        assert code == 1 and out == ""
+        assert "2 solved of 2" in json.loads(err)["error"]
+
     def test_welfare_tie_is_noted(self, capsys, tmp_path):
         path = tmp_path / "tie.json"
         path.write_text(

@@ -22,7 +22,6 @@ from coopetition import (
     build_polytope,
     canonical_bids,
     enumerate_vertices,
-    enumerate_vertices_bruteforce,
     first_cef_violation,
     first_ir_violation,
     is_cef,
@@ -92,11 +91,11 @@ def small_polytopes(seed: int, count: int, make=random_instance):
 
 
 def bruteforce_max_revenue(polytope):
-    """Largest member-bid total over the brute-force vertices that pass
-    `is_equilibrium`."""
+    """Largest member-bid total over the polytope vertices (one square solve
+    per subset of rows) that pass `is_equilibrium`."""
     members = polytope.members
     revenues = []
-    for vertex in enumerate_vertices_bruteforce(polytope):
+    for vertex in enumerate_vertices(polytope):
         bids = list(polytope.instance.values)
         for member, bid in zip(members, vertex):
             bids[member] = bid
@@ -105,7 +104,7 @@ def bruteforce_max_revenue(polytope):
     return max(revenues)
 
 
-# Values over the primes 7-19, so that the vertex walk scales every rhs by a
+# Values over the primes 7-19, so that the exact LPs scale every rhs by a
 # large lcm (up to 7*11*13*17*19 and beyond).
 PRIME_DENOMINATOR_VALUES = [F(k, p) for p in (7, 11, 13, 17, 19) for k in range(1, 80)]
 
@@ -126,6 +125,57 @@ def prime_rival_family(rng: random.Random) -> AuctionInstance:
         values[f"R{r}"] = lacking * rng.choice(PRIME_DENOMINATOR_VALUES) / 80
         ads.append(shared + [f"R{r}"])
     return AuctionInstance.build(values, ads)
+
+
+# (low, high) on the 20 instances of random_instance(random.Random(0),
+# max_n=16, max_m=12), from the depth-first vertex walk that the cover search
+# replaced, run with its combination budget lifted; None where it ran past
+# 600 s. The walk refused 11 of them at its budget.
+CLIFF_RANGES = [
+    (F("133/40"), F("11/2")), (F("0"), F("0")), (F("5"), F("5")), (F("0"), F("0")),
+    (F("41/4"), F("83/8")), (F("28/5"), F("28/5")), (F("0"), F("0")), (F("4"), F("37/5")), None,
+    (F("0"), F("0")), (F("0"), F("0")), (F("0"), F("0")), (F("0"), F("0")), (F("0"), F("0")),
+    (F("34"), F("139/4")), (F("0"), F("0")), (F("0"), F("0")), (F("0"), F("0")),
+    (F("12/5"), F("18/5")), (F("5/2"), F("5/2")),
+]
+
+
+def milp_max_revenue(polytope) -> float:
+    """The revenue maximum as a scipy MILP in bid coordinates, independent of
+    the cover search: binary t_r marks a tight row with rhs > 0 (its slack is
+    at most room_r * (1 - t_r)), and a member bids at most its value times
+    the number of marked rows it is a bidder of."""
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    members = polytope.members
+    values = [float(polytope.instance.values[k]) for k in members]
+    positive = [c for c in polytope.constraints if c.rhs > 0]
+    d, width = len(members), len(members) + len(positive)
+    rows, low, high = [], [], []
+    for c in polytope.constraints:
+        rows.append([float(k in c.bidders) for k in members] + [0.0] * len(positive))
+        low.append(float(c.rhs))
+        high.append(float("inf"))
+    for r, c in enumerate(positive):
+        room = sum(values[p] for p, k in enumerate(members) if k in c.bidders) - float(c.rhs)
+        rows.append([float(k in c.bidders) for k in members] + [0.0] * len(positive))
+        rows[-1][d + r] = room
+        low.append(-float("inf"))
+        high.append(float(c.rhs) + room)
+    for p, k in enumerate(members):
+        rows.append([0.0] * width)
+        rows[-1][p] = 1.0
+        for r, c in enumerate(positive):
+            rows[-1][d + r] = -values[p] if k in c.bidders else 0.0
+        low.append(-float("inf"))
+        high.append(0.0)
+    result = scipy_optimize.milp(
+        c=[-1.0] * d + [0.0] * len(positive),
+        constraints=scipy_optimize.LinearConstraint(rows, low, high),
+        integrality=[0] * d + [1] * len(positive),
+        bounds=scipy_optimize.Bounds([0.0] * width, values + [1.0] * len(positive)),
+    )
+    assert result.success
+    return -result.fun
 
 
 def tri_bids(a, b, c):
@@ -319,47 +369,13 @@ class TestVertices:
             [["A", "B", "C"], ["C", "X"], ["A", "Y"], ["B", "Z"]],
         )
         polytope = build_polytope(instance)
-        vertices = enumerate_vertices(polytope)
-        assert (F(3), F(3), F(3)) in vertices
-        assert vertices == enumerate_vertices_bruteforce(polytope)
+        assert (F(3), F(3), F(3)) in enumerate_vertices(polytope)
+        assert revenue_range(polytope)[1] == bruteforce_max_revenue(polytope)
 
     def test_budget_guard(self):
         polytope = build_polytope(triangle())
         with pytest.raises(RuntimeError, match="budget"):
             enumerate_vertices(polytope, combination_budget=1)
-
-    def test_matches_bruteforce_on_the_acceptance_family(self):
-        for polytope in small_polytopes(0, 100):
-            assert enumerate_vertices(polytope) == enumerate_vertices_bruteforce(polytope)
-
-    def test_matches_bruteforce_with_prime_denominators(self, monkeypatch):
-        # The walk divides exactly by the previous pivot; record the pivots
-        # it meets so that the test shows it met some other than +-1.
-        eliminate = polytope_module._eliminate
-        pivots: set[int] = set()
-
-        def recording(row, pivot_row, pivot, det, previous):
-            pivots.add(abs(det))
-            return eliminate(row, pivot_row, pivot, det, previous)
-
-        monkeypatch.setattr(polytope_module, "_eliminate", recording)
-        large_scales = 0
-        for polytope in itertools.chain(
-            small_polytopes(1, 40, partial(random_instance, value_pool=PRIME_DENOMINATOR_VALUES)),
-            small_polytopes(2, 40, prime_rival_family),
-        ):
-            assert enumerate_vertices(polytope) == enumerate_vertices_bruteforce(polytope)
-            scale = math.lcm(*(rhs.denominator for _, rhs in vertex_rows(polytope)))
-            large_scales += scale >= 7 * 11 * 13
-        assert large_scales >= 20
-        assert max(pivots) > 1
-
-    @given(instances(max_n=6))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_bruteforce(self, instance):
-        polytope = build_polytope(instance)
-        assume(combinations_to_solve(polytope) <= 5000)
-        assert enumerate_vertices(polytope) == enumerate_vertices_bruteforce(polytope)
 
 
 class TestRevenueRange:
@@ -380,8 +396,18 @@ class TestRevenueRange:
             assert revenue_range(polytope)[1] == bruteforce_max_revenue(polytope)
 
     def test_maximum_matches_bruteforce_with_prime_denominators(self):
-        for polytope in small_polytopes(2, 40, prime_rival_family):
+        for polytope in itertools.chain(
+            small_polytopes(1, 40, partial(random_instance, value_pool=PRIME_DENOMINATOR_VALUES)),
+            small_polytopes(2, 40, prime_rival_family),
+        ):
             assert revenue_range(polytope)[1] == bruteforce_max_revenue(polytope)
+
+    @given(instances(max_n=6))
+    @settings(max_examples=100, deadline=None)
+    def test_maximum_matches_bruteforce(self, instance):
+        polytope = build_polytope(instance)
+        assume(combinations_to_solve(polytope) <= 5000)
+        assert revenue_range(polytope)[1] == bruteforce_max_revenue(polytope)
 
     def test_maximizer_is_reverified(self, monkeypatch):
         # The triangle's maximum (2) lies above its LP minimum (1), so the
@@ -396,6 +422,30 @@ class TestRevenueRange:
 
         monkeypatch.setattr(polytope_module, "is_equilibrium", reject_the_maximum)
         with pytest.raises(RuntimeError, match="disagree.*rejected"):
+            revenue_range(polytope)
+
+    def test_matches_the_vertex_walk_beyond_eight_advertisers(self):
+        # Where the walk finished, the range is identical; everywhere, the
+        # maximum agrees with an independent MILP. HiGHS holds integrality
+        # and feasibility to about 1e-6, which the big-M rooms magnify, so
+        # the MILP is trusted to 1e-6 relative (it was off by 5e-8 on an
+        # instance where the exact brute force agrees with the cover search).
+        rng = random.Random(0)
+        for expected in CLIFF_RANGES:
+            polytope = build_polytope(random_instance(rng, max_n=16, max_m=12))
+            low, high = revenue_range(polytope)
+            assert expected is None or (low, high) == expected
+            milp = milp_max_revenue(polytope)
+            assert abs(float(high) - milp) <= 1e-6 * max(1.0, milp)
+
+    def test_cover_budget_counts_lps(self, monkeypatch):
+        # The triangle's positive rows cover {B, C} and {A, C}; the covers
+        # are each row alone and both together, three LPs.
+        polytope = build_polytope(triangle())
+        monkeypatch.setattr(polytope_module, "_COVER_BUDGET", 3)
+        assert revenue_range(polytope) == (F(1), F(2))
+        monkeypatch.setattr(polytope_module, "_COVER_BUDGET", 2)
+        with pytest.raises(RuntimeError, match="2 solved of 2"):
             revenue_range(polytope)
 
     @given(st.integers(0, 10**6))

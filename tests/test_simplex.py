@@ -144,11 +144,10 @@ def test_square_system_singular():
     assert solve_square_system(matrix, [F(1), F(3)]) is None
 
 
-def test_bounds_match_cap_rows_and_scipy():
-    # The seeded problem shapes of test_cross_check_against_scipy with
-    # rational coefficients, rhs and caps of mixed denominators: the caps as
-    # implicit bounds, as explicit unit rows and as scipy bounds must agree.
-    scipy_optimize = pytest.importorskip("scipy.optimize")
+def bounded_shapes():
+    """The seeded problem shapes of test_cross_check_against_scipy with
+    rational coefficients, rhs and caps of mixed denominators, as
+    (costs, le, upper)."""
     rng = random.Random(20240817)
 
     def rational(low, high):
@@ -163,6 +162,15 @@ def test_bounds_match_cap_rows_and_scipy():
             for _ in range(nrows)
         ]
         upper = [rng.choice((None, F(0), rational(1, 8), rational(1, 8))) for _ in range(nvars)]
+        yield costs, le, upper
+
+
+def test_bounds_match_cap_rows_and_scipy():
+    # The caps as implicit bounds, as explicit unit rows and as scipy bounds
+    # must agree.
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    for costs, le, upper in bounded_shapes():
+        nvars = len(costs)
         cap_rows = [
             ([F(1) if k == j else F(0) for k in range(nvars)], u)
             for j, u in enumerate(upper)
@@ -190,3 +198,70 @@ def test_bounds_match_cap_rows_and_scipy():
         assert all(sum(a * xi for a, xi in zip(row, x)) <= b for row, b in le)
         assert sum(c * xi for c, xi in zip(costs, x)) == value
         assert solve_min(costs, le=le + cap_rows)[0] == value
+
+
+def test_second_objective_picks_an_endpoint_of_the_optimal_edge():
+    # min -x - y  s.t.  x + y <= 1, x, y <= 1: the optimum is the edge from
+    # (1, 0) to (0, 1), and Bland's rule alone stops at (1, 0). The second
+    # objective picks the endpoint where it is smaller, and the slack, whose
+    # reduced cost in the first objective is nonzero, never enters.
+    le = [([F(1), F(1)], F(1))]
+    assert solve_min([F(-1), F(-1)], le=le, upper=[F(1), F(1)]) == (F(-1), [F(1), F(0)])
+    for then, endpoint in (([F(2), F(1)], [F(0), F(1)]), ([F(1), F(2)], [F(1), F(0)])):
+        assert solve_min([F(-1), F(-1)], le=le, upper=[F(1), F(1)], then=then) == (
+            F(-1),
+            endpoint,
+        )
+    with pytest.raises(ValueError, match="expected 2 costs in then"):
+        solve_min([F(-1), F(-1)], le=le, then=[F(1)])
+
+
+def test_second_objective_matches_two_stage_scipy():
+    # The shapes of test_bounds_match_cap_rows_and_scipy with about half of
+    # the first costs zeroed, so that the first optimum is often a face, not
+    # a vertex, and a second objective. scipy solves the two stages apart:
+    # the first as it is, the second with the first objective held at its
+    # optimum by one more row.
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(7)
+    second_stages = moved = 0
+    for costs, le, upper in bounded_shapes():
+        costs = [c if rng.random() < 0.5 else F(0) for c in costs]
+        then = [F(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in costs]
+        a_ub = [[float(a) for a in row] for row, _ in le]
+        b_ub = [float(b) for _, b in le]
+        bounds = [(0, None if u is None else float(u)) for u in upper]
+        first = scipy_optimize.linprog(
+            c=[float(c) for c in costs], A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs"
+        )
+        if not first.success:
+            with pytest.raises(UnboundedError):
+                solve_min(costs, le=le, upper=upper, then=then)
+            continue
+        second = scipy_optimize.linprog(
+            c=[float(c) for c in then],
+            A_ub=a_ub + [[float(c) for c in costs]],
+            b_ub=b_ub + [first.fun + 1e-9 * (1 + abs(first.fun))],
+            bounds=bounds,
+            method="highs",
+        )
+        try:
+            value, x = solve_min(costs, le=le, upper=upper, then=then)
+        except UnboundedError:
+            assert second.status in (2, 3)
+            continue
+        assert second.success
+        second_stages += 1
+        first_only = solve_min(costs, le=le, upper=upper)
+        assert value == first_only[0]
+        moved += sum(c * a for c, a in zip(then, first_only[1])) != sum(
+            c * xi for c, xi in zip(then, x)
+        )
+        assert sum(c * xi for c, xi in zip(costs, x)) == value
+        assert all(F(0) <= xi and (u is None or xi <= u) for xi, u in zip(x, upper))
+        assert all(sum(a * xi for a, xi in zip(row, x)) <= b for row, b in le)
+        assert abs(float(sum(c * xi for c, xi in zip(then, x))) - second.fun) <= 1e-7 * (
+            1 + abs(second.fun)
+        )
+    # The second stage changed the answer on some shapes, so it was tested.
+    assert second_stages >= 40 and moved >= 5
