@@ -90,6 +90,65 @@ def small_polytopes(seed: int, count: int, make=random_instance):
         checked += 1
 
 
+def _integer_det(matrix: list[list[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
+    work = [list(row) for row in matrix]
+    size, sign, previous = len(work), 1, 1
+    for col in range(size):
+        pivot_row = next((r for r in range(col, size) if work[r][col]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            sign = -sign
+        for r in range(col + 1, size):
+            work[r] = [
+                (work[col][col] * work[r][k] - work[r][col] * work[col][k]) // previous
+                for k in range(size)
+            ]
+        previous = work[col][col]
+    return sign * work[-1][-1]
+
+
+def bruteforce_vertices(polytope, determinants: set[int] | None = None):
+    """Polytope vertices by Cramer's rule on every d-subset of the rows that
+    define the polytope, kept when `is_ir` and `is_cef` accept them.
+
+    Independent of `enumerate_vertices`: every envy-free row is a candidate
+    (rhs 0 too), the rows are built here, the square systems are solved by
+    integer determinants, and membership is the IR and CEF tests. The
+    magnitude of each non-singular system's determinant is added to
+    `determinants` when it is given.
+    """
+    members = polytope.members
+    values = polytope.instance.values
+    d = len(members)
+    rows = {(tuple(int(k in c.bidders) for k in members), c.rhs) for c in polytope.constraints}
+    for p, member in enumerate(members):
+        unit = tuple(int(q == p) for q in range(d))
+        rows |= {(unit, F(0)), (unit, values[member])}
+    found = set()
+    for chosen in itertools.combinations(sorted(rows), d):
+        matrix = [list(a) for a, _ in chosen]
+        det = _integer_det(matrix)
+        if det == 0:
+            continue
+        if determinants is not None:
+            determinants.add(abs(det))
+        scale = math.lcm(*(rhs.denominator for _, rhs in chosen))
+        rhs = [int(b * scale) for _, b in chosen]
+        point = tuple(
+            F(_integer_det([row[:j] + [b] + row[j + 1 :] for row, b in zip(matrix, rhs)]), det * scale)
+            for j in range(d)
+        )
+        bids = list(values)
+        for member, bid in zip(members, point):
+            bids[member] = bid
+        if is_ir(polytope.instance, bids) and is_cef(polytope, bids):
+            found.add(point)
+    return sorted(found)
+
+
 def bruteforce_max_revenue(polytope):
     """Largest member-bid total over the polytope vertices (one square solve
     per subset of rows) that pass `is_equilibrium`."""
@@ -376,6 +435,25 @@ class TestVertices:
         polytope = build_polytope(triangle())
         with pytest.raises(RuntimeError, match="budget"):
             enumerate_vertices(polytope, combination_budget=1)
+
+    def test_matches_bruteforce_on_the_acceptance_family(self):
+        for polytope in small_polytopes(0, 100):
+            assert enumerate_vertices(polytope) == bruteforce_vertices(polytope)
+
+    def test_matches_bruteforce_with_prime_denominators(self):
+        # Record the determinants of the square systems, so that the test
+        # shows it met some other than +-1.
+        determinants: set[int] = set()
+        large_scales = 0
+        for polytope in itertools.chain(
+            small_polytopes(1, 40, partial(random_instance, value_pool=PRIME_DENOMINATOR_VALUES)),
+            small_polytopes(2, 40, prime_rival_family),
+        ):
+            assert enumerate_vertices(polytope) == bruteforce_vertices(polytope, determinants)
+            scale = math.lcm(*(rhs.denominator for _, rhs in vertex_rows(polytope)))
+            large_scales += scale >= 7 * 11 * 13
+        assert large_scales >= 20
+        assert max(determinants) > 1
 
 
 class TestRevenueRange:
