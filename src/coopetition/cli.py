@@ -95,22 +95,14 @@ def _named(instance: AuctionInstance, profile: Sequence[Fraction]) -> dict[str, 
 # Rendering ------------------------------------------------------------------
 
 
-def _json_node(node: Node) -> Any:
-    if isinstance(node, bool):
-        return node
+def _json_scalar(node: Node) -> str:
     if isinstance(node, Fraction):
         return format_scalar(node)
-    if isinstance(node, (int, str)):
-        return node
-    if isinstance(node, list):
-        return [_json_node(item) for item in node]
-    if isinstance(node, dict):
-        return {key: _json_node(value) for key, value in node.items()}
     raise TypeError(f"unrenderable report node: {node!r}")
 
 
 def render_json(report: dict[str, Node]) -> str:
-    return json.dumps(_json_node(report), indent=2)
+    return json.dumps(report, indent=2, default=_json_scalar)
 
 
 def _flat_cell(node: Node) -> str:

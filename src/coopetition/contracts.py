@@ -236,8 +236,11 @@ def best_response_contract(
     sum of all values), one per ad the responder supports, maximizing the
     responder's expected utility. Ties break toward the lexicographically
     smallest subsidy vector; zero-level terms are omitted, so an empty
-    profile means staying out is a best response.
+    profile means staying out is a best response. A negative max_subsidy
+    leaves no level to search and raises ValueError.
     """
+    if max_subsidy is not None and max_subsidy < 0:
+        raise ValueError(f"max_subsidy must be non-negative, got {format_scalar(max_subsidy)}")
     instance = owned.instance
     for term in others:
         if term.supporter == responder:

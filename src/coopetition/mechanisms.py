@@ -28,21 +28,25 @@ class VcgResult:
             raise ValueError("revenue must equal the sum of payments")
 
 
+def _totals(instance: AuctionInstance) -> list[Fraction]:
+    return [total_value(instance, j) for j in range(instance.m)]
+
+
+def _winner(totals: Sequence[Fraction]) -> int:
+    """The first ad with the largest (value or bid) total: lowest id wins ties."""
+    return totals.index(max(totals))
+
+
 def efficient_winner(instance: AuctionInstance) -> int:
     """The ad with the largest total member value; lowest id wins ties."""
-    best = 0
-    best_value = total_value(instance, 0)
-    for j in range(1, instance.m):
-        value = total_value(instance, j)
-        if value > best_value:
-            best, best_value = j, value
-    return best
+    return _winner(_totals(instance))
 
 
 def welfare_ties(instance: AuctionInstance) -> tuple[int, ...]:
     """All ads achieving the maximum total value (length > 1 means a tie)."""
-    top = total_value(instance, efficient_winner(instance))
-    return tuple(j for j in range(instance.m) if total_value(instance, j) == top)
+    totals = _totals(instance)
+    top = max(totals)
+    return tuple(j for j, total in enumerate(totals) if total == top)
 
 
 def vcg(instance: AuctionInstance) -> VcgResult:
@@ -58,8 +62,8 @@ def vcg(instance: AuctionInstance) -> VcgResult:
     i pays max(0, max_j (t_j - [i in j]·v_i) - (W - v_i)). The totals are
     summed once, so the cost is O(|winner|·m) after one pass over the ads.
     """
-    winner = efficient_winner(instance)
-    totals = [total_value(instance, j) for j in range(instance.m)]
+    totals = _totals(instance)
+    winner = _winner(totals)
     welfare = totals[winner]
     payments = [Fraction(0)] * instance.n
     for i in instance.members(winner):
@@ -79,12 +83,7 @@ def vcg(instance: AuctionInstance) -> VcgResult:
 def first_price_clear(instance: AuctionInstance, bids: Sequence[Fraction]) -> Outcome:
     """Show the ad with the highest total bid; members pay their own bids."""
     profile = check_bids(instance, bids)
-    best = 0
-    best_total = total_bid(instance, profile, 0)
-    for j in range(1, instance.m):
-        bid_total = total_bid(instance, profile, j)
-        if bid_total > best_total:
-            best, best_total = j, bid_total
+    best = _winner([total_bid(instance, profile, j) for j in range(instance.m)])
     return settle(instance, best, profile)
 
 

@@ -34,7 +34,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
-AdvertiserId = int
 BidProfile = tuple[Fraction, ...]
 
 
@@ -214,19 +213,13 @@ class AuctionInstance:
         values: Mapping[str, object],
         ads: Sequence[Iterable[str]],
     ) -> "AuctionInstance":
-        """Convenience constructor from a name->value mapping and name lists."""
-        names = tuple(values.keys())
-        parsed = tuple(parse_scalar(v, where=f"advertiser {name!r}") for name, v in values.items())
-        index = {name: i for i, name in enumerate(names)}
-        built = []
-        for j, member_names in enumerate(ads):
-            members = []
-            for name in member_names:
-                if name not in index:
-                    raise InstanceError(f"ads[{j}]: unknown advertiser {name!r}")
-                members.append(index[name])
-            built.append(Ad(id=j, members=frozenset(members)))
-        return cls(names=names, values=parsed, ads=tuple(built))
+        """Convenience constructor from a name->value mapping and name lists,
+        validated as the equivalent instance document."""
+        doc = {
+            "advertisers": [{"name": name, "value": v} for name, v in values.items()],
+            "ads": [list(member_names) for member_names in ads],
+        }
+        return instance_from_document(doc)
 
 
 def load_document(text: str) -> object:

@@ -296,9 +296,7 @@ def in_polytope(polytope: CefPolytope, point: Sequence[Fraction]) -> bool:
 _COMBINATION_BUDGET = 500_000
 
 
-def enumerate_vertices(
-    polytope: CefPolytope, combination_budget: int = _COMBINATION_BUDGET
-) -> list[tuple[Fraction, ...]]:
+def enumerate_vertices(polytope: CefPolytope) -> list[tuple[Fraction, ...]]:
     """All vertices of the polytope, as member-bid vectors in member order, sorted.
 
     A vertex is a point of the polytope at which d linearly independent rows
@@ -306,16 +304,16 @@ def enumerate_vertices(
     solved as an exact square system and kept when its solution is IR and
     meets every envy-free row.
 
-    Raises RuntimeError when there are more than `combination_budget`
+    Raises RuntimeError when there are more than `_COMBINATION_BUDGET`
     d-subsets, before solving any.
     """
     rows = vertex_rows(polytope)
     dimension = len(polytope.members)
     total = math.comb(len(rows), dimension)
-    if total > combination_budget:
+    if total > _COMBINATION_BUDGET:
         raise RuntimeError(
             f"vertex enumeration needs {total} constraint combinations, "
-            f"budget is {combination_budget}"
+            f"budget is {_COMBINATION_BUDGET}"
         )
     found: set[tuple[Fraction, ...]] = set()
     for chosen in combinations(rows, dimension):

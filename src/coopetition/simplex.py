@@ -53,7 +53,8 @@ def solve_min(
     """Minimize costs . x subject to the rows a.x <= rhs and 0 <= x <= upper.
 
     le is a sequence of (coefficients, rhs) with every rhs >= 0; upper holds
-    one bound >= 0 or None (no bound) per variable. When `then` is given,
+    one bound >= 0 or None (no bound) per variable. Every number may be an
+    int or a Fraction and is read as given, not copied. When `then` is given,
     then . x is minimized next over the optimal face of costs . x, as in the
     lexicographic simplex (Isermann 1982): after the first optimum only a
     column whose reduced cost in costs is zero may enter, so costs . x keeps
@@ -62,15 +63,13 @@ def solve_min(
     objective has no minimum.
     """
     n, m = len(costs), len(le)
-    upper = [None] * n if upper is None else upper
-    bounds = [None if u is None else Fraction(u) for u in upper]
+    bounds = [None] * n if upper is None else upper
     if len(bounds) != n:
         raise ValueError(f"expected {n} upper bounds, got {len(bounds)}")
     objectives = [costs] if then is None else [costs, then]
     if len(objectives[-1]) != n:
         raise ValueError(f"expected {n} costs in then, got {len(objectives[-1])}")
-    rows = [([Fraction(a) for a in coeffs], Fraction(rhs)) for coeffs, rhs in le]
-    for r, (_, rhs) in enumerate(rows):
+    for r, (_, rhs) in enumerate(le):
         if rhs < 0:
             raise ValueError(f"le[{r}]: negative right-hand side {rhs}; x = 0 must be feasible")
     for j, u in enumerate(bounds):
@@ -81,17 +80,17 @@ def solve_min(
     # objective by the lcm of its cost denominators. Row r reads basic[r] =
     # (rhs - sum of entry * column variable) / det; rows m.. are the
     # objectives in stage order, and the last column is the rhs.
-    scale = math.lcm(*(r.denominator for _, r in rows), *(u.denominator for u in bounds if u))
+    scale = math.lcm(*(r.denominator for _, r in le), *(u.denominator for u in bounds if u))
     tableau = []
-    for coeffs, rhs in rows:
+    for coeffs, rhs in le:
         multiplier = math.lcm(*(a.denominator for a in coeffs))
-        tableau.append([(a * multiplier).numerator for a in coeffs])
+        tableau.append([a.numerator * multiplier // a.denominator for a in coeffs])
         tableau[-1].append((rhs * scale * multiplier).numerator)
     cost_scales = []
     for objective in objectives:
-        objective = [Fraction(c) for c in objective]
         cost_scales.append(math.lcm(*(c.denominator for c in objective)))
-        tableau.append([-(c * cost_scales[-1]).numerator for c in objective] + [0])
+        tableau.append([-c.numerator * cost_scales[-1] // c.denominator for c in objective])
+        tableau[-1].append(0)
     # Labels 0..n-1 are the variables, n.. the slacks; caps are scaled bounds.
     caps = [None if u is None else (u * scale).numerator for u in bounds] + [None] * m
     complemented = [False] * (n + m)

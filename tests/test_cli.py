@@ -15,7 +15,7 @@ import pytest
 
 import coopetition
 from coopetition import parse_scalar
-from coopetition.cli import main
+from coopetition.cli import main, render_json
 from helpers import F
 
 AB_E = """
@@ -292,6 +292,12 @@ class TestCompare:
         assert "A=1/6 (~0.166667)" in out
 
 
+class TestJson:
+    def test_unrenderable_node_raises_type_error(self):
+        with pytest.raises(TypeError, match=r"unrenderable report node: \{1\}"):
+            render_json({"members": {1}})
+
+
 class TestCsv:
     def test_csv_rows_round_trip(self, capsys, ab_e_path):
         code, out, _ = run(capsys, ["solve", ab_e_path, "vcg", "--format", "csv"])
@@ -384,6 +390,20 @@ class TestContracts:
             }
         ]
         assert report["outcome"]["utilities"]["M"] == "2"
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_negative_subsidy_maximum_is_an_error_report(self, capsys, tmp_path, fmt):
+        path = tmp_path / "owned.json"
+        path.write_text(OWNED)
+        code, out, err = run(
+            capsys,
+            ["contracts", str(path), "--responder", "M", "--subsidy-grid", "1:-5", "--format", fmt],
+        )
+        assert code == 1 and out == ""
+        assert "Traceback" not in err
+        assert "max_subsidy must be non-negative" in err
+        if fmt == "json":
+            assert json.loads(err)["error"].startswith("max_subsidy")
 
     def test_fixed_terms_from_a_file(self, capsys, tmp_path):
         path = tmp_path / "owned.json"

@@ -224,6 +224,13 @@ class TestBestResponse:
         auction = two_sellers()
         assert best_response_contract(auction, 0, (), GridSpec(epsilon=F(1))) == ()
 
+    def test_rejects_a_negative_maximum(self):
+        # No level lies in [0, -5]; an empty answer would read as "stay out".
+        with pytest.raises(ValueError, match="max_subsidy must be non-negative, got -5"):
+            best_response_contract(
+                two_sellers_plus_entrant(), 1, (), GridSpec(epsilon=F(1)), max_subsidy=F(-5)
+            )
+
     def test_rejects_terms_from_the_responder(self):
         with pytest.raises(ValueError, match="must not contain"):
             best_response_contract(

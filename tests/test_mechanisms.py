@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopetition import (
+    build_polytope,
     efficient_winner,
     first_price_clear,
     revenue_lower_bound,
@@ -38,6 +39,14 @@ class TestEfficientWinner:
         instance = make_instance({"A": 2, "B": 1, "C": 1}, [["B", "C"], ["A"]])
         assert efficient_winner(instance) == 0
         assert welfare_ties(instance) == (0, 1)
+        # Ad 0 is lower; ads 1 and 2 tie. Every caller of the rule picks ad 1.
+        instance = make_instance(
+            {"A": 1, "B": 2, "C": 1, "D": 1}, [["A"], ["B"], ["C", "D"]]
+        )
+        assert efficient_winner(instance) == 1
+        assert welfare_ties(instance) == (1, 2)
+        assert vcg(instance).winner == 1
+        assert build_polytope(instance).winner == 1
 
     def test_no_tie_reports_single_ad(self):
         assert welfare_ties(ab_e()) == (0,)

@@ -431,10 +431,11 @@ class TestVertices:
         assert (F(3), F(3), F(3)) in enumerate_vertices(polytope)
         assert revenue_range(polytope)[1] == bruteforce_max_revenue(polytope)
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         polytope = build_polytope(triangle())
-        with pytest.raises(RuntimeError, match="budget"):
-            enumerate_vertices(polytope, combination_budget=1)
+        monkeypatch.setattr(polytope_module, "_COMBINATION_BUDGET", 1)
+        with pytest.raises(RuntimeError, match="budget is 1"):
+            enumerate_vertices(polytope)
 
     def test_matches_bruteforce_on_the_acceptance_family(self):
         for polytope in small_polytopes(0, 100):
