@@ -40,6 +40,7 @@ from .model import (
     AuctionInstance,
     BidProfile,
     InstanceError,
+    InternalError,
     Outcome,
     Scalar,
     check_bids,
@@ -92,6 +93,7 @@ __all__ = [
     "GridBudgetError",
     "GridSpec",
     "InstanceError",
+    "InternalError",
     "LoweringRound",
     "LoweringTrace",
     "Outcome",

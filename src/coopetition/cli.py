@@ -14,7 +14,9 @@ PATH is an instance file or "-" for stdin. Global flags: --format
 Reports keep scalars exact: JSON and CSV emit terminating decimals or "p/q"
 strings that re-parse to the same rational; the table format additionally
 shows a float approximation when the decimal does not terminate. The exit
-status is nonzero exactly when an error report is emitted.
+status is 0 for a report and 1 for an error report; a broken invariant of
+the package is reported as an "internal error: ..." error report with exit
+status 3, and argparse exits 2 on a usage error.
 
 Contract files hold {"contracts": [...]} where each term is either
 {"supporter": name, "ad": index, "amount": x} (a committed pledge) or the
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -43,6 +46,7 @@ from .mechanisms import revenue_lower_bound, vcg, welfare_ties
 from .model import (
     AuctionInstance,
     InstanceError,
+    InternalError,
     display_scalar,
     format_scalar,
     parse_bids,
@@ -437,7 +441,10 @@ def cmd_contracts(args: argparse.Namespace) -> dict[str, Node]:
 # Entry point ----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared for the life of the
+    process; `parse_args` keeps no state between calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
@@ -515,6 +522,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         text = render(args.func(args), args.format)
+    except InternalError as exc:
+        sys.stderr.write(render({"error": f"internal error: {exc}"}, args.format))
+        return 3
     except (CliError, InstanceError, GridBudgetError, RuntimeError, ValueError) as exc:
         sys.stderr.write(render({"error": str(exc)}, args.format))
         return 1

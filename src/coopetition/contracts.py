@@ -30,6 +30,7 @@ from typing import Sequence
 from .model import (  # noqa: F401
     AuctionInstance,
     InstanceError,
+    exact_sum,
     format_scalar,
     instance_from_document,
     load_document,
@@ -252,7 +253,7 @@ def best_response_contract(
     ]
     if not supported:
         return ()
-    ceiling = max_subsidy if max_subsidy is not None else sum(instance.values, Fraction(0))
+    ceiling = max_subsidy if max_subsidy is not None else exact_sum(instance.values)
     steps = int(ceiling / grid.epsilon) + 1
     total = steps ** len(supported)
     if total > grid.budget:

@@ -27,7 +27,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from .mechanisms import efficient_winner
-from .model import AuctionInstance, BidProfile, Outcome, display_scalar, settle, total_value
+from .model import (
+    AuctionInstance,
+    BidProfile,
+    InternalError,
+    Outcome,
+    display_scalar,
+    settle,
+    total_value,
+)
 from .oracle import GridSpec, enumerate_equilibria_grid
 from .polytope import build_polytope, is_equilibrium
 
@@ -81,7 +89,7 @@ def egalitarian_solve(
     """Run the lowering rounds; returns (bids, outcome, trace).
 
     Non-winners stay at their values. The winner never changes: every rival's
-    slack stays non-negative. The invariants raise RuntimeError, also under
+    slack stays non-negative. The invariants raise InternalError, also under
     `python -O`: a negative slack or decrement, a round that freezes no one,
     or more rounds than members.
     """
@@ -103,7 +111,7 @@ def egalitarian_solve(
             if moving[j]:
                 step = min(step, slack[j] / moving[j])
         if step < 0:
-            raise RuntimeError("a rival ad overtook the winner between rounds")
+            raise InternalError("a rival ad overtook the winner between rounds")
 
         for k in unfixed:
             bids[k] -= step
@@ -122,7 +130,7 @@ def egalitarian_solve(
                 events.append(RoundEvent(kind="tight", ad=j))
                 frozen.update(k for k in unfixed if k not in instance.members(j))
         if not frozen:
-            raise RuntimeError("a lowering round must fix at least one member")
+            raise InternalError("a lowering round must fix at least one member")
         unfixed -= frozen
         for k in frozen:
             for j in lacking[k]:
@@ -136,10 +144,10 @@ def egalitarian_solve(
             )
         )
         if any(s < 0 for s in slack.values()):
-            raise RuntimeError("lowering must preserve the winner")
+            raise InternalError("lowering must preserve the winner")
 
     if len(rounds) > len(members):
-        raise RuntimeError("one round per member at most")
+        raise InternalError("one round per member at most")
     profile = tuple(bids)
     outcome = settle(instance, winner, profile)
     trace = LoweringTrace(winner=winner, rounds=tuple(rounds))

@@ -10,7 +10,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import AuctionInstance, Outcome, check_bids, settle, total_bid, total_value
+from .model import (
+    AuctionInstance,
+    Outcome,
+    check_bids,
+    exact_sum,
+    settle,
+    total_bid,
+    total_value,
+)
 
 
 @dataclass(frozen=True)
@@ -24,7 +32,7 @@ class VcgResult:
     def __post_init__(self) -> None:
         if any(p < 0 for p in self.payments):
             raise ValueError("payments must be non-negative")
-        if sum(self.payments, Fraction(0)) != self.revenue:
+        if exact_sum(self.payments) != self.revenue:
             raise ValueError("revenue must equal the sum of payments")
 
 
@@ -59,8 +67,9 @@ def vcg(instance: AuctionInstance) -> VcgResult:
     free clicks.
 
     In closed form, with t_j the total value of ad j and W = t_winner, member
-    i pays max(0, max_j (t_j - [i in j]·v_i) - (W - v_i)). The totals are
-    summed once, so the cost is O(|winner|·m) after one pass over the ads.
+    i pays max(0, max_j (t_j - [i in j]·v_i) - (W - v_i)). Each total is one
+    integer pass over its ad, so the cost is O(|winner|·m) after one pass
+    over the ads.
     """
     totals = _totals(instance)
     winner = _winner(totals)
@@ -75,9 +84,7 @@ def vcg(instance: AuctionInstance) -> VcgResult:
         shortfall = best_without - (welfare - value)
         payments[i] = max(Fraction(0), shortfall)
     payments_t = tuple(payments)
-    return VcgResult(
-        winner=winner, payments=payments_t, revenue=sum(payments_t, Fraction(0))
-    )
+    return VcgResult(winner=winner, payments=payments_t, revenue=exact_sum(payments_t))
 
 
 def first_price_clear(instance: AuctionInstance, bids: Sequence[Fraction]) -> Outcome:
@@ -96,9 +103,8 @@ def revenue_lower_bound(instance: AuctionInstance) -> Fraction:
     for j in range(instance.m):
         if j == winner:
             continue
-        outside = sum(
-            (instance.values[i] for i in instance.members(j) if i not in winner_members),
-            Fraction(0),
+        outside = exact_sum(
+            instance.values[i] for i in instance.members(j) if i not in winner_members
         )
         bound = max(bound, outside)
     return bound

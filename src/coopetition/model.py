@@ -29,6 +29,7 @@ the standing threat level used throughout the equilibrium analysis.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -39,6 +40,10 @@ BidProfile = tuple[Fraction, ...]
 
 class InstanceError(ValueError):
     """A document or value failed validation; the message says where."""
+
+
+class InternalError(RuntimeError):
+    """An invariant of the package itself broke: a bug, not bad input."""
 
 
 # CPython's default int-to-str limit. A literal with more digits could not be
@@ -313,14 +318,33 @@ def check_bids(instance: AuctionInstance, bids: Sequence[Fraction]) -> BidProfil
     return tuple(b if isinstance(b, Fraction) else Fraction(b) for b in bids)
 
 
+def exact_sum(terms: Iterable[Fraction | int]) -> Fraction:
+    """The exact sum of rationals or ints, always as a Fraction (0 when empty).
+
+    One integer pass: the running numerator is kept over the lcm of the
+    denominators seen so far, so the result is normalized once instead of
+    paying a gcd per addition. The terms are not collected into a list; in
+    a long-lived process such per-call temporaries fragmented the heap.
+    """
+    numerator, common = 0, 1
+    for term in terms:
+        denominator = term.denominator
+        if common % denominator:
+            grown = math.lcm(common, denominator)
+            numerator *= grown // common
+            common = grown
+        numerator += term.numerator * (common // denominator)
+    return Fraction(numerator, common)
+
+
 def total_value(instance: AuctionInstance, ad_id: int) -> Fraction:
     """Sum of member values for one ad."""
-    return sum((instance.values[i] for i in instance.ads[ad_id].members), Fraction(0))
+    return exact_sum(instance.values[i] for i in instance.ads[ad_id].members)
 
 
 def total_bid(instance: AuctionInstance, bids: Sequence[Fraction], ad_id: int) -> Fraction:
     """Sum of member bids for one ad."""
-    return sum((bids[i] for i in instance.ads[ad_id].members), Fraction(0))
+    return exact_sum(bids[i] for i in instance.ads[ad_id].members)
 
 
 @dataclass(frozen=True)
@@ -338,7 +362,7 @@ class Outcome:
     surpluses: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if sum(self.payments, Fraction(0)) != self.revenue:
+        if exact_sum(self.payments) != self.revenue:
             raise ValueError("revenue must equal the sum of payments")
 
 
@@ -353,6 +377,6 @@ def settle(instance: AuctionInstance, winner: int, bids: Sequence[Fraction]) -> 
     return Outcome(
         winner=winner,
         payments=payments,
-        revenue=sum(payments, Fraction(0)),
+        revenue=exact_sum(payments),
         surpluses=surpluses,
     )

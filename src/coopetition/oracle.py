@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .mechanisms import VcgResult
-from .model import AuctionInstance, BidProfile
+from .model import AuctionInstance, BidProfile, InternalError
 
 _CHUNK = 1 << 15
 
@@ -200,7 +200,7 @@ def vcg_bruteforce(instance: AuctionInstance) -> VcgResult:
             )
 
         if not still_wins(ladder[-1]):
-            raise RuntimeError("truthful membership must hold at the top")
+            raise InternalError("truthful membership must hold at the top")
         lo, hi = 0, len(ladder) - 1
         while lo < hi:
             mid = (lo + hi) // 2

@@ -42,7 +42,14 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .mechanisms import efficient_winner
-from .model import AuctionInstance, BidProfile, check_bids, format_scalar
+from .model import (
+    AuctionInstance,
+    BidProfile,
+    InternalError,
+    check_bids,
+    exact_sum,
+    format_scalar,
+)
 from .simplex import ONE, ZERO, solve_min, solve_square_system
 
 
@@ -55,7 +62,7 @@ class CefConstraint:
     rhs: Fraction
 
     def slack(self, bids: Sequence[Fraction]) -> Fraction:
-        return sum((bids[i] for i in self.bidders), Fraction(0)) - self.rhs
+        return exact_sum(bids[i] for i in self.bidders) - self.rhs
 
 
 @dataclass(frozen=True)
@@ -103,10 +110,10 @@ def build_polytope(instance: AuctionInstance) -> CefPolytope:
             continue
         rival = instance.members(j)
         bidders = tuple(sorted(winner_members - rival))
-        rhs = sum((instance.values[i] for i in rival - winner_members), Fraction(0))
+        rhs = exact_sum(instance.values[i] for i in rival - winner_members)
         if not bidders:
             if rhs != 0:
-                raise RuntimeError("an ad covering the winner cannot out-value it")
+                raise InternalError("an ad covering the winner cannot out-value it")
             continue
         constraints.append(CefConstraint(ad=j, bidders=bidders, rhs=rhs))
     return CefPolytope(instance=instance, winner=winner, constraints=tuple(constraints))
@@ -227,7 +234,7 @@ def sample_pareto_equilibrium(
     profile = _bids_from_surplus(polytope, surplus)
     verdict = is_equilibrium(polytope, profile)
     if not verdict.ok:
-        raise RuntimeError(f"optimizer left the equilibrium set: {verdict.failure}")
+        raise InternalError(f"optimizer left the equilibrium set: {verdict.failure}")
     return profile
 
 
@@ -240,7 +247,7 @@ def surplus_rows(polytope: CefPolytope) -> list[tuple[tuple[int, ...], Fraction]
     return [
         (
             tuple(int(k in c.bidders) for k in members),
-            sum((values[i] for i in c.bidders), Fraction(0)) - c.rhs,
+            exact_sum(values[i] for i in c.bidders) - c.rhs,
         )
         for c in polytope.constraints
     ]
@@ -287,10 +294,7 @@ def in_polytope(polytope: CefPolytope, point: Sequence[Fraction]) -> bool:
     if any(x < 0 or x > values[member] for x, member in zip(point, members)):
         return False
     bids = dict(zip(members, point))
-    return all(
-        sum((bids[i] for i in c.bidders), Fraction(0)) >= c.rhs
-        for c in polytope.constraints
-    )
+    return all(exact_sum(bids[i] for i in c.bidders) >= c.rhs for c in polytope.constraints)
 
 
 _COMBINATION_BUDGET = 500_000
@@ -359,8 +363,9 @@ def revenue_range(polytope: CefPolytope) -> tuple[Fraction, Fraction]:
     """
     members = polytope.members
     cheapest = sample_pareto_equilibrium(polytope, [Fraction(1)] * len(members))
-    low = sum((cheapest[i] for i in members), Fraction(0))
+    low = exact_sum(cheapest[i] for i in members)
     values = [polytope.instance.values[k] for k in members]
+    total = exact_sum(values)
     rows = surplus_rows(polytope)
     positive = [row for row, c in zip(rows, polytope.constraints) if c.rhs > 0]
     masks = [sum(a << p for p, a in enumerate(coeffs)) for coeffs, _ in positive]
@@ -376,13 +381,13 @@ def revenue_range(polytope: CefPolytope) -> tuple[Fraction, Fraction]:
         solved += 1
         counts = [sum(positive[i][0][p] for i in cover) for p in range(len(members))]
         gain = [count or 1 for count in counts]
-        reach = sum((positive[i][1] for i in cover), Fraction(0)) + sum(
-            (v for v, count in zip(values, counts) if not count), Fraction(0)
+        reach = exact_sum(
+            [positive[i][1] for i in cover] + [v for v, count in zip(values, counts) if not count]
         )
         value, surplus = solve_min(
             [-g for g in gain], le=rows, upper=values, then=[Fraction(1)] * len(members)
         )
-        revenue = sum(values, Fraction(0)) - sum(surplus, Fraction(0))
+        revenue = total - exact_sum(surplus)
         if value == -reach and revenue > high:
             high, argmax = revenue, surplus
 
@@ -398,7 +403,7 @@ def revenue_range(polytope: CefPolytope) -> tuple[Fraction, Fraction]:
     if argmax is not None:
         verdict = is_equilibrium(polytope, _bids_from_surplus(polytope, argmax))
         if not verdict.ok:
-            raise RuntimeError(
+            raise InternalError(
                 f"the cover search and is_equilibrium disagree at the revenue maximum: "
                 f"{verdict.failure}"
             )

@@ -15,7 +15,8 @@ import pytest
 
 import coopetition
 from coopetition import parse_scalar
-from coopetition.cli import main, render_json
+from coopetition.cli import build_parser, main, render_json
+from coopetition.polytope import EquilibriumResult
 from helpers import F
 
 AB_E = """
@@ -205,13 +206,94 @@ class TestSolve:
 
 def test_importing_the_cli_leaves_numpy_unloaded():
     # numpy is only needed by the oracle grid sweep, which imports it itself.
-    probe = "import sys, coopetition.cli; print('numpy' in sys.modules)"
+    # The parser is built by the first `main` call, not by the import.
+    probe = (
+        "import sys, coopetition.cli as cli; "
+        "print('numpy' in sys.modules, cli.build_parser.cache_info().currsize)"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(coopetition.__file__).parents[1])}
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False 0"
+
+
+def _cold_stdout(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(coopetition.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "coopetition", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+class TestCachedParser:
+    """One parser serves every `main` call in a process; no call leaks into the next."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_weights_do_not_carry_over(self, capsys, triangle_path):
+        assert run(capsys, ["polytope", triangle_path, "--weights", "1,1,3"])[0] == 0
+        code, out, _ = run(capsys, ["polytope", triangle_path])
+        assert code == 0
+        assert out == _cold_stdout(["polytope", triangle_path])
+
+    def test_trace_does_not_carry_over(self, capsys, ab_e_path):
+        argv = ["solve", ab_e_path, "egalitarian", "--format", "json"]
+        code, out, _ = run(capsys, argv + ["--trace"])
+        assert code == 0 and "trace" in json.loads(out)
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and "trace" not in json.loads(out)
+
+    def test_usage_error_leaves_the_next_call_unchanged(self, capsys, triangle_path):
+        argv = ["polytope", triangle_path, "--format", "json"]
+        before = run(capsys, argv)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["polytope", triangle_path, "--weights", "1,1,3", "--format", "csv", "--bogus"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, argv) == before
+
+
+def _parse_error(err, fmt):
+    if fmt == "json":
+        return json.loads(err)["error"]
+    if fmt == "csv":
+        (header, (key, message)) = list(csv.reader(io.StringIO(err)))
+        assert header == ["key", "value"] and key == "error"
+        return message
+    assert err.startswith("error: ")
+    return err[len("error: "):].rstrip("\n")
+
+
+class TestExitStatus:
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_internal_error_exits_3(self, capsys, triangle_path, monkeypatch, fmt):
+        # The triangle's revenue maximum (2) is re-verified; rejecting it
+        # breaks an invariant of the cover search, which is not the user's fault.
+        check = coopetition.polytope.is_equilibrium
+
+        def reject_the_maximum(polytope, bids):
+            if sum(bids[k] for k in polytope.members) == 2:
+                return EquilibriumResult(ok=False, certificate=None, failure="rejected")
+            return check(polytope, bids)
+
+        monkeypatch.setattr(coopetition.polytope, "is_equilibrium", reject_the_maximum)
+        code, out, err = run(capsys, ["compare", triangle_path, "--format", fmt])
+        assert code == 3 and out == ""
+        assert "Traceback" not in err
+        message = _parse_error(err, fmt)
+        assert message.startswith("internal error: the cover search and is_equilibrium")
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_budget_error_exits_1(self, capsys, triangle_path, monkeypatch, fmt):
+        monkeypatch.setattr(coopetition.polytope, "_COVER_BUDGET", 2)
+        code, out, err = run(capsys, ["compare", triangle_path, "--format", fmt])
+        assert code == 1 and out == ""
+        assert _parse_error(err, fmt).startswith("the revenue maximum needs more cover LPs")
 
 
 class TestVerify:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from coopetition import (
     total_bid,
     total_value,
 )
+from coopetition.model import exact_sum
 from helpers import F, ab_e, make_instance, triangle
 
 GOOD_DOC = """
@@ -180,6 +182,32 @@ class TestTotals:
         bids = (F(1, 2),) * 3 + (F(1), F(1))
         assert total_bid(instance, bids, 0) == F(3, 2)
         assert total_bid(instance, bids, 2) == F(3, 2)
+
+
+# Denominators are products of distinct primes, so the common denominator of
+# several terms outgrows each one and the running numerator is rescaled.
+_SQUAREFREE = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), unique=True).map(math.prod)
+_TERMS = st.lists(
+    st.one_of(
+        st.integers(-(10**6), 10**6),
+        st.builds(Fraction, st.integers(-(10**6), 10**6), _SQUAREFREE),
+    ),
+    max_size=12,
+)
+
+
+class TestExactSum:
+    @given(_TERMS)
+    def test_matches_the_fraction_sum(self, terms):
+        result = exact_sum(terms)
+        assert type(result) is Fraction
+        assert result == sum(terms, Fraction(0))
+        assert exact_sum(iter(terms)) == result
+
+    def test_empty_and_cancelling_sums_are_fraction_zero(self):
+        for terms in ([], [0], [F(1, 3), F(-1, 6), 2, F(-13, 6)]):
+            result = exact_sum(terms)
+            assert type(result) is Fraction and result == 0 and result.denominator == 1
 
 
 class TestSettle:
