@@ -9,132 +9,57 @@ against brute-force grid oracles, and evaluates a cost-sharing contract
 baseline for position auctions with owned ads. All arithmetic is rational.
 """
 
-from .contracts import (
-    ContractProfile,
-    ContractTerm,
-    OwnedAuction,
-    PositionOutcome,
-    best_response_contract,
-    evaluate_contracts,
-    parse_owned_auction,
-    position_vcg,
-    serialize_owned_auction,
-)
-from .egalitarian import (
-    LoweringRound,
-    LoweringTrace,
-    RoundEvent,
-    egalitarian_solve,
-    verify_egalitarian,
-)
-from .mechanisms import (
-    VcgResult,
-    efficient_winner,
-    first_price_clear,
-    revenue_lower_bound,
-    vcg,
-    welfare_ties,
-)
-from .model import (
-    Ad,
-    AuctionInstance,
-    BidProfile,
-    InstanceError,
-    InternalError,
-    Outcome,
-    Scalar,
-    check_bids,
-    display_scalar,
-    format_scalar,
-    parse_bids,
-    parse_instance,
-    parse_scalar,
-    serialize_instance,
-    settle,
-    total_bid,
-    total_value,
-)
-from .oracle import (
-    GridBudgetError,
-    GridSpec,
-    enumerate_equilibria_grid,
-    lexmax_surplus_grid,
-    vcg_bruteforce,
-)
-from .polytope import (
-    CefConstraint,
-    CefPolytope,
-    EquilibriumCertificate,
-    EquilibriumResult,
-    build_polytope,
-    canonical_bids,
-    enumerate_vertices,
-    first_cef_violation,
-    first_ir_violation,
-    is_cef,
-    is_equilibrium,
-    is_ir,
-    revenue_range,
-    sample_pareto_equilibrium,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Ad",
-    "AuctionInstance",
-    "BidProfile",
-    "CefConstraint",
-    "CefPolytope",
-    "ContractProfile",
-    "ContractTerm",
-    "EquilibriumCertificate",
-    "EquilibriumResult",
-    "GridBudgetError",
-    "GridSpec",
-    "InstanceError",
-    "InternalError",
-    "LoweringRound",
-    "LoweringTrace",
-    "Outcome",
-    "OwnedAuction",
-    "PositionOutcome",
-    "RoundEvent",
-    "Scalar",
-    "VcgResult",
-    "best_response_contract",
-    "build_polytope",
-    "canonical_bids",
-    "check_bids",
-    "display_scalar",
-    "efficient_winner",
-    "egalitarian_solve",
-    "enumerate_equilibria_grid",
-    "enumerate_vertices",
-    "evaluate_contracts",
-    "first_cef_violation",
-    "first_ir_violation",
-    "first_price_clear",
-    "format_scalar",
-    "is_cef",
-    "is_equilibrium",
-    "is_ir",
-    "lexmax_surplus_grid",
-    "parse_bids",
-    "parse_instance",
-    "parse_owned_auction",
-    "parse_scalar",
-    "position_vcg",
-    "revenue_lower_bound",
-    "revenue_range",
-    "sample_pareto_equilibrium",
-    "serialize_instance",
-    "serialize_owned_auction",
-    "settle",
-    "total_bid",
-    "total_value",
-    "vcg",
-    "vcg_bruteforce",
-    "verify_egalitarian",
-    "welfare_ties",
-]
+# Public names by home module. A name's module is imported the first time the
+# name is read (PEP 562), so `import coopetition` loads no submodule and each
+# CLI command loads only the modules it runs.
+_EXPORTS = {
+    "contracts": (
+        "ContractProfile", "ContractTerm", "OwnedAuction", "PositionOutcome",
+        "best_response_contract", "evaluate_contracts", "parse_owned_auction",
+        "position_vcg", "serialize_owned_auction",
+    ),
+    "egalitarian": (
+        "LoweringRound", "LoweringTrace", "RoundEvent", "egalitarian_solve",
+        "verify_egalitarian",
+    ),
+    "mechanisms": (
+        "VcgResult", "efficient_winner", "first_price_clear", "revenue_lower_bound",
+        "vcg", "welfare_ties",
+    ),
+    "model": (
+        "Ad", "AuctionInstance", "BidProfile", "GridBudgetError", "GridSpec",
+        "InstanceError", "InternalError", "Outcome", "Scalar", "check_bids",
+        "display_scalar", "format_scalar", "parse_bids", "parse_instance",
+        "parse_scalar", "serialize_instance", "settle", "total_bid", "total_value",
+    ),
+    "oracle": ("enumerate_equilibria_grid", "lexmax_surplus_grid", "vcg_bruteforce"),
+    "polytope": (
+        "CefConstraint", "CefPolytope", "EquilibriumCertificate", "EquilibriumResult",
+        "build_polytope", "canonical_bids", "enumerate_vertices", "first_cef_violation",
+        "first_ir_violation", "is_cef", "is_equilibrium", "is_ir", "revenue_range",
+        "sample_pareto_equilibrium",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"simplex"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Import a public name's home module, or a submodule, on first access."""
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _HOME.keys())

@@ -26,25 +26,18 @@ explicit {"supporter", "ad", "fraction", "cap", "subsidy"} form.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
+import importlib
 import io
 import json
 import sys
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .contracts import (
-    ContractTerm,
-    OwnedAuction,
-    best_response_contract,
-    evaluate_contracts,
-    parse_owned_auction,
-)
-from .egalitarian import egalitarian_solve, verify_egalitarian
 from .mechanisms import revenue_lower_bound, vcg, welfare_ties
 from .model import (
     AuctionInstance,
+    GridSpec,
     InstanceError,
     InternalError,
     display_scalar,
@@ -54,22 +47,44 @@ from .model import (
     parse_scalar,
     settle,
 )
-from .oracle import (
-    GridBudgetError,
-    GridSpec,
-    enumerate_equilibria_grid,
-    lexmax_surplus_grid,
-    vcg_bruteforce,
-)
-from .polytope import (
-    build_polytope,
-    canonical_bids,
-    is_cef,
-    is_equilibrium,
-    is_ir,
-    revenue_range,
-    sample_pareto_equilibrium,
-)
+
+# Names a command binds into this module on first use (`_bind`), so a cold
+# start imports only the modules its command runs. Reading one of them
+# before any command has run binds it too (`__getattr__`), which is how a
+# caller can wrap `cli.revenue_range` and have every command call the wrap.
+_LAZY = {
+    "contracts": (
+        "ContractTerm", "OwnedAuction", "best_response_contract", "evaluate_contracts",
+        "parse_owned_auction",
+    ),
+    "egalitarian": ("egalitarian_solve", "verify_egalitarian"),
+    "oracle": ("enumerate_equilibria_grid", "lexmax_surplus_grid", "vcg_bruteforce"),
+    "polytope": (
+        "build_polytope", "canonical_bids", "is_cef", "is_equilibrium", "is_ir",
+        "revenue_range", "sample_pareto_equilibrium",
+    ),
+}
+_bound: set[str] = set()
+
+
+def _bind(*modules: str) -> None:
+    """Import `modules` and bind their `_LAZY` names here; a name already set
+    on this module (a caller's wrap, a test's patch) is kept."""
+    for module in modules:
+        if module not in _bound:
+            source = importlib.import_module(f".{module}", __package__)
+            for name in _LAZY[module]:
+                globals().setdefault(name, getattr(source, name))
+            _bound.add(module)
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 Node = Any  # Fraction | bool | int | str | list[Node] | dict[str, Node]
 
@@ -129,6 +144,8 @@ def _flatten(node: Node, prefix: str, rows: list[tuple[str, str]]) -> None:
 
 
 def render_csv(report: dict[str, Node]) -> str:
+    import csv
+
     rows: list[tuple[str, str]] = []
     _flatten(report, "", rows)
     buffer = io.StringIO()
@@ -205,6 +222,7 @@ def cmd_solve(args: argparse.Namespace) -> dict[str, Node]:
         report["revenue"] = result.revenue
         report["surplus"] = _named(instance, outcome.surpluses)
     elif args.mechanism == "egalitarian":
+        _bind("egalitarian")
         bids, outcome, trace = egalitarian_solve(instance)
         report["winner"] = instance.label(outcome.winner)
         report["bids"] = _named(instance, bids)
@@ -214,6 +232,7 @@ def cmd_solve(args: argparse.Namespace) -> dict[str, Node]:
         if args.trace:
             report["trace"] = trace.describe(instance)
     else:
+        _bind("polytope")
         polytope = build_polytope(instance)
         low, high = revenue_range(polytope)
         report["winner"] = instance.label(polytope.winner)
@@ -227,6 +246,7 @@ def cmd_solve(args: argparse.Namespace) -> dict[str, Node]:
 
 
 def cmd_verify(args: argparse.Namespace) -> dict[str, Node]:
+    _bind("polytope")
     instance = _load_instance(args.path)
     bids = parse_bids(_read_text(args.bids), instance)
     polytope = build_polytope(instance)
@@ -254,6 +274,7 @@ def cmd_verify(args: argparse.Namespace) -> dict[str, Node]:
 
 
 def cmd_compare(args: argparse.Namespace) -> dict[str, Node]:
+    _bind("egalitarian", "polytope")
     instance = _load_instance(args.path)
     vcg_result = vcg(instance)
     bids, outcome, trace = egalitarian_solve(instance)
@@ -291,6 +312,7 @@ def _parse_weights(text: str, count: int) -> list[Fraction]:
 
 
 def cmd_polytope(args: argparse.Namespace) -> dict[str, Node]:
+    _bind("polytope")
     instance = _load_instance(args.path)
     polytope = build_polytope(instance)
     members = polytope.members
@@ -317,6 +339,7 @@ def cmd_polytope(args: argparse.Namespace) -> dict[str, Node]:
 
 
 def cmd_oracle(args: argparse.Namespace) -> dict[str, Node]:
+    _bind("oracle", "egalitarian")
     instance = _load_instance(args.path)
     epsilon = parse_scalar(args.epsilon, where="--epsilon")
     grid = (
@@ -402,6 +425,7 @@ def _outcome_node(owned: OwnedAuction, outcome) -> dict[str, Node]:
 
 
 def cmd_contracts(args: argparse.Namespace) -> dict[str, Node]:
+    _bind("contracts")
     owned = parse_owned_auction(_read_text(args.path))
     instance = owned.instance
     terms = (
@@ -525,7 +549,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InternalError as exc:
         sys.stderr.write(render({"error": f"internal error: {exc}"}, args.format))
         return 3
-    except (CliError, InstanceError, GridBudgetError, RuntimeError, ValueError) as exc:
+    except (CliError, InstanceError, RuntimeError, ValueError) as exc:
         sys.stderr.write(render({"error": str(exc)}, args.format))
         return 1
     sys.stdout.write(text)

@@ -29,6 +29,8 @@ from typing import Sequence
 # run, so the name stays bound here although nothing in this module calls it.
 from .model import (  # noqa: F401
     AuctionInstance,
+    GridBudgetError,
+    GridSpec,
     InstanceError,
     exact_sum,
     format_scalar,
@@ -38,7 +40,6 @@ from .model import (  # noqa: F401
     parse_scalar,
     serialize_instance,
 )
-from .oracle import GridBudgetError, GridSpec
 
 
 @dataclass(frozen=True)

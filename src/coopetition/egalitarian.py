@@ -30,13 +30,14 @@ from .mechanisms import efficient_winner
 from .model import (
     AuctionInstance,
     BidProfile,
+    GridSpec,
     InternalError,
     Outcome,
     display_scalar,
     settle,
     total_value,
 )
-from .oracle import GridSpec, enumerate_equilibria_grid
+from .oracle import enumerate_equilibria_grid
 from .polytope import build_polytope, is_equilibrium
 
 

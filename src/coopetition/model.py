@@ -46,6 +46,24 @@ class InternalError(RuntimeError):
     """An invariant of the package itself broke: a bug, not bad input."""
 
 
+@dataclass(frozen=True)
+class GridSpec:
+    """Lattice resolution and a hard cap on how many points may be swept."""
+
+    epsilon: Fraction
+    budget: int = 10_000_000
+
+    def __post_init__(self) -> None:
+        if self.epsilon <= 0:
+            raise ValueError("epsilon must be positive")
+        if self.budget < 1:
+            raise ValueError("budget must be at least 1")
+
+
+class GridBudgetError(RuntimeError):
+    """The requested sweep is larger than the configured budget."""
+
+
 # CPython's default int-to-str limit. A literal with more digits could not be
 # printed back, and an exponent in the millions makes Fraction() spend
 # seconds building a power of ten before anything else is checked.

@@ -10,38 +10,21 @@ closed form.
 Grids are evaluated exactly. Bids, values and epsilon are rescaled by a
 common denominator to small integers, and the lattice is swept in chunked
 numpy int64 arithmetic, so tolerance comparisons are integer comparisons.
-numpy is imported by the grid sweep itself, so importing this module (and
-the CLI, which imports it) does not load numpy.
+numpy is imported by the grid sweep itself, so importing this module does
+not load numpy; only a command that sweeps a grid (``oracle``) does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .mechanisms import VcgResult
-from .model import AuctionInstance, BidProfile, InternalError
+# GridSpec and GridBudgetError live in model, so that contracts can use them
+# without loading this module; they stay importable from here.
+from .model import AuctionInstance, BidProfile, GridBudgetError, GridSpec, InternalError
 
 _CHUNK = 1 << 15
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Lattice resolution and a hard cap on how many points may be swept."""
-
-    epsilon: Fraction
-    budget: int = 10_000_000
-
-    def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.budget < 1:
-            raise ValueError("budget must be at least 1")
-
-
-class GridBudgetError(RuntimeError):
-    """The requested sweep is larger than the configured budget."""
 
 
 def _winner(instance: AuctionInstance) -> tuple[int, list[Fraction]]:

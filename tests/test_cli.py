@@ -204,26 +204,145 @@ class TestSolve:
         assert f"revenue: {price.numerator}/{price.denominator}\n" in out
 
 
+def _package_env():
+    return {**os.environ, "PYTHONPATH": str(Path(coopetition.__file__).parents[1])}
+
+
+# What `python -m coopetition` itself loads: the package, which imports no
+# submodule, then `__main__` (run as the main module, so not listed here) and
+# `cli`, which imports only `model` and `mechanisms`.
+COLD_BASE = {"coopetition", "coopetition.cli", "coopetition.model", "coopetition.mechanisms"}
+LP = {"coopetition.polytope", "coopetition.simplex"}
+LOWERING = LP | {"coopetition.egalitarian", "coopetition.oracle"}
+
+# `python -m coopetition ARGV` through runpy, as `-m` runs it, then the exit
+# status and the package modules (and numpy) left in sys.modules, on stderr.
+COLD_PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("coopetition", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    code = exit.code
+print(code, *sorted(m for m in sys.modules if m == "numpy" or m.startswith("coopetition")),
+      file=sys.stderr)
+"""
+
+
 def test_importing_the_cli_leaves_numpy_unloaded():
     # numpy is only needed by the oracle grid sweep, which imports it itself.
     # The parser is built by the first `main` call, not by the import.
     probe = (
         "import sys, coopetition.cli as cli; "
-        "print('numpy' in sys.modules, cli.build_parser.cache_info().currsize)"
+        "print('numpy' in sys.modules, cli.build_parser.cache_info().currsize, "
+        "*sorted(m for m in sys.modules if m.startswith('coopetition')))"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(coopetition.__file__).parents[1])}
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", probe], env=_package_env(), capture_output=True, text=True,
+        timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False 0"
+    numpy_loaded, parsers, *modules = result.stdout.split()
+    assert (numpy_loaded, parsers) == ("False", "0")
+    assert set(modules) == COLD_BASE
+
+
+@pytest.mark.parametrize(
+    "command, loads",
+    [
+        ("solve vcg", set()),
+        ("solve egalitarian", LOWERING),
+        ("solve bounds", LP),
+        ("verify", LP),
+        ("compare", LOWERING),
+        ("polytope", LP),
+        ("oracle", LOWERING | {"numpy"}),
+        ("contracts", {"coopetition.contracts"}),
+    ],
+)
+def test_each_command_loads_only_what_it_runs(tmp_path, command, loads):
+    instance, bids, owned = (tmp_path / name for name in ("t.json", "b.json", "o.json"))
+    instance.write_text(TRIANGLE)
+    bids.write_text('{"bids": {}}')
+    owned.write_text(OWNED)
+    argv = {
+        "solve vcg": ["solve", instance, "vcg"],
+        "solve egalitarian": ["solve", instance, "egalitarian"],
+        "solve bounds": ["solve", instance, "bounds"],
+        "verify": ["verify", instance, bids],
+        "compare": ["compare", instance],
+        "polytope": ["polytope", instance],
+        "oracle": ["oracle", instance, "--epsilon", "1"],
+        "contracts": ["contracts", owned, "--responder", "M"],
+    }[command]
+    result = subprocess.run(
+        [sys.executable, "-c", COLD_PROBE, *map(str, argv)],
+        env=_package_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    code, *modules = result.stderr.split()
+    assert code == "0" and result.stdout.startswith(f"command: {argv[0]}")
+    assert set(modules) == COLD_BASE | loads
+
+
+WRAP_PROBE = """
+import json, sys
+from collections import Counter
+from coopetition import cli, egalitarian
+
+calls = Counter()
+
+
+def counted(name, original):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    return wrapper
+
+
+# Set without reading it first, so before its module is bound on `cli`.
+cli.verify_egalitarian = counted("verify_egalitarian", egalitarian.verify_egalitarian)
+for name in ("revenue_range", "egalitarian_solve", "enumerate_equilibria_grid",
+             "evaluate_contracts"):
+    setattr(cli, name, counted(name, getattr(cli, name)))
+instance, owned = sys.argv[1:]
+codes = [
+    cli.main(["compare", instance]),
+    cli.main(["oracle", instance, "--epsilon", "1"]),
+    cli.main(["contracts", owned]),
+]
+print(json.dumps({"codes": codes, "calls": calls}))
+"""
+
+
+def test_wraps_set_before_the_first_command_are_called(tmp_path):
+    # A caller that replaces a lazily bound name on `cli` before any command
+    # has run (a tracer wrapping by name) must see every command call its
+    # replacement, not the original the command binds on first use.
+    instance, owned = tmp_path / "t.json", tmp_path / "o.json"
+    instance.write_text(TRIANGLE)
+    owned.write_text(OWNED)
+    result = subprocess.run(
+        [sys.executable, "-c", WRAP_PROBE, str(instance), str(owned)],
+        env=_package_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    record = json.loads(result.stdout.splitlines()[-1])
+    assert record["codes"] == [0, 0, 0]
+    # compare and oracle each run one lowering.
+    assert record["calls"] == {
+        "revenue_range": 1,
+        "egalitarian_solve": 2,
+        "enumerate_equilibria_grid": 1,
+        "evaluate_contracts": 1,
+        "verify_egalitarian": 1,
+    }
 
 
 def _cold_stdout(argv):
-    env = {**os.environ, "PYTHONPATH": str(Path(coopetition.__file__).parents[1])}
     result = subprocess.run(
         [sys.executable, "-m", "coopetition", *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=_package_env(), capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
@@ -274,7 +393,9 @@ class TestExitStatus:
     def test_internal_error_exits_3(self, capsys, triangle_path, monkeypatch, fmt):
         # The triangle's revenue maximum (2) is re-verified; rejecting it
         # breaks an invariant of the cover search, which is not the user's fault.
-        check = coopetition.polytope.is_equilibrium
+        # Reading the name through `cli` binds polytope's names there before
+        # the patch, so the patch is not left bound on `cli` for later tests.
+        check = coopetition.cli.is_equilibrium
 
         def reject_the_maximum(polytope, bids):
             if sum(bids[k] for k in polytope.members) == 2:
