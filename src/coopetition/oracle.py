@@ -1,17 +1,21 @@
 """Brute-force cross-checks for the analytic machinery.
 
 Everything here re-derives results from first principles so it can sit on
-the other side of a disagreement: grid enumeration walks every bid vector on
-an epsilon lattice and keeps the ones where the winner stays ahead and every
-positive bidder is within epsilon of being undercut; the truthful-payment
-check searches each member's breakpoint value directly instead of using the
-closed form.
+the other side of a disagreement: grid enumeration finds every bid vector on
+an epsilon lattice where the winner stays ahead and every positive bidder is
+within epsilon of being undercut; the truthful-payment check searches each
+member's breakpoint value directly instead of using the closed form.
 
-Grids are evaluated exactly. Bids, values and epsilon are rescaled by a
-common denominator to small integers, and the lattice is swept in chunked
-numpy int64 arithmetic, so tolerance comparisons are integer comparisons.
-numpy is imported by the grid sweep itself, so importing this module does
-not load numpy; only a command that sweeps a grid (``oracle``) does.
+Grids are evaluated exactly, in plain Python integers. Bids, values and
+epsilon are rescaled by a common denominator to integers, so tolerance
+comparisons are integer comparisons at any magnitude. The lattice is walked
+depth first, one winner member per level in member order, with one running
+gap per rival: the bids of the members it lacks minus the value of its own
+outsiders. Every gap rises with every bid, which makes both cuts exact. A
+member's bids start at the smallest lattice bid from which the remaining
+members, bidding their values, still lift every gap to zero; they stop at
+the first bid that leaves it, or any positive member before it, with no
+lacking rival whose gap is below epsilon.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from .mechanisms import VcgResult
 # without loading this module; they stay importable from here.
 from .model import AuctionInstance, BidProfile, GridBudgetError, GridSpec, InternalError
 
-_CHUNK = 1 << 15
-
 
 def _winner(instance: AuctionInstance) -> tuple[int, list[Fraction]]:
     totals = [
@@ -35,15 +37,13 @@ def _winner(instance: AuctionInstance) -> tuple[int, list[Fraction]]:
     return totals.index(max(totals)), totals
 
 
-def _scaled(instance: AuctionInstance, grid: GridSpec):
+def _scaled(instance: AuctionInstance, grid: GridSpec) -> tuple[int, list[int], int]:
     denominator = grid.epsilon.denominator
     for value in instance.values:
         denominator = math.lcm(denominator, value.denominator)
-    values = [int(v * denominator) for v in instance.values]
-    eps = int(grid.epsilon * denominator)
-    if sum(values) + eps >= 1 << 62:
-        raise RuntimeError("scaled magnitudes too large for exact int64 sweeping")
-    return denominator, values, eps
+    values = [v.numerator * (denominator // v.denominator) for v in instance.values]
+    eps = grid.epsilon
+    return denominator, values, eps.numerator * (denominator // eps.denominator)
 
 
 def enumerate_equilibria_grid(instance: AuctionInstance, grid: GridSpec) -> list[BidProfile]:
@@ -55,68 +55,114 @@ def enumerate_equilibria_grid(instance: AuctionInstance, grid: GridSpec) -> list
     a rival ad excluding it whose total trails the winner's by less than
     epsilon.
     """
-    import numpy as np
-
-    winner, _ = _winner(instance)
-    members = sorted(instance.members(winner))
     denominator, values, eps = _scaled(instance, grid)
+    # Scaling by one positive denominator keeps the order of the totals.
+    totals = [sum(values[i] for i in instance.members(j)) for j in range(instance.m)]
+    winner = totals.index(max(totals))
+    winning = instance.members(winner)
+    members = sorted(winning)
 
-    counts = [values[i] // eps + 1 for i in members]
-    points = math.prod(counts)
+    tops = [values[i] - values[i] % eps for i in members]
+    points = math.prod(top // eps + 1 for top in tops)
     if points > grid.budget:
         raise GridBudgetError(
             f"grid needs {points} points, budget is {grid.budget}"
         )
 
-    member_position = {i: p for p, i in enumerate(members)}
-    rivals = []
+    # gaps[r]: winner total minus rival r's total, with the members not yet
+    # visited bidding 0; lacked_by[k]: the rivals that lack member k. A rival
+    # that lacks no member holds the whole winner, so its outsiders are worth
+    # 0 (the winner is efficient) and its gap stays 0.
+    gaps: list[int] = []
+    lacked_by: list[list[int]] = [[] for _ in members]
     for j in range(instance.m):
         if j == winner:
             continue
         rival = instance.members(j)
-        constant = sum(values[i] for i in rival if i not in instance.members(winner))
-        overlap = [member_position[i] for i in rival if i in instance.members(winner)]
-        outside = [p for i, p in member_position.items() if i not in rival]
-        rivals.append((constant, overlap, outside))
+        for k, i in enumerate(members):
+            if i not in rival:
+                lacked_by[k].append(len(gaps))
+        gaps.append(-sum(values[i] for i in rival - winning))
 
-    strides = []
-    stride = 1
-    for count in reversed(counts):
-        strides.append(stride)
-        stride *= count
-    strides.reverse()
+    # floors[k]: (rival, top bids of the later members it lacks) for each
+    # rival lacking k, so that k's bid must reach -(gap + later) for it.
+    # watch[k]: the earlier members that can be positive and share a rival
+    # with k, the only ones whose pin a bid of k can take away.
+    later = [0] * len(gaps)
+    floors: list[list[tuple[int, int]]] = [[] for _ in members]
+    for k in reversed(range(len(members))):
+        floors[k] = [(r, later[r]) for r in lacked_by[k]]
+        for r in lacked_by[k]:
+            later[r] += tops[k]
+    lacking: list[list[int]] = [[] for _ in gaps]
+    watch: list[list[int]] = []
+    for k, rivals in enumerate(lacked_by):
+        watch.append([*{p for r in rivals for p in lacking[r]}])
+        if tops[k]:
+            for r in rivals:
+                lacking[r].append(k)
 
-    dimension = len(members)
+    # Rival sets as bit masks. pins[k]: the rivals that lack member k.
+    # tight[k]: the rivals whose gap is below epsilon on entering level k
+    # (every gap starts at or below 0); tight[k + 1] holds the same after
+    # k's current bid. A positive member is pinned while its pins and the
+    # tight set share a bit, so a bid that leaves the tight set as it was
+    # can only take away the pin of k itself.
+    pins = [sum(1 << r for r in rivals) for rivals in lacked_by]
+    tight = [0] * (len(members) + 1)
+    tight[0] = (1 << len(gaps)) - 1
+
+    # An explicit stack (bids holds the path) rather than recursion: a winner
+    # can have more members than Python's recursion limit. Bids rise within
+    # a level and levels follow member order, so points come out sorted.
+    last = len(members) - 1
+    bids = [0] * len(members)
     accepted: list[tuple[int, ...]] = []
-    for start in range(0, points, _CHUNK):
-        stop = min(start + _CHUNK, points)
-        index = np.arange(start, stop, dtype=np.int64)
-        bids = np.empty((stop - start, dimension), dtype=np.int64)
-        for p in range(dimension):
-            bids[:, p] = (index // strides[p]) % counts[p]
-        bids *= eps
-        winner_total = bids.sum(axis=1)
-        ok = np.ones(stop - start, dtype=bool)
-        pinned = bids == 0
-        for constant, overlap, outside in rivals:
-            rival_total = np.full(stop - start, constant, dtype=np.int64)
-            for p in overlap:
-                rival_total += bids[:, p]
-            gap = winner_total - rival_total
-            ok &= gap >= 0
-            tight = gap < eps
-            for p in outside:
-                pinned[:, p] |= tight
-        ok &= pinned.all(axis=1)
-        for row in bids[ok]:
-            accepted.append(tuple(int(b) for b in row))
+    k, bid = 0, None
+    while True:
+        if bid is None:
+            need = 0
+            for r, reach in floors[k]:
+                need = max(need, -(gaps[r] + reach))
+            bid = -(-need // eps) * eps
+            tight[k + 1] = tight[k]
+        if bid <= tops[k]:
+            before = after = tight[k + 1]
+            if bid:
+                step, bids[k] = bid - bids[k], bid
+                for r in lacked_by[k]:
+                    gaps[r] += step
+                    if gaps[r] >= eps:
+                        after &= ~(1 << r)
+            tight[k + 1] = after
+            if not bid or after & pins[k] and (
+                after == before or all(not bids[p] or after & pins[p] for p in watch[k])
+            ):
+                if k == last:
+                    accepted.append(tuple(bids))
+                    bid += eps
+                else:
+                    k, bid = k + 1, None
+                continue
+        # Level k is done: its bid passed its top, or failed the pin test,
+        # which every higher bid fails too because the gaps only rise.
+        for r in lacked_by[k]:
+            gaps[r] -= bids[k]
+        bids[k] = 0
+        if k == 0:
+            break
+        k -= 1
+        bid = bids[k] + eps
 
-    accepted.sort()
+    # Lattice bids repeat across points; build each exact bid once.
+    exact: dict[int, Fraction] = {}
     profiles = []
     for row in accepted:
         bids_exact = list(instance.values)
-        for p, i in enumerate(members):
-            bids_exact[i] = Fraction(row[p], denominator)
+        for b, i in zip(row, members):
+            if b not in exact:
+                exact[b] = Fraction(b, denominator)
+            bids_exact[i] = exact[b]
         profiles.append(tuple(bids_exact))
     return profiles
 

@@ -3,6 +3,7 @@ test-only reference implementations."""
 
 from __future__ import annotations
 
+import math
 import random
 import string
 from fractions import Fraction
@@ -10,6 +11,8 @@ from fractions import Fraction
 from coopetition import (
     AuctionInstance,
     BidProfile,
+    GridBudgetError,
+    GridSpec,
     LoweringRound,
     LoweringTrace,
     Outcome,
@@ -217,3 +220,87 @@ def bottleneck_failure(instance: AuctionInstance, bids: BidProfile) -> str | Non
         if bids[i] > 0 and i not in bottlenecked:
             return f"{instance.names[i]} has no bottleneck row"
     return None
+
+
+_CHUNK = 1 << 15
+
+
+def _scaled_int64(instance: AuctionInstance, grid: GridSpec):
+    denominator = grid.epsilon.denominator
+    for value in instance.values:
+        denominator = math.lcm(denominator, value.denominator)
+    values = [int(v * denominator) for v in instance.values]
+    eps = int(grid.epsilon * denominator)
+    if sum(values) + eps >= 1 << 62:
+        raise RuntimeError("scaled magnitudes too large for exact int64 sweeping")
+    return denominator, values, eps
+
+
+def enumerate_equilibria_grid_numpy(instance: AuctionInstance, grid: GridSpec) -> list[BidProfile]:
+    """Every lattice point swept in chunked numpy int64 arithmetic: the
+    reference for `enumerate_equilibria_grid`, which walks the lattice depth
+    first with running gaps instead and must return the same list."""
+    import numpy as np
+
+    winner = efficient_winner(instance)
+    members = sorted(instance.members(winner))
+    denominator, values, eps = _scaled_int64(instance, grid)
+
+    counts = [values[i] // eps + 1 for i in members]
+    points = math.prod(counts)
+    if points > grid.budget:
+        raise GridBudgetError(
+            f"grid needs {points} points, budget is {grid.budget}"
+        )
+
+    member_position = {i: p for p, i in enumerate(members)}
+    rivals = []
+    for j in range(instance.m):
+        if j == winner:
+            continue
+        rival = instance.members(j)
+        constant = sum(values[i] for i in rival if i not in instance.members(winner))
+        overlap = [member_position[i] for i in rival if i in instance.members(winner)]
+        outside = [p for i, p in member_position.items() if i not in rival]
+        rivals.append((constant, overlap, outside))
+
+    strides = []
+    stride = 1
+    for count in reversed(counts):
+        strides.append(stride)
+        stride *= count
+    strides.reverse()
+
+    dimension = len(members)
+    accepted: list[tuple[int, ...]] = []
+    for start in range(0, points, _CHUNK):
+        stop = min(start + _CHUNK, points)
+        index = np.arange(start, stop, dtype=np.int64)
+        bids = np.empty((stop - start, dimension), dtype=np.int64)
+        for p in range(dimension):
+            bids[:, p] = (index // strides[p]) % counts[p]
+        bids *= eps
+        winner_total = bids.sum(axis=1)
+        ok = np.ones(stop - start, dtype=bool)
+        pinned = bids == 0
+        for constant, overlap, outside in rivals:
+            rival_total = np.full(stop - start, constant, dtype=np.int64)
+            for p in overlap:
+                rival_total += bids[:, p]
+            gap = winner_total - rival_total
+            ok &= gap >= 0
+            tight = gap < eps
+            for p in outside:
+                pinned[:, p] |= tight
+        ok &= pinned.all(axis=1)
+        for row in bids[ok]:
+            accepted.append(tuple(int(b) for b in row))
+
+    accepted.sort()
+    profiles = []
+    for row in accepted:
+        bids_exact = list(instance.values)
+        for p, i in enumerate(members):
+            bids_exact[i] = Fraction(row[p], denominator)
+        profiles.append(tuple(bids_exact))
+    return profiles

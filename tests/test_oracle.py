@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import product
 
 import pytest
 
 from coopetition import (
+    AuctionInstance,
     GridBudgetError,
     GridSpec,
     build_polytope,
@@ -17,11 +19,44 @@ from coopetition import (
     vcg,
     vcg_bruteforce,
 )
-from helpers import F, ab_e, four_ones, hundreds, make_instance, random_instance, triangle
+from helpers import (
+    F,
+    ab_e,
+    enumerate_equilibria_grid_numpy,
+    four_ones,
+    hundreds,
+    make_instance,
+    random_instance,
+    triangle,
+)
 
 
 def member_bids(instance, profiles, members):
     return sorted(tuple(p[i] for i in members) for p in profiles)
+
+
+def naive_recount(instance, eps):
+    """Every lattice point tested against the definition one at a time, in
+    exact Fractions: no rescaling, no running gaps, no cuts."""
+    totals = [sum((instance.values[i] for i in ad.members), F(0)) for ad in instance.ads]
+    winner = totals.index(max(totals))
+    members = sorted(instance.members(winner))
+    points = []
+    for steps in product(*(range(int(instance.values[i] / eps) + 1) for i in members)):
+        bids = list(instance.values)
+        for i, step in zip(members, steps):
+            bids[i] = step * eps
+        gaps = {
+            j: sum(bids[i] for i in members) - sum(bids[i] for i in instance.members(j))
+            for j in range(instance.m)
+            if j != winner
+        }
+        if all(gap >= 0 for gap in gaps.values()) and all(
+            bids[i] == 0 or any(gaps[j] < eps for j in gaps if i not in instance.members(j))
+            for i in members
+        ):
+            points.append(tuple(bids))
+    return points
 
 
 class TestEnumerate:
@@ -43,22 +78,23 @@ class TestEnumerate:
         assert all(p[2] == F(3) for p in profiles)
 
     def test_half_grid_matches_a_naive_recount(self):
-        # Independent recount with itertools, no numpy, no chunking.
         instance = ab_e()
-        eps = F(1, 2)
+        points = naive_recount(instance, F(1, 2))
         polytope = build_polytope(instance)
-        points = []
-        steps = [range(int(instance.values[i] / eps) + 1) for i in (0, 1)]
-        for ka, kb in product(*steps):
-            bids = (ka * eps, kb * eps, F(3))
-            if bids[0] + bids[1] < F(3):
-                continue
-            gap = bids[0] + bids[1] - F(3)
-            if all(b == 0 or gap < eps for b in bids[:2]):
-                points.append(bids)
-                assert is_equilibrium(polytope, bids).ok
-        got = enumerate_equilibria_grid(instance, GridSpec(epsilon=eps))
-        assert sorted(got) == sorted(points)
+        assert points and all(is_equilibrium(polytope, bids).ok for bids in points)
+        assert enumerate_equilibria_grid(instance, GridSpec(epsilon=F(1, 2))) == points
+
+    def test_magnitudes_beyond_int64_sweep_exactly(self):
+        # Scaled sums past 2**62, which a fixed-width int64 sweep could not
+        # hold; values off the lattice, so the tops round down.
+        instance = make_instance(
+            {"A": 2**70 + 1, "B": 2**70, "C": 2**69, "E": 2**70 - 3},
+            [["A", "B", "C"], ["A", "E"], ["B", "C", "E"]],
+        )
+        eps = F(2**68)
+        points = naive_recount(instance, eps)
+        assert points
+        assert enumerate_equilibria_grid(instance, GridSpec(epsilon=eps)) == points
 
     def test_every_enumerated_point_is_an_equilibrium(self):
         rng = random.Random(7)
@@ -81,6 +117,83 @@ class TestEnumerate:
         roomy = GridSpec(epsilon=F(1, 40), budget=10**8)
         profiles = enumerate_equilibria_grid(hundreds(), roomy)
         assert (F("49.5"), F("49.5"), F(99)) in profiles
+
+
+def nine_level_winner(rng: random.Random, members: int = 7) -> AuctionInstance:
+    """A winner of `members` advertisers (ad 0), each worth 8 to 8.75, so
+    the unit lattice has 9 levels per member, against one rival per member
+    that shares part of the winner and adds an outsider worth less than the
+    part it lacks."""
+    winner = [f"W{i}" for i in range(members)]
+    values = {name: 8 + F(rng.randint(0, 3), 4) for name in winner}
+    ads = [winner]
+    for r in range(members):
+        shared = rng.sample(winner, rng.randint(0, members - 1))
+        lacking = sum((values[name] for name in winner if name not in shared), F(0))
+        values[f"R{r}"] = lacking * F(rng.randint(1, 19), 20)
+        ads.append(shared + [f"R{r}"])
+    return AuctionInstance.build(values, ads)
+
+
+# Values over the primes 7, 11 and 13, so that a lattice's common denominator
+# runs up to 7 * 11 * 13 times epsilon's.
+PRIME_DENOMINATOR_VALUES = [F(k, p) for p in (7, 11, 13) for k in range(1, 60)]
+
+
+class TestAgainstTheNumpySweep:
+    """The walk against `helpers.enumerate_equilibria_grid_numpy`, the chunked
+    int64 sweep over every lattice point that it replaced."""
+
+    @staticmethod
+    def agree(instance, grid) -> bool:
+        """Same list, or the same budget error; True when a grid was swept."""
+        pytest.importorskip("numpy")
+        try:
+            expected = enumerate_equilibria_grid_numpy(instance, grid)
+        except GridBudgetError as error:
+            with pytest.raises(GridBudgetError, match=f"^{re.escape(str(error))}$"):
+                enumerate_equilibria_grid(instance, grid)
+            return False
+        assert enumerate_equilibria_grid(instance, grid) == expected
+        return True
+
+    def test_random_family(self):
+        # The budget keeps the reference inside the suite's time; larger
+        # grids are the cases below.
+        rng = random.Random(0)
+        swept = 0
+        for _ in range(600):
+            instance = random_instance(rng, max_n=6, max_m=5)
+            for eps in (F(1), F(1, 2), F(1, 3), F(1, 4)):
+                swept += self.agree(instance, GridSpec(epsilon=eps, budget=10**5))
+        assert swept >= 1500
+
+    def test_prime_denominators(self):
+        rng = random.Random(1)
+        swept = 0
+        for _ in range(300):
+            instance = random_instance(rng, max_n=5, max_m=5, value_pool=PRIME_DENOMINATOR_VALUES)
+            for eps in (F(1), F(2, 3), F(3, 7)):
+                swept += self.agree(instance, GridSpec(epsilon=eps, budget=10**5))
+        assert swept >= 850
+
+    def test_hundreds_at_a_fortieth(self):
+        # 4001 x 4001 lattice points, 3961 equilibria.
+        assert self.agree(hundreds(), GridSpec(epsilon=F(1, 40), budget=10**8))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seven_members_at_nine_levels(self, seed):
+        # 9**7 = 4,782,969 lattice points each.
+        assert self.agree(nine_level_winner(random.Random(seed)), GridSpec(epsilon=F(1)))
+
+    def test_zero_valued_winner_deeper_than_the_recursion_limit(self):
+        names = [f"W{i}" for i in range(1500)]
+        instance = make_instance(
+            dict.fromkeys([*names, "R0", "R1"], 0),
+            [names, names[:700] + ["R0"], names[700:] + ["R1"]],
+        )
+        assert self.agree(instance, GridSpec(epsilon=F(1)))
+        assert enumerate_equilibria_grid(instance, GridSpec(epsilon=F(1))) == [(F(0),) * 1502]
 
 
 class TestLexmax:
