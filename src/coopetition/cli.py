@@ -94,13 +94,17 @@ class CliError(Exception):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(
+            f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
 
 
 def _load_instance(path: str) -> AuctionInstance:
@@ -385,19 +389,20 @@ def _parse_contract_terms(text: str, owned: OwnedAuction) -> list[ContractTerm]:
         ad = entry.get("ad")
         if not isinstance(ad, int) or isinstance(ad, bool) or not 0 <= ad < instance.m:
             raise CliError(f"{where}: ad must be an index in [0, {instance.m})")
-        if "amount" in entry:
-            amount = parse_scalar(entry["amount"], where=f"{where}.amount")
-            terms.append(ContractTerm.committed(supporter, ad, amount))
-        else:
-            terms.append(
-                ContractTerm(
-                    supporter=supporter,
-                    ad=ad,
-                    fraction=parse_scalar(entry.get("fraction"), where=f"{where}.fraction"),
-                    cap=parse_scalar(entry.get("cap"), where=f"{where}.cap"),
-                    subsidy=parse_scalar(entry.get("subsidy"), where=f"{where}.subsidy"),
-                )
-            )
+        committed = "amount" in entry
+        fields = ("amount",) if committed else ("fraction", "cap", "subsidy")
+        scalars = {name: parse_scalar(entry.get(name), where=f"{where}.{name}") for name in fields}
+        try:
+            if committed:
+                term = ContractTerm.committed(supporter, ad, scalars["amount"])
+            else:
+                term = ContractTerm(supporter=supporter, ad=ad, **scalars)
+        except ValueError as exc:
+            # A term's checks open with the field they reject ("cap must be
+            # non-negative"); a committed amount is both the cap and the subsidy.
+            field, _, problem = str(exc).partition(" ")
+            raise CliError(f"{where}.{'amount' if committed else field}: {problem}") from None
+        terms.append(term)
     return terms
 
 

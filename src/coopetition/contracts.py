@@ -20,7 +20,6 @@ in several assigned ads collects value at the sum of those click rates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -32,6 +31,7 @@ from .model import (  # noqa: F401
     GridBudgetError,
     GridSpec,
     InstanceError,
+    Record,
     exact_sum,
     format_scalar,
     instance_from_document,
@@ -42,50 +42,62 @@ from .model import (  # noqa: F401
 )
 
 
-@dataclass(frozen=True)
-class OwnedAuction:
+class OwnedAuction(Record):
     """An instance plus per-ad owners and a ladder of slot click rates."""
 
+    __slots__ = ("instance", "owners", "slots")
     instance: AuctionInstance
     owners: tuple[int, ...]
     slots: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.owners) != self.instance.m:
+    def __init__(
+        self, instance: AuctionInstance, owners: tuple[int, ...], slots: tuple[Fraction, ...]
+    ) -> None:
+        if len(owners) != instance.m:
             raise InstanceError("one owner per ad is required")
-        for j, owner in enumerate(self.owners):
-            if owner not in self.instance.members(j):
+        for j, owner in enumerate(owners):
+            if owner not in instance.members(j):
                 raise InstanceError(
-                    f"ads[{j}]: owner {self.instance.names[owner]!r} is not a member"
+                    f"ads[{j}]: owner {instance.names[owner]!r} is not a member"
                 )
-        if not self.slots:
+        if not slots:
             raise InstanceError("at least one slot is required")
         previous = None
-        for k, rate in enumerate(self.slots):
+        for k, rate in enumerate(slots):
             if not 0 < rate <= 1:
                 raise InstanceError(f"slots[{k}]: click rate must be in (0, 1]")
             if previous is not None and rate >= previous:
                 raise InstanceError(f"slots[{k}]: click rates must strictly decrease")
             previous = rate
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "owners", owners)
+        object.__setattr__(self, "slots", slots)
 
 
-@dataclass(frozen=True)
-class ContractTerm:
+class ContractTerm(Record):
     """A supporter's pledge on one ad: price share, cap, declared subsidy."""
 
+    __slots__ = ("supporter", "ad", "fraction", "cap", "subsidy")
     supporter: int
     ad: int
     fraction: Fraction
     cap: Fraction
     subsidy: Fraction
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.fraction <= 1:
+    def __init__(
+        self, supporter: int, ad: int, fraction: Fraction, cap: Fraction, subsidy: Fraction
+    ) -> None:
+        if not 0 <= fraction <= 1:
             raise ValueError("fraction must be in [0, 1]")
-        if self.cap < 0:
+        if cap < 0:
             raise ValueError("cap must be non-negative")
-        if self.subsidy < 0:
+        if subsidy < 0:
             raise ValueError("subsidy must be non-negative")
+        object.__setattr__(self, "supporter", supporter)
+        object.__setattr__(self, "ad", ad)
+        object.__setattr__(self, "fraction", fraction)
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "subsidy", subsidy)
 
     @classmethod
     def committed(cls, supporter: int, ad: int, amount: Fraction) -> "ContractTerm":
@@ -105,13 +117,23 @@ class ContractTerm:
 ContractProfile = tuple[ContractTerm, ...]
 
 
-@dataclass(frozen=True)
-class PositionOutcome:
+class PositionOutcome(Record):
     """Slots assigned, per-click prices of assigned ads, expected utilities."""
 
+    __slots__ = ("assignment", "prices", "utilities")
     assignment: dict[int, int]
     prices: dict[int, Fraction]
     utilities: tuple[Fraction, ...]
+
+    def __init__(
+        self,
+        assignment: dict[int, int],
+        prices: dict[int, Fraction],
+        utilities: tuple[Fraction, ...],
+    ) -> None:
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "prices", prices)
+        object.__setattr__(self, "utilities", utilities)
 
 
 def parse_owned_auction(text: str) -> OwnedAuction:
@@ -222,7 +244,7 @@ def evaluate_contracts(
         transfer = term.transfer(outcome.prices[term.ad])
         utilities[term.supporter] -= rate * transfer
         utilities[owned.owners[term.ad]] += rate * transfer
-    return replace(outcome, utilities=tuple(utilities))
+    return PositionOutcome(outcome.assignment, outcome.prices, tuple(utilities))
 
 
 def best_response_contract(

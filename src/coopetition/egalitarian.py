@@ -22,7 +22,6 @@ then the next, and so on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -33,6 +32,7 @@ from .model import (
     GridSpec,
     InternalError,
     Outcome,
+    Record,
     display_scalar,
     settle,
     total_value,
@@ -41,27 +41,48 @@ from .oracle import enumerate_equilibria_grid
 from .polytope import build_polytope, is_equilibrium
 
 
-@dataclass(frozen=True)
-class RoundEvent:
+class RoundEvent(Record):
     """What triggered a freeze: a bid reaching zero or a rival ad going tight."""
 
+    __slots__ = ("kind", "bidder", "ad")
     kind: str  # "zero" or "tight"
-    bidder: int | None = None
-    ad: int | None = None
+    bidder: int | None
+    ad: int | None
+
+    def __init__(self, kind: str, bidder: int | None = None, ad: int | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "bidder", bidder)
+        object.__setattr__(self, "ad", ad)
 
 
-@dataclass(frozen=True)
-class LoweringRound:
+class LoweringRound(Record):
+    __slots__ = ("decrement", "events", "fixed", "bids")
     decrement: Fraction
     events: tuple[RoundEvent, ...]
     fixed: tuple[int, ...]
     bids: BidProfile  # full profile after the round
 
+    def __init__(
+        self,
+        decrement: Fraction,
+        events: tuple[RoundEvent, ...],
+        fixed: tuple[int, ...],
+        bids: BidProfile,
+    ) -> None:
+        object.__setattr__(self, "decrement", decrement)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "fixed", fixed)
+        object.__setattr__(self, "bids", bids)
 
-@dataclass(frozen=True)
-class LoweringTrace:
+
+class LoweringTrace(Record):
+    __slots__ = ("winner", "rounds")
     winner: int
     rounds: tuple[LoweringRound, ...]
+
+    def __init__(self, winner: int, rounds: tuple[LoweringRound, ...]) -> None:
+        object.__setattr__(self, "winner", winner)
+        object.__setattr__(self, "rounds", rounds)
 
     def describe(self, instance: AuctionInstance) -> list[str]:
         lines = [f"winner: {instance.label(self.winner)}"]

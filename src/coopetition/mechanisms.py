@@ -6,13 +6,13 @@ runs are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .model import (
     AuctionInstance,
     Outcome,
+    Record,
     check_bids,
     exact_sum,
     settle,
@@ -21,19 +21,22 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class VcgResult:
+class VcgResult(Record):
     """Truthful-values clearing: winner, per-advertiser payments, revenue."""
 
+    __slots__ = ("winner", "payments", "revenue")
     winner: int
     payments: tuple[Fraction, ...]
     revenue: Fraction
 
-    def __post_init__(self) -> None:
-        if any(p < 0 for p in self.payments):
+    def __init__(self, winner: int, payments: tuple[Fraction, ...], revenue: Fraction) -> None:
+        if any(p < 0 for p in payments):
             raise ValueError("payments must be non-negative")
-        if exact_sum(self.payments) != self.revenue:
+        if exact_sum(payments) != revenue:
             raise ValueError("revenue must equal the sum of payments")
+        object.__setattr__(self, "winner", winner)
+        object.__setattr__(self, "payments", payments)
+        object.__setattr__(self, "revenue", revenue)
 
 
 def _totals(instance: AuctionInstance) -> list[Fraction]:

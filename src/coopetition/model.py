@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -46,18 +45,57 @@ class InternalError(RuntimeError):
     """An invariant of the package itself broke: a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class Record:
+    """Base of the package's immutable records.
+
+    A record lists its fields in `__slots__`, and its `__init__` checks its
+    arguments and sets each field once with `object.__setattr__`. Records of
+    one type compare and hash field by field and print as
+    `Name(field=value, ...)`; copy and pickle go through `__init__`, so its
+    checks run again; assignment and deletion raise AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign to {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class GridSpec(Record):
     """Lattice resolution and a hard cap on how many points may be swept."""
 
+    __slots__ = ("epsilon", "budget")
     epsilon: Fraction
-    budget: int = 10_000_000
+    budget: int
 
-    def __post_init__(self) -> None:
-        if self.epsilon <= 0:
+    def __init__(self, epsilon: Fraction, budget: int = 10_000_000) -> None:
+        if epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.budget < 1:
+        if budget < 1:
             raise ValueError("budget must be at least 1")
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "budget", budget)
 
 
 class GridBudgetError(RuntimeError):
@@ -153,16 +191,19 @@ def display_scalar(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}{approximation}"
 
 
-@dataclass(frozen=True)
-class Ad:
+class Ad(Record):
     """One ad: an id (its position in the instance) and its member set."""
 
+    __slots__ = ("id", "members")
     id: int
     members: frozenset[int]
 
+    def __init__(self, id: int, members: frozenset[int]) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "members", members)
 
-@dataclass(frozen=True)
-class AuctionInstance:
+
+class AuctionInstance(Record):
     """Immutable auction instance: advertiser names, values, and ads.
 
     Invariants enforced at construction: values are non-negative, ad ids
@@ -171,31 +212,34 @@ class AuctionInstance:
     one ad.
     """
 
+    __slots__ = ("names", "values", "ads")
     names: tuple[str, ...]
     values: tuple[Fraction, ...]
     ads: tuple[Ad, ...]
 
-    def __post_init__(self) -> None:
-        if not self.names:
+    def __init__(
+        self, names: tuple[str, ...], values: tuple[Fraction, ...], ads: tuple[Ad, ...]
+    ) -> None:
+        if not names:
             raise InstanceError("at least one advertiser is required")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise InstanceError("advertiser names must be unique")
-        if len(self.values) != len(self.names):
+        if len(values) != len(names):
             raise InstanceError("one value per advertiser is required")
-        for k, value in enumerate(self.values):
+        for k, value in enumerate(values):
             if value < 0:
                 raise InstanceError(f"advertisers[{k}].value: negative value {format_scalar(value)}")
-        if not self.ads:
+        if not ads:
             raise InstanceError("at least one ad is required")
         seen: dict[frozenset[int], int] = {}
         covered: set[int] = set()
-        for position, ad in enumerate(self.ads):
+        for position, ad in enumerate(ads):
             if ad.id != position:
                 raise InstanceError(f"ads[{position}]: id {ad.id} does not match position")
             if not ad.members:
                 raise InstanceError(f"ads[{position}]: empty ad")
             for i in ad.members:
-                if not 0 <= i < len(self.names):
+                if not 0 <= i < len(names):
                     raise InstanceError(f"ads[{position}]: unknown advertiser index {i}")
             if ad.members in seen:
                 raise InstanceError(
@@ -203,9 +247,12 @@ class AuctionInstance:
                 )
             seen[ad.members] = position
             covered |= ad.members
-        for i, name in enumerate(self.names):
+        for i, name in enumerate(names):
             if i not in covered:
                 raise InstanceError(f"advertiser {name!r} appears in no ad")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "ads", ads)
 
     @property
     def n(self) -> int:
@@ -365,8 +412,7 @@ def total_bid(instance: AuctionInstance, bids: Sequence[Fraction], ad_id: int) -
     return exact_sum(bids[i] for i in instance.ads[ad_id].members)
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(Record):
     """A cleared auction: who won, who pays what, and who keeps what.
 
     Surpluses are value minus payment for members of the winning ad and zero
@@ -374,14 +420,25 @@ class Outcome:
     members ever pay.
     """
 
+    __slots__ = ("winner", "payments", "revenue", "surpluses")
     winner: int
     payments: tuple[Fraction, ...]
     revenue: Fraction
     surpluses: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if exact_sum(self.payments) != self.revenue:
+    def __init__(
+        self,
+        winner: int,
+        payments: tuple[Fraction, ...],
+        revenue: Fraction,
+        surpluses: tuple[Fraction, ...],
+    ) -> None:
+        if exact_sum(payments) != revenue:
             raise ValueError("revenue must equal the sum of payments")
+        object.__setattr__(self, "winner", winner)
+        object.__setattr__(self, "payments", payments)
+        object.__setattr__(self, "revenue", revenue)
+        object.__setattr__(self, "surpluses", surpluses)
 
 
 def settle(instance: AuctionInstance, winner: int, bids: Sequence[Fraction]) -> Outcome:

@@ -36,7 +36,6 @@ solve per subset of rows; it is the reference the maximum is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -46,6 +45,7 @@ from .model import (
     AuctionInstance,
     BidProfile,
     InternalError,
+    Record,
     check_bids,
     exact_sum,
     format_scalar,
@@ -53,44 +53,66 @@ from .model import (
 from .simplex import ONE, ZERO, solve_min, solve_square_system
 
 
-@dataclass(frozen=True)
-class CefConstraint:
+class CefConstraint(Record):
     """One rival ad's envy-free row: sum of bids over `bidders` >= rhs."""
 
+    __slots__ = ("ad", "bidders", "rhs")
     ad: int
     bidders: tuple[int, ...]
     rhs: Fraction
+
+    def __init__(self, ad: int, bidders: tuple[int, ...], rhs: Fraction) -> None:
+        object.__setattr__(self, "ad", ad)
+        object.__setattr__(self, "bidders", bidders)
+        object.__setattr__(self, "rhs", rhs)
 
     def slack(self, bids: Sequence[Fraction]) -> Fraction:
         return exact_sum(bids[i] for i in self.bidders) - self.rhs
 
 
-@dataclass(frozen=True)
-class CefPolytope:
+class CefPolytope(Record):
     """CEF + IR + non-negativity constraints over the winner's member bids."""
 
+    __slots__ = ("instance", "winner", "constraints")
     instance: AuctionInstance
     winner: int
     constraints: tuple[CefConstraint, ...]
+
+    def __init__(
+        self, instance: AuctionInstance, winner: int, constraints: tuple[CefConstraint, ...]
+    ) -> None:
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "winner", winner)
+        object.__setattr__(self, "constraints", constraints)
 
     @property
     def members(self) -> tuple[int, ...]:
         return tuple(sorted(self.instance.members(self.winner)))
 
 
-@dataclass(frozen=True)
-class EquilibriumCertificate:
+class EquilibriumCertificate(Record):
     """Why nobody lowers: each member is at zero (None) or names a tying
     rival ad it does not belong to."""
 
+    __slots__ = ("witnesses",)
     witnesses: Mapping[int, int | None]
 
+    def __init__(self, witnesses: Mapping[int, int | None]) -> None:
+        object.__setattr__(self, "witnesses", witnesses)
 
-@dataclass(frozen=True)
-class EquilibriumResult:
+
+class EquilibriumResult(Record):
+    __slots__ = ("ok", "certificate", "failure")
     ok: bool
     certificate: EquilibriumCertificate | None
     failure: str | None
+
+    def __init__(
+        self, ok: bool, certificate: EquilibriumCertificate | None, failure: str | None
+    ) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "failure", failure)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -137,6 +137,20 @@ class TestSolve:
         assert code == 1 and out == ""
         assert err.startswith("error: cannot read")
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_non_utf8_file_is_named_in_the_error_report(self, capsys, tmp_path, fmt):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, ["solve", str(path), "vcg", "--format", fmt])
+        assert code == 1 and out == ""
+        expected = f"cannot read {path}: not UTF-8 text (invalid start byte at byte 0)"
+        if fmt == "json":
+            assert json.loads(err) == {"error": expected}
+        elif fmt == "csv":
+            assert list(csv.reader(io.StringIO(err))) == [["key", "value"], ["error", expected]]
+        else:
+            assert err == f"error: {expected}\n"
+
     def test_stdin_dash(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(AB_E))
         code, out, _ = run(capsys, ["solve", "-", "vcg"])
@@ -216,25 +230,30 @@ LP = {"coopetition.polytope", "coopetition.simplex"}
 LOWERING = LP | {"coopetition.egalitarian", "coopetition.oracle"}
 
 # `python -m coopetition ARGV` through runpy, as `-m` runs it, then the exit
-# status and the package modules (and numpy) left in sys.modules, on stderr.
+# status and the package modules left in sys.modules, on stderr, with numpy,
+# dataclasses and inspect when loaded.
 COLD_PROBE = """
 import runpy, sys
 try:
     runpy.run_module("coopetition", run_name="__main__", alter_sys=True)
 except SystemExit as exit:
     code = exit.code
-print(code, *sorted(m for m in sys.modules if m == "numpy" or m.startswith("coopetition")),
+print(code, *sorted(m for m in sys.modules
+                    if m in ("numpy", "dataclasses", "inspect") or m.startswith("coopetition")),
       file=sys.stderr)
 """
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
     # The package has no third-party dependency; the tests load numpy for
-    # their reference grid sweep only. The parser is built by the first
-    # `main` call, not by the import.
+    # their reference grid sweep only. The records are plain slotted
+    # classes, so `dataclasses` (and the `inspect` it imports) stays out of
+    # a cold start. The parser is built by the first `main` call, not by the
+    # import.
     probe = (
         "import sys, coopetition.cli as cli; "
-        "print('numpy' in sys.modules, cli.build_parser.cache_info().currsize, "
+        "print('numpy' in sys.modules, 'dataclasses' in sys.modules, 'inspect' in sys.modules, "
+        "cli.build_parser.cache_info().currsize, "
         "*sorted(m for m in sys.modules if m.startswith('coopetition')))"
     )
     result = subprocess.run(
@@ -242,8 +261,10 @@ def test_importing_the_cli_leaves_numpy_unloaded():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    numpy_loaded, parsers, *modules = result.stdout.split()
-    assert (numpy_loaded, parsers) == ("False", "0")
+    numpy_loaded, dataclasses_loaded, inspect_loaded, parsers, *modules = result.stdout.split()
+    assert (numpy_loaded, dataclasses_loaded, inspect_loaded, parsers) == (
+        "False", "False", "False", "0"
+    )
     assert set(modules) == COLD_BASE
 
 
@@ -283,6 +304,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path, command, loads):
     code, *modules = result.stderr.split()
     assert code == "0" and result.stdout.startswith(f"command: {argv[0]}")
     assert "numpy" not in modules
+    assert "dataclasses" not in modules and "inspect" not in modules
     assert set(modules) == COLD_BASE | loads
 
 
@@ -619,6 +641,31 @@ class TestContracts:
         assert code == 0
         assert "assignment: ad 0 {S, M}=0" in out
         assert "M=2" in out
+
+    @pytest.mark.parametrize(
+        "term, message",
+        [
+            (
+                '{"supporter": "M", "ad": 0, "amount": "-1"}',
+                "contracts[0].amount: must be non-negative",
+            ),
+            (
+                '{"supporter": "M", "ad": 0, "fraction": "3/2", "cap": "1", "subsidy": "0"}',
+                "contracts[0].fraction: must be in [0, 1]",
+            ),
+        ],
+        ids=["amount", "fraction"],
+    )
+    def test_out_of_range_term_names_its_field(self, capsys, tmp_path, term, message):
+        path = tmp_path / "owned.json"
+        path.write_text(OWNED)
+        terms = tmp_path / "terms.json"
+        terms.write_text(f'{{"contracts": [{term}]}}')
+        code, out, err = run(
+            capsys, ["contracts", str(path), "--contracts", str(terms), "--format", "json"]
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": message}
 
     def test_malformed_terms_are_an_error(self, capsys, tmp_path):
         path = tmp_path / "owned.json"

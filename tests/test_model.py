@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import coopetition
 from coopetition import (
     InstanceError,
     display_scalar,
@@ -22,7 +25,7 @@ from coopetition import (
     total_bid,
     total_value,
 )
-from coopetition.model import exact_sum
+from coopetition.model import Record, exact_sum
 from helpers import F, ab_e, make_instance, triangle
 
 GOOD_DOC = """
@@ -224,3 +227,100 @@ class TestSettle:
         outcome = settle(instance, 1, (F(1), F(2), F(3)))
         assert outcome.payments == (F(0), F(0), F(3))
         assert outcome.surpluses == (F(0), F(0), F(0))
+
+
+def _record_samples():
+    """One valid record of every record type, as (type, positional args)."""
+    c = coopetition
+    instance = make_instance({"A": 1, "B": 2}, [["A", "B"], ["B"]])
+    ad = instance.ads[0]
+    row = c.CefConstraint(1, (0,), F(0))
+    event = c.RoundEvent("zero", 0)
+    lowering = c.LoweringRound(F(1), (event,), (0,), (F(0), F(2)))
+    return [
+        (c.GridSpec, (F(1, 2), 5)),
+        (c.Ad, (0, frozenset({0, 1}))),
+        (c.AuctionInstance, (("A", "B"), (F(1), F(2)), (ad, c.Ad(1, frozenset({1}))))),
+        (c.Outcome, (0, (F(1), F(0)), F(1), (F(0), F(2)))),
+        (c.VcgResult, (0, (F(1), F(0)), F(1))),
+        (c.CefConstraint, (1, (0,), F(1, 3))),
+        (c.CefPolytope, (instance, 0, (row,))),
+        (c.EquilibriumCertificate, ({0: None, 1: 2},)),
+        (c.EquilibriumResult, (False, None, "A could lower")),
+        (c.RoundEvent, ("tight", None, 1)),
+        (c.LoweringRound, (F(1), (event,), (0,), (F(0), F(2)))),
+        (c.LoweringTrace, (0, (lowering,))),
+        (c.OwnedAuction, (instance, (0, 1), (F(1), F(1, 2)))),
+        (c.ContractTerm, (1, 0, F(1, 2), F(3), F(0))),
+        (c.PositionOutcome, ({0: 0}, {0: F(3)}, (F(0), F(8)))),
+    ]
+
+
+RECORD_SAMPLES = _record_samples()
+
+
+def _hashable(values) -> bool:
+    try:
+        hash(values)
+    except TypeError:
+        return False
+    return True
+
+
+def test_every_record_type_is_sampled():
+    assert set(Record.__subclasses__()) == {cls for cls, _ in RECORD_SAMPLES}
+    assert len(RECORD_SAMPLES) == 15
+
+
+@pytest.mark.parametrize(
+    "cls, args", [pytest.param(cls, args, id=cls.__name__) for cls, args in RECORD_SAMPLES]
+)
+class TestRecordSemantics:
+    def test_keyword_and_positional_construction(self, cls, args):
+        record = cls(*args)
+        assert record == cls(**dict(zip(cls.__slots__, args)))
+        assert tuple(getattr(record, name) for name in cls.__slots__) == args
+        assert not hasattr(record, "__dict__")
+
+    def test_equality_within_one_type_only(self, cls, args):
+        record, twin = cls(*args), cls(*args)
+        assert record == twin and not record != twin
+        other_type = type(cls.__name__, (cls,), {"__slots__": ()})
+        assert record != other_type(*args)
+        assert record != args
+        if _hashable(args):
+            assert hash(record) == hash(twin)
+        else:
+            with pytest.raises(TypeError):
+                hash(record)
+
+    def test_assignment_and_deletion_raise(self, cls, args):
+        record = cls(*args)
+        for name in cls.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert record == cls(*args)
+
+    def test_repr_names_every_field(self, cls, args):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(cls.__slots__, args))
+        assert repr(cls(*args)) == f"{cls.__name__}({fields})"
+
+    def test_copy_and_pickle_round_trip(self, cls, args):
+        record = cls(*args)
+        for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(clone) is cls and clone == record
+
+
+def test_record_defaults_and_repr():
+    assert coopetition.GridSpec(F(1)).budget == 10_000_000
+    event = coopetition.RoundEvent("zero")
+    assert (event.bidder, event.ad) == (None, None)
+    assert coopetition.RoundEvent("tight", ad=2) == coopetition.RoundEvent("tight", None, 2)
+    assert repr(coopetition.GridSpec(F(1, 2))) == (
+        "GridSpec(epsilon=Fraction(1, 2), budget=10000000)"
+    )
+    assert repr(coopetition.Ad(0, frozenset({1}))) == "Ad(id=0, members=frozenset({1}))"
