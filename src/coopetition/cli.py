@@ -94,9 +94,15 @@ class CliError(Exception):
 
 
 def _read_text(path: str) -> str:
+    """A file's text, or stdin's for "-". Stdin's bytes are decoded as a file
+    is, strict UTF-8 with universal newlines, whatever the locale; a stdin
+    replaced by a stream without `buffer` (a StringIO) is read as text."""
     try:
         if path == "-":
-            return sys.stdin.read()
+            stdin = getattr(sys.stdin, "buffer", None)
+            if stdin is None:
+                return sys.stdin.read()
+            return io.TextIOWrapper(io.BytesIO(stdin.read()), encoding="utf-8").read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:

@@ -13,7 +13,8 @@ winner's total minus its own, and the count of unfrozen winner members it
 lacks. A round lowers each slack by the decrement times that count, a rival
 goes tight when its count is positive and its slack reaches zero, and a
 member that freezes decrements the count of every rival lacking it. So ad
-totals are summed once, at the start.
+totals are never re-summed: the slacks start from the instance's integer ad
+totals.
 
 The resulting profile maximizes the sorted surplus vector lexicographically
 over the equilibrium set: the least-happy member is as happy as possible,
@@ -22,6 +23,7 @@ then the next, and so on.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -35,7 +37,6 @@ from .model import (
     Record,
     display_scalar,
     settle,
-    total_value,
 )
 from .oracle import enumerate_equilibria_grid
 from .polytope import build_polytope, is_equilibrium
@@ -114,29 +115,52 @@ def egalitarian_solve(
     slack stays non-negative. The invariants raise InternalError, also under
     `python -O`: a negative slack or decrement, a round that freezes no one,
     or more rounds than members.
+
+    Member bids and slacks are ints over one running denominator, which
+    starts at the instance's scale and grows by moving/gcd(slack, moving)
+    only when a step slack/moving does not divide. Fractions are built for
+    the rounds and the result only.
     """
     winner = efficient_winner(instance)
     winner_members = instance.members(winner)
     members = sorted(winner_members)
+    totals = instance._totals
+    denominator = instance._scale
+    scaled = {k: instance._units[k] for k in members}
     bids = list(instance.values)
     unfixed = set(members)
     rivals = [j for j in range(instance.m) if j != winner]
-    winner_total = total_value(instance, winner)
-    slack = {j: winner_total - total_value(instance, j) for j in rivals}
-    moving = {j: len(winner_members - instance.members(j)) for j in rivals}
-    lacking = {k: [j for j in rivals if k not in instance.members(j)] for k in members}
+    slack = {j: totals[winner] - totals[j] for j in rivals}
+    moving: dict[int, int] = {}
+    lacking: dict[int, list[int]] = {k: [] for k in members}
+    for j in rivals:
+        outside = winner_members - instance.members(j)
+        moving[j] = len(outside)
+        for k in outside:
+            lacking[k].append(j)
     rounds: list[LoweringRound] = []
 
     while unfixed:
-        step = min(bids[k] for k in unfixed)
+        # The step, num/den over the running denominator: the lowest unfixed
+        # bid, or the first rival slack to close at `moving` per unit.
+        num, den = min(scaled[k] for k in unfixed), 1
         for j in rivals:
-            if moving[j]:
-                step = min(step, slack[j] / moving[j])
-        if step < 0:
+            if moving[j] and slack[j] * den < num * moving[j]:
+                num, den = slack[j], moving[j]
+        if num < 0:
             raise InternalError("a rival ad overtook the winner between rounds")
+        grow = den // math.gcd(num, den)
+        if grow > 1:
+            denominator *= grow
+            for k in unfixed:
+                scaled[k] *= grow
+            for j in rivals:
+                slack[j] *= grow
+        step = num * grow // den
 
         for k in unfixed:
-            bids[k] -= step
+            scaled[k] -= step
+            bids[k] = Fraction(scaled[k], denominator)
         for j in rivals:
             if moving[j]:
                 slack[j] -= step * moving[j]
@@ -144,13 +168,13 @@ def egalitarian_solve(
         events: list[RoundEvent] = []
         frozen: set[int] = set()
         for k in sorted(unfixed):
-            if bids[k] == 0:
+            if scaled[k] == 0:
                 events.append(RoundEvent(kind="zero", bidder=k))
                 frozen.add(k)
         for j in rivals:
             if moving[j] and slack[j] == 0:
                 events.append(RoundEvent(kind="tight", ad=j))
-                frozen.update(k for k in unfixed if k not in instance.members(j))
+                frozen.update(unfixed - instance.members(j))
         if not frozen:
             raise InternalError("a lowering round must fix at least one member")
         unfixed -= frozen
@@ -159,7 +183,7 @@ def egalitarian_solve(
                 moving[j] -= 1
         rounds.append(
             LoweringRound(
-                decrement=step,
+                decrement=Fraction(step, denominator),
                 events=tuple(events),
                 fixed=tuple(sorted(frozen)),
                 bids=tuple(bids),

@@ -17,7 +17,6 @@ from .model import (
     exact_sum,
     settle,
     total_bid,
-    total_value,
 )
 
 
@@ -39,23 +38,19 @@ class VcgResult(Record):
         object.__setattr__(self, "revenue", revenue)
 
 
-def _totals(instance: AuctionInstance) -> list[Fraction]:
-    return [total_value(instance, j) for j in range(instance.m)]
-
-
-def _winner(totals: Sequence[Fraction]) -> int:
+def _winner(totals: Sequence[Fraction | int]) -> int:
     """The first ad with the largest (value or bid) total: lowest id wins ties."""
     return totals.index(max(totals))
 
 
 def efficient_winner(instance: AuctionInstance) -> int:
     """The ad with the largest total member value; lowest id wins ties."""
-    return _winner(_totals(instance))
+    return _winner(instance._totals)
 
 
 def welfare_ties(instance: AuctionInstance) -> tuple[int, ...]:
     """All ads achieving the maximum total value (length > 1 means a tie)."""
-    totals = _totals(instance)
+    totals = instance._totals
     top = max(totals)
     return tuple(j for j, total in enumerate(totals) if total == top)
 
@@ -70,24 +65,29 @@ def vcg(instance: AuctionInstance) -> VcgResult:
     free clicks.
 
     In closed form, with t_j the total value of ad j and W = t_winner, member
-    i pays max(0, max_j (t_j - [i in j]·v_i) - (W - v_i)). Each total is one
-    integer pass over its ad, so the cost is O(|winner|·m) after one pass
-    over the ads.
+    i pays max(0, max_j (t_j - [i in j]·v_i) - (W - v_i)). The arithmetic is
+    on the instance's integer units, O(|winner|·m); each payment is one
+    Fraction.
     """
-    totals = _totals(instance)
+    totals = instance._totals
+    units = instance._units
     winner = _winner(totals)
     welfare = totals[winner]
     payments = [Fraction(0)] * instance.n
+    revenue = 0
     for i in instance.members(winner):
-        value = instance.values[i]
+        value = units[i]
         best_without = max(
             total - value if i in ad.members else total
             for ad, total in zip(instance.ads, totals)
         )
         shortfall = best_without - (welfare - value)
-        payments[i] = max(Fraction(0), shortfall)
-    payments_t = tuple(payments)
-    return VcgResult(winner=winner, payments=payments_t, revenue=exact_sum(payments_t))
+        if shortfall > 0:
+            payments[i] = Fraction(shortfall, instance._scale)
+            revenue += shortfall
+    return VcgResult(
+        winner=winner, payments=tuple(payments), revenue=Fraction(revenue, instance._scale)
+    )
 
 
 def first_price_clear(instance: AuctionInstance, bids: Sequence[Fraction]) -> Outcome:
@@ -102,12 +102,9 @@ def revenue_lower_bound(instance: AuctionInstance) -> Fraction:
     that are not in the winning ad. Zero when there is no rival ad."""
     winner = efficient_winner(instance)
     winner_members = instance.members(winner)
-    bound = Fraction(0)
-    for j in range(instance.m):
-        if j == winner:
-            continue
-        outside = exact_sum(
-            instance.values[i] for i in instance.members(j) if i not in winner_members
-        )
-        bound = max(bound, outside)
-    return bound
+    units = instance._units
+    bound = 0
+    for ad in instance.ads:
+        if ad.id != winner:
+            bound = max(bound, sum([units[i] for i in ad.members - winner_members]))
+    return Fraction(bound, instance._scale)

@@ -203,7 +203,24 @@ class Ad(Record):
         object.__setattr__(self, "members", members)
 
 
-class AuctionInstance(Record):
+class _Scaled:
+    """An instance's values on one integer scale, computed at construction.
+
+    `_scale` is the lcm of the value denominators, `_units[i]` is value i
+    times `_scale` and `_totals[j]` is ad j's total in those units, so the
+    mechanisms compare and subtract ad totals as ints and build one Fraction
+    per reported number. These are caches, not fields: equality, hashing,
+    repr and pickle see only the record's own fields, and an unpickled
+    instance rebuilds them in `__init__`.
+    """
+
+    __slots__ = ("_scale", "_units", "_totals")
+    _scale: int
+    _units: tuple[int, ...]
+    _totals: tuple[int, ...]
+
+
+class AuctionInstance(Record, _Scaled):
     """Immutable auction instance: advertiser names, values, and ads.
 
     Invariants enforced at construction: values are non-negative, ad ids
@@ -253,6 +270,13 @@ class AuctionInstance(Record):
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "ads", ads)
+        scale = math.lcm(*[v.denominator for v in values])
+        units = tuple([v.numerator * (scale // v.denominator) for v in values])
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_units", units)
+        object.__setattr__(
+            self, "_totals", tuple([sum([units[i] for i in ad.members]) for ad in ads])
+        )
 
     @property
     def n(self) -> int:
@@ -318,17 +342,18 @@ def instance_from_document(doc: object) -> AuctionInstance:
         raise InstanceError("advertisers: expected a non-empty list")
     names: list[str] = []
     values: list[Fraction] = []
+    index: dict[str, int] = {}
     for k, entry in enumerate(advertisers):
         if not isinstance(entry, dict) or "name" not in entry or "value" not in entry:
             raise InstanceError(f"advertisers[{k}]: expected an object with name and value")
         name = entry["name"]
         if not isinstance(name, str) or not name:
             raise InstanceError(f"advertisers[{k}].name: expected a non-empty string")
-        if name in names:
+        if name in index:
             raise InstanceError(f"advertisers[{k}].name: duplicate advertiser {name!r}")
+        index[name] = k
         names.append(name)
         values.append(parse_scalar(entry["value"], where=f"advertisers[{k}].value"))
-    index = {name: i for i, name in enumerate(names)}
     ads_doc = doc.get("ads")
     if not isinstance(ads_doc, list) or not ads_doc:
         raise InstanceError("ads: expected a non-empty list")
@@ -368,10 +393,11 @@ def parse_bids(text: str, instance: AuctionInstance) -> BidProfile:
     if not isinstance(doc, dict) or not isinstance(doc.get("bids"), dict):
         raise InstanceError('top level: expected {"bids": {name: amount}}')
     bids = list(instance.values)
+    index = {name: i for i, name in enumerate(instance.names)}
     for name, amount in doc["bids"].items():
-        if name not in instance.names:
+        if name not in index:
             raise InstanceError(f"bids: unknown advertiser {name!r}")
-        bids[instance.index(name)] = parse_scalar(amount, where=f"bids[{name!r}]")
+        bids[index[name]] = parse_scalar(amount, where=f"bids[{name!r}]")
     return tuple(bids)
 
 
@@ -404,7 +430,7 @@ def exact_sum(terms: Iterable[Fraction | int]) -> Fraction:
 
 def total_value(instance: AuctionInstance, ad_id: int) -> Fraction:
     """Sum of member values for one ad."""
-    return exact_sum(instance.values[i] for i in instance.ads[ad_id].members)
+    return Fraction(instance._totals[ad_id], instance._scale)
 
 
 def total_bid(instance: AuctionInstance, bids: Sequence[Fraction], ad_id: int) -> Fraction:

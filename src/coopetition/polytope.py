@@ -126,17 +126,19 @@ def build_polytope(instance: AuctionInstance) -> CefPolytope:
     """
     winner = efficient_winner(instance)
     winner_members = instance.members(winner)
+    units = instance._units
     constraints = []
     for j in range(instance.m):
         if j == winner:
             continue
         rival = instance.members(j)
         bidders = tuple(sorted(winner_members - rival))
-        rhs = exact_sum(instance.values[i] for i in rival - winner_members)
+        outside = sum([units[i] for i in rival - winner_members])
         if not bidders:
-            if rhs != 0:
+            if outside != 0:
                 raise InternalError("an ad covering the winner cannot out-value it")
             continue
+        rhs = Fraction(outside, instance._scale)
         constraints.append(CefConstraint(ad=j, bidders=bidders, rhs=rhs))
     return CefPolytope(instance=instance, winner=winner, constraints=tuple(constraints))
 

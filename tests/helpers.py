@@ -119,6 +119,34 @@ def rival_family(
     return AuctionInstance.build(values, ads)
 
 
+def prime_family(
+    rng: random.Random, members: int, rivals: int, base: int = 0, ties: bool = False
+) -> AuctionInstance:
+    """A winner of `members` advertisers against `rivals` rival ads, each
+    rival sharing part of the winner plus one outsider.
+
+    Winner values are `base` plus a fraction over a prime denominator, and an
+    outsider is worth its rival's lacking part times r/29, so a lowering step
+    slack/moving seldom divides and the running denominator must grow. A
+    `base` of 2**70 puts every integer past 64 bits. With `ties`, about a
+    third of the rivals tie the winner exactly and the ads are shuffled, so
+    ties break by ad id.
+    """
+    winner = [f"W{i}" for i in range(members)]
+    primes = (7, 11, 13, 17, 19, 23)
+    values = {name: base + F(rng.randint(1, 60), rng.choice(primes)) for name in winner}
+    ads = [winner]
+    for r in range(rivals):
+        shared = rng.sample(winner, rng.randint(0, members - 1))
+        lacking = sum((values[name] for name in winner if name not in shared), F(0))
+        share = F(1) if ties and rng.random() < 0.3 else F(rng.randint(1, 28), 29)
+        values[f"R{r}"] = lacking * share
+        ads.append(shared + [f"R{r}"])
+    if ties:
+        rng.shuffle(ads)
+    return AuctionInstance.build(values, ads)
+
+
 def egalitarian_by_rounds(
     instance: AuctionInstance,
 ) -> tuple[BidProfile, Outcome, LoweringTrace]:

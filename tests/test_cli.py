@@ -90,6 +90,15 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def assert_error_report(err: str, fmt: str, expected: str) -> None:
+    if fmt == "json":
+        assert json.loads(err) == {"error": expected}
+    elif fmt == "csv":
+        assert list(csv.reader(io.StringIO(err))) == [["key", "value"], ["error", expected]]
+    else:
+        assert err == f"error: {expected}\n"
+
+
 class TestSolve:
     def test_vcg_table(self, capsys, ab_e_path):
         code, out, err = run(capsys, ["solve", ab_e_path, "vcg"])
@@ -144,18 +153,38 @@ class TestSolve:
         code, out, err = run(capsys, ["solve", str(path), "vcg", "--format", fmt])
         assert code == 1 and out == ""
         expected = f"cannot read {path}: not UTF-8 text (invalid start byte at byte 0)"
-        if fmt == "json":
-            assert json.loads(err) == {"error": expected}
-        elif fmt == "csv":
-            assert list(csv.reader(io.StringIO(err))) == [["key", "value"], ["error", expected]]
-        else:
-            assert err == f"error: {expected}\n"
+        assert_error_report(err, fmt, expected)
 
     def test_stdin_dash(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(AB_E))
         code, out, _ = run(capsys, ["solve", "-", "vcg"])
         assert code == 0
         assert "revenue: 2" in out
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_non_utf8_stdin_is_named_in_the_error_report(self, capsys, monkeypatch, fmt):
+        # Under the C locale stdin's text layer lets bad bytes through as
+        # surrogates; the bytes beneath it are what must be decoded.
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, ["solve", "-", "vcg", "--format", fmt])
+        assert code == 1 and out == ""
+        expected = "cannot read -: not UTF-8 text (invalid start byte at byte 0)"
+        assert_error_report(err, fmt, expected)
+
+    def test_stdin_reads_like_a_file(self, capsys, monkeypatch, tmp_path):
+        # Carriage returns are translated as for a file, so a JSON error
+        # points at the same place either way.
+        data = b'{"advertisers": [{"name": "A", "value": "2"}],\r\n "ads": [["A"]] x}'
+        path = tmp_path / "crlf.json"
+        path.write_bytes(data)
+        from_file = run(capsys, ["solve", str(path), "vcg"])
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        from_stdin = run(capsys, ["solve", "-", "vcg"])
+        assert from_stdin == from_file
+        assert from_file[2] == (
+            "error: not valid JSON: Expecting ',' delimiter: line 2 column 17 (char 63)\n"
+        )
 
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
@@ -370,6 +399,18 @@ def _cold_stdout(argv):
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+def test_non_utf8_bytes_on_a_real_stdin_under_the_c_locale():
+    result = subprocess.run(
+        [sys.executable, "-m", "coopetition", "solve", "-", "vcg", "--format", "json"],
+        input=b"\xff\xfe", env={**_package_env(), "LC_ALL": "C"}, capture_output=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (1, b"")
+    assert json.loads(result.stderr) == {
+        "error": "cannot read -: not UTF-8 text (invalid start byte at byte 0)"
+    }
 
 
 class TestCachedParser:

@@ -23,6 +23,7 @@ from helpers import (
     four_ones,
     hundreds,
     make_instance,
+    prime_family,
     random_instance,
     rival_family,
     single_ad,
@@ -163,6 +164,37 @@ class TestAgainstTheRoundLoop:
     def test_wide_slice(self):
         for instance in wide_slice():
             assert egalitarian_solve(instance) == egalitarian_by_rounds(instance)
+
+
+def prime_families(base: int):
+    """80 prime-denominator families of 3-12 members, half of them with
+    exact ties to the winner."""
+    for ties in (False, True):
+        rng = random.Random(70 + ties)
+        for case in range(40):
+            members = 3 + case % 10
+            yield prime_family(rng, members, 2 * members, base=base, ties=ties)
+
+
+class TestIntegerLowering:
+    """The lowering over one running integer denominator against the
+    Fraction round loop, where that denominator has to grow."""
+
+    def check(self, base: int) -> None:
+        grown = 0
+        for instance in prime_families(base):
+            result = egalitarian_solve(instance)
+            assert result == egalitarian_by_rounds(instance)
+            # A decrement whose denominator does not divide the instance's
+            # scale was taken after the running denominator grew.
+            grown += any(instance._scale % r.decrement.denominator for r in result[2].rounds)
+        assert grown >= 20
+
+    def test_prime_denominators(self):
+        self.check(0)
+
+    def test_values_near_2_to_the_70(self):
+        self.check(2**70)
 
 
 class TestLexmaxCertificate:

@@ -23,6 +23,7 @@ from helpers import (
     ab_e,
     four_ones,
     make_instance,
+    prime_family,
     random_instance,
     rival_family,
     single_ad,
@@ -150,3 +151,44 @@ class TestRevenueLowerBound:
             {"A": 3, "B": 3, "D": 2}, [["A", "B"], ["A", "D"]]
         )
         assert revenue_lower_bound(instance) == F(2)
+
+
+def tie_families():
+    """Prime-denominator families with exact ties to the winner, shuffled so
+    a tie can break either way, at small values and near 2**70."""
+    for base in (0, 2**70):
+        rng = random.Random(270 + (base > 0))
+        for case in range(30):
+            members = 3 + case % 10
+            yield prime_family(rng, members, 2 * members, base=base, ties=True)
+
+
+class TestIntegerTotals:
+    """The integer ad totals against plain Fraction sums, on exact ties."""
+
+    def test_winner_and_ties_match_fraction_sums(self):
+        tied = 0
+        for instance in tie_families():
+            totals = [sum((instance.values[i] for i in ad.members), F(0)) for ad in instance.ads]
+            top = max(totals)
+            ties = tuple(j for j, total in enumerate(totals) if total == top)
+            assert welfare_ties(instance) == ties
+            assert efficient_winner(instance) == ties[0]
+            assert [total_value(instance, j) for j in range(instance.m)] == totals
+            tied += len(ties) > 1
+        assert tied >= 50
+
+    def test_vcg_matches_the_breakpoint_oracle(self):
+        for instance in tie_families():
+            assert vcg(instance) == vcg_bruteforce(instance)
+
+    def test_revenue_floor_and_rows_match_fraction_sums(self):
+        for instance in tie_families():
+            winner = instance.members(efficient_winner(instance))
+            outside = [
+                sum((instance.values[i] for i in ad.members - winner), F(0))
+                for ad in instance.ads
+            ]
+            assert revenue_lower_bound(instance) == max(outside)
+            for row in build_polytope(instance).constraints:
+                assert row.rhs == outside[row.ad]

@@ -315,6 +315,39 @@ class TestRecordSemantics:
             assert type(clone) is cls and clone == record
 
 
+class TestInstanceScale:
+    """The integer scale is a cache beside the record's fields, never one of them."""
+
+    def sample(self):
+        return make_instance({"A": "1/3", "B": "2.5", "C": 0}, [["A", "B"], ["B", "C"], ["C"]])
+
+    def test_one_scale_for_every_value(self):
+        instance = self.sample()
+        assert (instance._scale, instance._units, instance._totals) == (6, (2, 15, 0), (17, 15, 0))
+        assert [total_value(instance, j) for j in range(3)] == [F(17, 6), F(5, 2), F(0)]
+
+    def test_record_semantics_see_only_the_fields(self):
+        instance = self.sample()
+        fields = (instance.names, instance.values, instance.ads)
+        assert coopetition.AuctionInstance.__slots__ == ("names", "values", "ads")
+        assert instance == coopetition.AuctionInstance(*fields)
+        assert hash(instance) == hash(fields)
+        assert repr(instance) == (
+            f"AuctionInstance(names={fields[0]!r}, values={fields[1]!r}, ads={fields[2]!r})"
+        )
+        assert instance.__reduce__() == (coopetition.AuctionInstance, fields)
+        with pytest.raises(AttributeError):
+            instance._scale = 1
+
+    def test_copies_and_pickles_rebuild_the_scale(self):
+        instance = self.sample()
+        payload = pickle.dumps(instance)
+        assert b"_scale" not in payload and b"_totals" not in payload
+        for clone in (copy.copy(instance), copy.deepcopy(instance), pickle.loads(payload)):
+            assert clone == instance
+            assert (clone._scale, clone._units, clone._totals) == (6, (2, 15, 0), (17, 15, 0))
+
+
 def test_record_defaults_and_repr():
     assert coopetition.GridSpec(F(1)).budget == 10_000_000
     event = coopetition.RoundEvent("zero")
