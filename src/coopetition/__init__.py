@@ -27,8 +27,8 @@ _EXPORTS = {
         "verify_egalitarian",
     ),
     "mechanisms": (
-        "VcgResult", "efficient_winner", "first_price_clear", "revenue_lower_bound",
-        "vcg", "welfare_ties",
+        "efficient_winner", "first_price_clear", "revenue_lower_bound", "vcg",
+        "welfare_ties",
     ),
     "model": (
         "Ad", "AuctionInstance", "BidProfile", "GridBudgetError", "GridSpec",

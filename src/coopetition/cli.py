@@ -225,11 +225,10 @@ def cmd_solve(args: argparse.Namespace) -> dict[str, Node]:
     instance = _load_instance(args.path)
     report: dict[str, Node] = {"command": f"solve {args.mechanism}"}
     if args.mechanism == "vcg":
-        result = vcg(instance)
-        outcome = settle(instance, result.winner, result.payments)
-        report["winner"] = instance.label(result.winner)
-        report["payments"] = _named(instance, result.payments)
-        report["revenue"] = result.revenue
+        outcome = vcg(instance)
+        report["winner"] = instance.label(outcome.winner)
+        report["payments"] = _named(instance, outcome.payments)
+        report["revenue"] = outcome.revenue
         report["surplus"] = _named(instance, outcome.surpluses)
     elif args.mechanism == "egalitarian":
         _bind("egalitarian")
@@ -262,12 +261,13 @@ def cmd_verify(args: argparse.Namespace) -> dict[str, Node]:
     polytope = build_polytope(instance)
     canon = canonical_bids(polytope, bids)
     result = is_equilibrium(polytope, canon)
+    # An equilibrium is IR and CEF; only a failure asks again which held.
     report: dict[str, Node] = {
         "command": "verify",
         "winner": instance.label(polytope.winner),
         "bids": _named(instance, canon),
-        "is_ir": is_ir(instance, canon),
-        "is_cef": is_cef(polytope, canon),
+        "is_ir": bool(result) or is_ir(instance, canon),
+        "is_cef": bool(result) or is_cef(polytope, canon),
         "is_equilibrium": bool(result),
     }
     if result:

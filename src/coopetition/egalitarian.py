@@ -212,11 +212,12 @@ def verify_egalitarian(
     polytope = build_polytope(instance)
     if not is_equilibrium(polytope, bids).ok:
         return False
-    candidate = settle(instance, polytope.winner, tuple(bids)).surpluses
-    candidate_sorted = sorted(candidate)
+    candidate = sorted(settle(instance, polytope.winner, tuple(bids)).surpluses)
+    values = instance.values
     for rival_bids in enumerate_equilibria_grid(instance, grid):
-        rival = sorted(settle(instance, polytope.winner, rival_bids).surpluses)
-        if _lex_greater(rival, candidate_sorted, grid.epsilon):
+        # Grid losers bid their values, so their surplus is 0, as in `settle`.
+        rival = sorted(v - b for v, b in zip(values, rival_bids))
+        if _lex_greater(rival, candidate, grid.epsilon):
             return False
     return True
 

@@ -12,30 +12,10 @@ from typing import Sequence
 from .model import (
     AuctionInstance,
     Outcome,
-    Record,
     check_bids,
-    exact_sum,
     settle,
     total_bid,
 )
-
-
-class VcgResult(Record):
-    """Truthful-values clearing: winner, per-advertiser payments, revenue."""
-
-    __slots__ = ("winner", "payments", "revenue")
-    winner: int
-    payments: tuple[Fraction, ...]
-    revenue: Fraction
-
-    def __init__(self, winner: int, payments: tuple[Fraction, ...], revenue: Fraction) -> None:
-        if any(p < 0 for p in payments):
-            raise ValueError("payments must be non-negative")
-        if exact_sum(payments) != revenue:
-            raise ValueError("revenue must equal the sum of payments")
-        object.__setattr__(self, "winner", winner)
-        object.__setattr__(self, "payments", payments)
-        object.__setattr__(self, "revenue", revenue)
 
 
 def _winner(totals: Sequence[Fraction | int]) -> int:
@@ -55,7 +35,7 @@ def welfare_ties(instance: AuctionInstance) -> tuple[int, ...]:
     return tuple(j for j, total in enumerate(totals) if total == top)
 
 
-def vcg(instance: AuctionInstance) -> VcgResult:
+def vcg(instance: AuctionInstance) -> Outcome:
     """Charge each winning member the externality it imposes.
 
     A member of the winning ad pays the shortfall between the best total the
@@ -67,14 +47,14 @@ def vcg(instance: AuctionInstance) -> VcgResult:
     In closed form, with t_j the total value of ad j and W = t_winner, member
     i pays max(0, max_j (t_j - [i in j]·v_i) - (W - v_i)). The arithmetic is
     on the instance's integer units, O(|winner|·m); each payment is one
-    Fraction.
+    Fraction. A member is charged only a positive shortfall, so payments are
+    non-negative.
     """
     totals = instance._totals
     units = instance._units
     winner = _winner(totals)
     welfare = totals[winner]
     payments = [Fraction(0)] * instance.n
-    revenue = 0
     for i in instance.members(winner):
         value = units[i]
         best_without = max(
@@ -84,10 +64,7 @@ def vcg(instance: AuctionInstance) -> VcgResult:
         shortfall = best_without - (welfare - value)
         if shortfall > 0:
             payments[i] = Fraction(shortfall, instance._scale)
-            revenue += shortfall
-    return VcgResult(
-        winner=winner, payments=tuple(payments), revenue=Fraction(revenue, instance._scale)
-    )
+    return settle(instance, winner, payments)
 
 
 def first_price_clear(instance: AuctionInstance, bids: Sequence[Fraction]) -> Outcome:

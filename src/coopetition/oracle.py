@@ -15,7 +15,10 @@ outsiders. Every gap rises with every bid, which makes both cuts exact. A
 member's bids start at the smallest lattice bid from which the remaining
 members, bidding their values, still lift every gap to zero; they stop at
 the first bid that leaves it, or any positive member before it, with no
-lacking rival whose gap is below epsilon.
+lacking rival whose gap is below epsilon. The rivals below epsilon are one
+bit mask per level: a bid that leaves the mask as the level found it can
+cost only the bidder its own pin, and any other bid re-tests every positive
+member placed so far.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .mechanisms import VcgResult
 # GridSpec and GridBudgetError live in model, so that contracts can use them
 # without loading this module; they stay importable from here.
-from .model import AuctionInstance, BidProfile, GridBudgetError, GridSpec, InternalError
+from .model import (
+    AuctionInstance, BidProfile, GridBudgetError, GridSpec, InternalError, Outcome, settle,
+)
 
 
 def _winner(instance: AuctionInstance) -> tuple[int, list[Fraction]]:
@@ -70,47 +74,34 @@ def enumerate_equilibria_grid(instance: AuctionInstance, grid: GridSpec) -> list
         )
 
     # gaps[r]: winner total minus rival r's total, with the members not yet
-    # visited bidding 0; lacked_by[k]: the rivals that lack member k. A rival
-    # that lacks no member holds the whole winner, so its outsiders are worth
-    # 0 (the winner is efficient) and its gap stays 0.
-    gaps: list[int] = []
-    lacked_by: list[list[int]] = [[] for _ in members]
-    for j in range(instance.m):
-        if j == winner:
-            continue
-        rival = instance.members(j)
-        for k, i in enumerate(members):
-            if i not in rival:
-                lacked_by[k].append(len(gaps))
-        gaps.append(-sum(values[i] for i in rival - winning))
+    # visited bidding 0. A rival that lacks no member holds the whole winner,
+    # so its outsiders are worth 0 (the winner is efficient) and its gap
+    # stays 0. lacks[k]: the rivals that lack member k, and the same set as
+    # a bit mask.
+    rivals = [instance.members(j) for j in range(instance.m) if j != winner]
+    gaps = [-sum(values[i] for i in rival - winning) for rival in rivals]
+    lacks: list[tuple[list[int], int]] = []
+    for i in members:
+        excluding = [r for r, rival in enumerate(rivals) if i not in rival]
+        lacks.append((excluding, sum(1 << r for r in excluding)))
 
     # floors[k]: (rival, top bids of the later members it lacks) for each
     # rival lacking k, so that k's bid must reach -(gap + later) for it.
-    # watch[k]: the earlier members that can be positive and share a rival
-    # with k, the only ones whose pin a bid of k can take away.
     later = [0] * len(gaps)
     floors: list[list[tuple[int, int]]] = [[] for _ in members]
     for k in reversed(range(len(members))):
-        floors[k] = [(r, later[r]) for r in lacked_by[k]]
-        for r in lacked_by[k]:
+        floors[k] = [(r, later[r]) for r in lacks[k][0]]
+        for r in lacks[k][0]:
             later[r] += tops[k]
-    lacking: list[list[int]] = [[] for _ in gaps]
-    watch: list[list[int]] = []
-    for k, rivals in enumerate(lacked_by):
-        watch.append([*{p for r in rivals for p in lacking[r]}])
-        if tops[k]:
-            for r in rivals:
-                lacking[r].append(k)
 
-    # Rival sets as bit masks. pins[k]: the rivals that lack member k.
-    # tight[k]: the rivals whose gap is below epsilon on entering level k
-    # (every gap starts at or below 0); tight[k + 1] holds the same after
-    # k's current bid. A positive member is pinned while its pins and the
-    # tight set share a bit, so a bid that leaves the tight set as it was
-    # can only take away the pin of k itself.
-    pins = [sum(1 << r for r in rivals) for rivals in lacked_by]
-    tight = [0] * (len(members) + 1)
-    tight[0] = (1 << len(gaps)) - 1
+    # near[k]: the rivals whose gap is below epsilon on entering level k
+    # (every gap starts at or below 0); near[k + 1] holds the same after k's
+    # current bid. A positive member is pinned while its mask and the near
+    # set share a bit. Gaps only rise with bids, so a bid that leaves the
+    # near set as it entered the level can only cost k its own pin;
+    # otherwise every positive member placed so far is re-tested.
+    near = [0] * (len(members) + 1)
+    near[0] = (1 << len(gaps)) - 1
 
     # An explicit stack (bids holds the path) rather than recursion: a winner
     # can have more members than Python's recursion limit. Bids rise within
@@ -125,18 +116,17 @@ def enumerate_equilibria_grid(instance: AuctionInstance, grid: GridSpec) -> list
             for r, reach in floors[k]:
                 need = max(need, -(gaps[r] + reach))
             bid = -(-need // eps) * eps
-            tight[k + 1] = tight[k]
+            near[k + 1] = near[k]
         if bid <= tops[k]:
-            before = after = tight[k + 1]
             if bid:
                 step, bids[k] = bid - bids[k], bid
-                for r in lacked_by[k]:
+                for r in lacks[k][0]:
                     gaps[r] += step
                     if gaps[r] >= eps:
-                        after &= ~(1 << r)
-            tight[k + 1] = after
-            if not bid or after & pins[k] and (
-                after == before or all(not bids[p] or after & pins[p] for p in watch[k])
+                        near[k + 1] &= ~(1 << r)
+            now = near[k + 1]
+            if not bid or now & lacks[k][1] and (
+                now == near[k] or all(not bids[p] or now & lacks[p][1] for p in range(k))
             ):
                 if k == last:
                     accepted.append(tuple(bids))
@@ -146,7 +136,7 @@ def enumerate_equilibria_grid(instance: AuctionInstance, grid: GridSpec) -> list
                 continue
         # Level k is done: its bid passed its top, or failed the pin test,
         # which every higher bid fails too because the gaps only rise.
-        for r in lacked_by[k]:
+        for r in lacks[k][0]:
             gaps[r] -= bids[k]
         bids[k] = 0
         if k == 0:
@@ -170,31 +160,24 @@ def enumerate_equilibria_grid(instance: AuctionInstance, grid: GridSpec) -> list
 def lexmax_surplus_grid(instance: AuctionInstance, grid: GridSpec) -> BidProfile:
     """The grid equilibrium whose ascending surplus vector is lex-maximal.
 
-    Ties break toward the lexicographically smallest bid vector. Raises when
-    the lattice holds no equilibrium at all (refine epsilon in that case).
+    Ties break toward the lexicographically smallest bid vector. Losers bid
+    their values, so their surplus is 0. Raises when the lattice holds no
+    equilibrium at all (refine epsilon in that case).
     """
-    winner, _ = _winner(instance)
-    members = sorted(instance.members(winner))
-    best: tuple | None = None
-    for profile in enumerate_equilibria_grid(instance, grid):
-        surpluses = tuple(
-            instance.values[i] - profile[i] if i in instance.members(winner) else Fraction(0)
-            for i in range(instance.n)
-        )
-        key = (
-            tuple(sorted(surpluses)),
-            tuple(-profile[i] for i in range(instance.n)),
-        )
-        if best is None or key > best[0]:
-            best = (key, profile)
+    values = instance.values
+    best = max(
+        enumerate_equilibria_grid(instance, grid),
+        key=lambda bids: (sorted(v - b for v, b in zip(values, bids)), [-b for b in bids]),
+        default=None,
+    )
     if best is None:
         raise RuntimeError(
             f"no equilibrium on the grid at resolution {grid.epsilon}; refine epsilon"
         )
-    return best[1]
+    return best
 
 
-def vcg_bruteforce(instance: AuctionInstance) -> VcgResult:
+def vcg_bruteforce(instance: AuctionInstance) -> Outcome:
     """Re-derive truthful payments by searching each member's breakpoint.
 
     A winning member's payment is the smallest value it could report and
@@ -238,7 +221,4 @@ def vcg_bruteforce(instance: AuctionInstance) -> VcgResult:
             else:
                 lo = mid + 1
         payments[i] = ladder[lo]
-    payments_t = tuple(payments)
-    return VcgResult(
-        winner=winner, payments=payments_t, revenue=sum(payments_t, Fraction(0))
-    )
+    return settle(instance, winner, payments)

@@ -7,6 +7,7 @@ import math
 import random
 import string
 from fractions import Fraction
+from typing import Sequence
 
 from coopetition import (
     AuctionInstance,
@@ -17,7 +18,10 @@ from coopetition import (
     LoweringTrace,
     Outcome,
     RoundEvent,
+    build_polytope,
     efficient_winner,
+    enumerate_equilibria_grid,
+    is_equilibrium,
     settle,
     total_bid,
 )
@@ -97,6 +101,14 @@ def random_instance(
             continue
         return AuctionInstance.build(values, [sorted(ad) for ad in ads])
     raise AssertionError("random instance generation kept colliding")
+
+
+def criterion_7_instances():
+    """The 200 instances of acceptance criterion 7 (same seed and family)."""
+    rng = random.Random(702024)
+    quarter_values = [F(k, 4) for k in range(9)]
+    for _ in range(200):
+        yield random_instance(rng, max_n=5, max_m=4, value_pool=quarter_values)
 
 
 def rival_family(
@@ -332,3 +344,74 @@ def enumerate_equilibria_grid_numpy(instance: AuctionInstance, grid: GridSpec) -
             bids_exact[i] = Fraction(row[p], denominator)
         profiles.append(tuple(bids_exact))
     return profiles
+
+
+# The two grid comparisons as they were before they compared sorted
+# surpluses directly: `lexmax_surplus_grid` with a per-profile membership
+# scan, and `verify_egalitarian` with one `settle` Outcome per grid point.
+# Bodies kept as they were; both must agree with the package.
+
+
+def _winner(instance: AuctionInstance) -> tuple[int, list[Fraction]]:
+    totals = [
+        sum((instance.values[i] for i in instance.members(j)), Fraction(0))
+        for j in range(instance.m)
+    ]
+    return totals.index(max(totals)), totals
+
+
+def lexmax_surplus_grid_by_scan(instance: AuctionInstance, grid: GridSpec) -> BidProfile:
+    """The grid equilibrium whose ascending surplus vector is lex-maximal.
+
+    Ties break toward the lexicographically smallest bid vector. Raises when
+    the lattice holds no equilibrium at all (refine epsilon in that case).
+    """
+    winner, _ = _winner(instance)
+    members = sorted(instance.members(winner))
+    best: tuple | None = None
+    for profile in enumerate_equilibria_grid(instance, grid):
+        surpluses = tuple(
+            instance.values[i] - profile[i] if i in instance.members(winner) else Fraction(0)
+            for i in range(instance.n)
+        )
+        key = (
+            tuple(sorted(surpluses)),
+            tuple(-profile[i] for i in range(instance.n)),
+        )
+        if best is None or key > best[0]:
+            best = (key, profile)
+    if best is None:
+        raise RuntimeError(
+            f"no equilibrium on the grid at resolution {grid.epsilon}; refine epsilon"
+        )
+    return best[1]
+
+
+def verify_egalitarian_by_outcomes(
+    instance: AuctionInstance, bids: Sequence[Fraction], grid: GridSpec
+) -> bool:
+    """Brute-force check that no grid equilibrium is lexicographically happier.
+
+    Surplus vectors are sorted ascending and compared with tolerance
+    grid.epsilon: entries within epsilon count as equal. Returns False when
+    the bids are not an equilibrium at all.
+    """
+    polytope = build_polytope(instance)
+    if not is_equilibrium(polytope, bids).ok:
+        return False
+    candidate = settle(instance, polytope.winner, tuple(bids)).surpluses
+    candidate_sorted = sorted(candidate)
+    for rival_bids in enumerate_equilibria_grid(instance, grid):
+        rival = sorted(settle(instance, polytope.winner, rival_bids).surpluses)
+        if _lex_greater(rival, candidate_sorted, grid.epsilon):
+            return False
+    return True
+
+
+def _lex_greater(a: Sequence[Fraction], b: Sequence[Fraction], eps: Fraction) -> bool:
+    for x, y in zip(a, b):
+        if x > y + eps:
+            return True
+        if x < y - eps:
+            return False
+    return False

@@ -501,6 +501,22 @@ class TestVerify:
         assert "is_ir: false" in out
         assert "failure: not IR: 'A'" in out
 
+    def test_an_equilibrium_is_not_checked_again_for_ir_and_cef(
+        self, capsys, triangle_path, tmp_path, monkeypatch
+    ):
+        # `is_equilibrium` has already checked IR and every envy-free row.
+        def asked_again(*args):
+            raise AssertionError("verify asked again")
+
+        monkeypatch.setattr(coopetition.cli, "is_ir", asked_again)
+        monkeypatch.setattr(coopetition.cli, "is_cef", asked_again)
+        bids = tmp_path / "bids.json"
+        bids.write_text('{"bids": {"A": "1", "B": "1", "C": "0"}}')
+        code, out, _ = run(capsys, ["verify", triangle_path, str(bids), "--format", "json"])
+        assert code == 0
+        report = json.loads(out)
+        assert (report["is_ir"], report["is_cef"], report["is_equilibrium"]) == (True,) * 3
+
     def test_slack_profile_is_cef_but_not_equilibrium(self, capsys, triangle_path, tmp_path):
         bids = tmp_path / "bids.json"
         bids.write_text('{"bids": {"A": "0.6", "B": "0.6", "C": "0.6"}}')

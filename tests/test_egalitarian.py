@@ -11,6 +11,7 @@ from coopetition import (
     GridSpec,
     build_polytope,
     egalitarian_solve,
+    enumerate_equilibria_grid,
     is_equilibrium,
     total_bid,
     verify_egalitarian,
@@ -19,6 +20,7 @@ from helpers import (
     F,
     ab_e,
     bottleneck_failure,
+    criterion_7_instances,
     egalitarian_by_rounds,
     four_ones,
     hundreds,
@@ -28,15 +30,8 @@ from helpers import (
     rival_family,
     single_ad,
     triangle,
+    verify_egalitarian_by_outcomes,
 )
-
-
-def criterion_7_instances():
-    """The 200 instances of acceptance criterion 7 (same seed and family)."""
-    rng = random.Random(702024)
-    quarter_values = [F(k, 4) for k in range(9)]
-    for _ in range(200):
-        yield random_instance(rng, max_n=5, max_m=4, value_pool=quarter_values)
 
 
 def golden_instances():
@@ -129,6 +124,24 @@ class TestAgainstTheGrid:
     def test_non_equilibrium_is_rejected_outright(self):
         grid = GridSpec(epsilon=F(1, 2))
         assert not verify_egalitarian(hundreds(), (F(100), F(100), F(99)), grid)
+
+
+class TestAgainstTheOutcomeComparison:
+    """`verify_egalitarian` against `helpers.verify_egalitarian_by_outcomes`,
+    which builds one `settle` Outcome per grid point."""
+
+    def test_criterion_7_family_and_hundreds(self):
+        verdicts = []
+        for instance in (*criterion_7_instances(), hundreds()):
+            bids, _, _ = egalitarian_solve(instance)
+            for eps in (F(1, 8), F(1, 2), F(1)):
+                grid = GridSpec(epsilon=eps)
+                equilibria = enumerate_equilibria_grid(instance, grid)
+                for candidate in (bids, *equilibria[:1], *equilibria[1:][-1:]):
+                    verdict = verify_egalitarian(instance, candidate, grid)
+                    assert verdict == verify_egalitarian_by_outcomes(instance, candidate, grid)
+                    verdicts.append(verdict)
+        assert verdicts.count(True) >= 1000 and verdicts.count(False) >= 50
 
 
 class TestInvariants:

@@ -13,6 +13,7 @@ from coopetition import (
     efficient_winner,
     first_price_clear,
     revenue_lower_bound,
+    settle,
     total_value,
     vcg,
     vcg_bruteforce,
@@ -76,6 +77,12 @@ class TestVcg:
     def test_losing_ad_members_pay_nothing(self):
         result = vcg(ab_e())
         assert result.payments[2] == F(0)
+
+    def test_clears_to_the_outcome_of_its_payments(self):
+        # Members keep value minus payment; the losing E keeps 0.
+        instance = ab_e()
+        assert vcg(instance) == settle(instance, 0, (F(1), F(1), F(0)))
+        assert vcg(instance).surpluses == (F(1), F(1), F(0))
 
     def test_dropping_a_member_ties_other_ads(self):
         # Without B the winner's other members keep 4, which ties {A, D} and

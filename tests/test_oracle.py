@@ -22,9 +22,11 @@ from coopetition import (
 from helpers import (
     F,
     ab_e,
+    criterion_7_instances,
     enumerate_equilibria_grid_numpy,
     four_ones,
     hundreds,
+    lexmax_surplus_grid_by_scan,
     make_instance,
     random_instance,
     triangle,
@@ -195,6 +197,15 @@ class TestAgainstTheNumpySweep:
         assert self.agree(instance, GridSpec(epsilon=F(1)))
         assert enumerate_equilibria_grid(instance, GridSpec(epsilon=F(1))) == [(F(0),) * 1502]
 
+    def test_positive_bids_deeper_than_the_recursion_limit(self):
+        # 2**1500 lattice points and one equilibrium: the rival is beaten only
+        # when every member bids its value, and then trails by 1/2 < epsilon,
+        # which pins them all.
+        names = [f"W{i}" for i in range(1500)]
+        instance = make_instance({**dict.fromkeys(names, 1), "R": F(2999, 2)}, [names, ["R"]])
+        grid = GridSpec(epsilon=F(1), budget=2**1500)
+        assert enumerate_equilibria_grid(instance, grid) == [(F(1),) * 1500 + (F(2999, 2),)]
+
 
 class TestLexmax:
     def test_splits_the_pair_instance_evenly(self):
@@ -213,6 +224,28 @@ class TestLexmax:
             lexmax_surplus_grid(instance, GridSpec(epsilon=F(1)))
         fine = lexmax_surplus_grid(instance, GridSpec(epsilon=F(1, 10)))
         assert fine == (F("2.3"), F("2.3"))
+
+
+class TestLexmaxAgainstTheScan:
+    """`lexmax_surplus_grid` against `helpers.lexmax_surplus_grid_by_scan`,
+    which keys each profile on a per-member membership scan."""
+
+    @staticmethod
+    def lexmax(function, instance, grid):
+        try:
+            return function(instance, grid)
+        except RuntimeError as error:
+            return str(error)
+
+    def test_criterion_7_family_and_hundreds(self):
+        empty = 0
+        for instance in (*criterion_7_instances(), hundreds()):
+            for eps in (F(1, 8), F(1, 2), F(1)):
+                grid = GridSpec(epsilon=eps)
+                expected = self.lexmax(lexmax_surplus_grid_by_scan, instance, grid)
+                assert self.lexmax(lexmax_surplus_grid, instance, grid) == expected
+                empty += isinstance(expected, str)
+        assert 0 < empty < 100
 
 
 class TestVcgBruteforce:
