@@ -32,8 +32,9 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
+from . import _EXPORTS, _HOME
 from .mechanisms import revenue_lower_bound, vcg, welfare_ties
 from .model import (
     AuctionInstance,
@@ -42,47 +43,37 @@ from .model import (
     InternalError,
     display_scalar,
     format_scalar,
+    load_document,
     parse_bids,
     parse_instance,
     parse_scalar,
     settle,
 )
 
-# Names a command binds into this module on first use (`_bind`), so a cold
-# start imports only the modules its command runs. Reading one of them
-# before any command has run binds it too (`__getattr__`), which is how a
-# caller can wrap `cli.revenue_range` and have every command call the wrap.
-_LAZY = {
-    "contracts": (
-        "ContractTerm", "OwnedAuction", "best_response_contract", "evaluate_contracts",
-        "parse_owned_auction",
-    ),
-    "egalitarian": ("egalitarian_solve", "verify_egalitarian"),
-    "oracle": ("enumerate_equilibria_grid", "lexmax_surplus_grid", "vcg_bruteforce"),
-    "polytope": (
-        "build_polytope", "canonical_bids", "is_cef", "is_equilibrium", "is_ir",
-        "revenue_range", "sample_pareto_equilibrium",
-    ),
-}
+# Modules a command binds into this module on first use (`_bind`), with the
+# names the package exports from each, so a cold start imports only the
+# modules its command runs. Reading one of those names before any command
+# has run binds its module too (`__getattr__`), which is how a caller can
+# wrap `cli.revenue_range` and have every command call the wrap.
+_LAZY = ("contracts", "egalitarian", "oracle", "polytope")
 _bound: set[str] = set()
 
 
 def _bind(*modules: str) -> None:
-    """Import `modules` and bind their `_LAZY` names here; a name already set
-    on this module (a caller's wrap, a test's patch) is kept."""
+    """Import `modules` and bind their exported names here; a name already
+    set on this module (a caller's wrap, a test's patch) is kept."""
     for module in modules:
         if module not in _bound:
             source = importlib.import_module(f".{module}", __package__)
-            for name in _LAZY[module]:
+            for name in _EXPORTS[module]:
                 globals().setdefault(name, getattr(source, name))
             _bound.add(module)
 
 
 def __getattr__(name: str):
-    for module, names in _LAZY.items():
-        if name in names:
-            _bind(module)
-            return globals()[name]
+    if _HOME.get(name) in _LAZY:
+        _bind(_HOME[name])
+        return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -134,11 +125,11 @@ def render_json(report: dict[str, Node]) -> str:
     return json.dumps(report, indent=2, default=_json_scalar)
 
 
-def _flat_cell(node: Node) -> str:
+def _cell(node: Node, scalar: Callable[[Fraction], str]) -> str:
     if isinstance(node, bool):
         return "true" if node else "false"
     if isinstance(node, Fraction):
-        return format_scalar(node)
+        return scalar(node)
     return str(node)
 
 
@@ -150,7 +141,7 @@ def _flatten(node: Node, prefix: str, rows: list[tuple[str, str]]) -> None:
         for index, value in enumerate(node):
             _flatten(value, f"{prefix}[{index}]", rows)
     else:
-        rows.append((prefix, _flat_cell(node)))
+        rows.append((prefix, _cell(node, format_scalar)))
 
 
 def render_csv(report: dict[str, Node]) -> str:
@@ -165,18 +156,10 @@ def render_csv(report: dict[str, Node]) -> str:
     return buffer.getvalue()
 
 
-def _table_cell(node: Node) -> str:
-    if isinstance(node, bool):
-        return "true" if node else "false"
-    if isinstance(node, Fraction):
-        return display_scalar(node)
-    return str(node)
-
-
 def _table_lines(node: Node, prefix: str, lines: list[str], indent: str) -> None:
     if isinstance(node, dict):
         if all(not isinstance(v, (dict, list)) for v in node.values()):
-            joined = ", ".join(f"{k}={_table_cell(v)}" for k, v in node.items())
+            joined = ", ".join(f"{k}={_cell(v, display_scalar)}" for k, v in node.items())
             lines.append(f"{indent}{prefix}: {joined}")
         else:
             lines.append(f"{indent}{prefix}:")
@@ -186,13 +169,13 @@ def _table_lines(node: Node, prefix: str, lines: list[str], indent: str) -> None
         if all(not isinstance(v, (dict, list)) for v in node):
             lines.append(f"{indent}{prefix}:")
             for value in node:
-                lines.append(f"{indent}  {_table_cell(value)}")
+                lines.append(f"{indent}  {_cell(value, display_scalar)}")
         else:
             lines.append(f"{indent}{prefix}:")
             for index, value in enumerate(node):
                 _table_lines(value, f"[{index}]", lines, indent + "  ")
     else:
-        lines.append(f"{indent}{prefix}: {_table_cell(node)}")
+        lines.append(f"{indent}{prefix}: {_cell(node, display_scalar)}")
 
 
 def render_table(report: dict[str, Node]) -> str:
@@ -378,9 +361,9 @@ def cmd_oracle(args: argparse.Namespace) -> dict[str, Node]:
 def _parse_contract_terms(text: str, owned: OwnedAuction) -> list[ContractTerm]:
     instance = owned.instance
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"contract file is not valid JSON: {exc}") from exc
+        doc = load_document(text)
+    except InstanceError as exc:
+        raise CliError(f"contract file is {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("contracts"), list):
         raise CliError('contract file must hold {"contracts": [...]}')
     terms = []

@@ -32,7 +32,6 @@ from .model import (  # noqa: F401
     GridSpec,
     InstanceError,
     Record,
-    exact_sum,
     format_scalar,
     instance_from_document,
     load_document,
@@ -276,8 +275,9 @@ def best_response_contract(
     ]
     if not supported:
         return ()
-    ceiling = max_subsidy if max_subsidy is not None else exact_sum(instance.values)
-    steps = int(ceiling / grid.epsilon) + 1
+    if max_subsidy is None:
+        max_subsidy = Fraction(sum(instance._units), instance._scale)
+    steps = int(max_subsidy / grid.epsilon) + 1
     total = steps ** len(supported)
     if total > grid.budget:
         raise GridBudgetError(f"grid needs {total} points, budget is {grid.budget}")

@@ -106,6 +106,9 @@ class GridBudgetError(RuntimeError):
 # printed back, and an exponent in the millions makes Fraction() spend
 # seconds building a power of ten before anything else is checked.
 _MAX_DIGITS = 4300
+# An instance's scale may have ten times as many digits, so any one literal
+# fits; counted in bits, as 2**(3.33 * d) has more than d digits.
+_MAX_SCALE_BITS = 10 * _MAX_DIGITS * 333 // 100
 
 
 def _check_literal_size(text: str, where: str) -> None:
@@ -243,9 +246,16 @@ class AuctionInstance(Record, _Scaled):
             raise InstanceError("advertiser names must be unique")
         if len(values) != len(names):
             raise InstanceError("one value per advertiser is required")
+        scale = 1
         for k, value in enumerate(values):
             if value < 0:
                 raise InstanceError(f"advertisers[{k}].value: negative value {format_scalar(value)}")
+            scale = math.lcm(scale, value.denominator)
+            if scale.bit_length() > _MAX_SCALE_BITS:
+                raise InstanceError(
+                    f"advertisers[{k}].value: the values' common denominator has more "
+                    f"than {10 * _MAX_DIGITS} digits"
+                )
         if not ads:
             raise InstanceError("at least one ad is required")
         seen: dict[frozenset[int], int] = {}
@@ -270,7 +280,6 @@ class AuctionInstance(Record, _Scaled):
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "ads", ads)
-        scale = math.lcm(*[v.denominator for v in values])
         units = tuple([v.numerator * (scale // v.denominator) for v in values])
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_units", units)
@@ -317,11 +326,13 @@ class AuctionInstance(Record, _Scaled):
 
 
 def load_document(text: str) -> object:
-    """Decode a JSON document, reporting a syntax error as an InstanceError."""
+    """Decode a JSON document, reporting a syntax error, an integer literal
+    past the interpreter's digit limit (without its hint to raise the limit)
+    or nesting past the recursion limit as an InstanceError."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise InstanceError(f"not valid JSON: {str(exc).partition('; use ')[0]}") from None
 
 
 def parse_instance(text: str) -> AuctionInstance:

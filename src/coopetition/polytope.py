@@ -29,8 +29,9 @@ feasible, which lets the LP start from the slack basis in a single phase.
 Every LP here is posed in these rows (`surplus_rows`): the frontier sample,
 the revenue minimum and the revenue maximum, which is the best of one
 lexicographic LP per irredundant cover of the members by tight rows
-(`revenue_range`). `enumerate_vertices` lists the vertices by one square
-solve per subset of rows; it is the reference the maximum is tested against.
+(`revenue_range`), with rooms and caps in the instance's integer units.
+`enumerate_vertices` lists the vertices by one square solve per subset of
+rows; it is the reference the maximum is tested against.
 """
 
 from __future__ import annotations
@@ -252,9 +253,9 @@ def sample_pareto_equilibrium(
     weights = [Fraction(w) for w in weights]
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be strictly positive")
-    values = [polytope.instance.values[member] for member in members]
+    caps = [polytope.instance._units[member] for member in members]
     # Minimizing w . bid is maximizing w . y over the packing rows, y <= value.
-    _, surplus = solve_min([-w for w in weights], le=surplus_rows(polytope), upper=values)
+    _, surplus = solve_min([-w for w in weights], le=surplus_rows(polytope), upper=caps)
     profile = _bids_from_surplus(polytope, surplus)
     verdict = is_equilibrium(polytope, profile)
     if not verdict.ok:
@@ -262,17 +263,15 @@ def sample_pareto_equilibrium(
     return profile
 
 
-def surplus_rows(polytope: CefPolytope) -> list[tuple[tuple[int, ...], Fraction]]:
+def surplus_rows(polytope: CefPolytope) -> list[tuple[tuple[int, ...], int]]:
     """Each envy-free row in surplus coordinates y = value - bid, as (0/1
     coefficients in member order, room): coefficients . y <= room, where the
-    room is the value of the row's bidders minus the rival's outside value."""
+    room is the value of the row's bidders minus the rival's outside value:
+    the winner's total minus the rival's, an int in the instance's units."""
     members = polytope.members
-    values = polytope.instance.values
+    totals = polytope.instance._totals
     return [
-        (
-            tuple(int(k in c.bidders) for k in members),
-            exact_sum(values[i] for i in c.bidders) - c.rhs,
-        )
+        (tuple(int(k in c.bidders) for k in members), totals[polytope.winner] - totals[c.ad])
         for c in polytope.constraints
     ]
 
@@ -280,12 +279,8 @@ def surplus_rows(polytope: CefPolytope) -> list[tuple[tuple[int, ...], Fraction]
 def _bids_from_surplus(polytope: CefPolytope, surplus: Sequence[Fraction]) -> BidProfile:
     bids = list(polytope.instance.values)
     for member, y in zip(polytope.members, surplus):
-        bids[member] -= y
+        bids[member] -= y / polytope.instance._scale
     return tuple(bids)
-
-
-def _unit(p: int, dimension: int) -> tuple[Fraction, ...]:
-    return tuple(ONE if q == p else ZERO for q in range(dimension))
 
 
 def vertex_rows(polytope: CefPolytope) -> list[tuple[tuple[Fraction, ...], Fraction]]:
@@ -303,7 +298,7 @@ def vertex_rows(polytope: CefPolytope) -> list[tuple[tuple[Fraction, ...], Fract
         if c.rhs != 0
     ]
     for p, member in enumerate(members):
-        unit = _unit(p, len(members))
+        unit = tuple(ONE if q == p else ZERO for q in range(len(members)))
         rows.append((unit, Fraction(0)))
         upper = polytope.instance.values[member]
         if upper != 0:
@@ -375,7 +370,8 @@ def revenue_range(polytope: CefPolytope) -> tuple[Fraction, Fraction]:
     row of R has. A cover with a redundant row stays redundant when rows
     are added, so the depth-first walk over row subsets prunes there.
 
-    Each cover costs one two-stage LP in surplus coordinates. Stage 1
+    Each cover costs one two-stage LP in surplus coordinates, posed with
+    rooms, caps and totals in the instance's integer units. Stage 1
     maximizes g . y, where g sums R's rows and the unit vectors of the
     members outside R. It reaches the sum of R's rooms plus the values
     outside R exactly when F_R is non-empty. Stage 2 minimizes the sum of
@@ -385,15 +381,16 @@ def revenue_range(polytope: CefPolytope) -> tuple[Fraction, Fraction]:
     Raises RuntimeError when the search needs more than `_COVER_BUDGET`
     cover LPs.
     """
+    instance = polytope.instance
     members = polytope.members
     cheapest = sample_pareto_equilibrium(polytope, [Fraction(1)] * len(members))
     low = exact_sum(cheapest[i] for i in members)
-    values = [polytope.instance.values[k] for k in members]
-    total = exact_sum(values)
+    caps = [instance._units[k] for k in members]
+    total = instance._totals[polytope.winner]
     rows = surplus_rows(polytope)
     positive = [row for row, c in zip(rows, polytope.constraints) if c.rhs > 0]
     masks = [sum(a << p for p, a in enumerate(coeffs)) for coeffs, _ in positive]
-    high, argmax, solved = low, None, 0
+    high, argmax, solved = low * instance._scale, None, 0
 
     def solve(cover: list[int]) -> None:
         nonlocal high, argmax, solved
@@ -404,12 +401,9 @@ def revenue_range(polytope: CefPolytope) -> tuple[Fraction, Fraction]:
             )
         solved += 1
         counts = [sum(positive[i][0][p] for i in cover) for p in range(len(members))]
-        gain = [count or 1 for count in counts]
-        reach = exact_sum(
-            [positive[i][1] for i in cover] + [v for v, count in zip(values, counts) if not count]
-        )
+        reach = sum([positive[i][1] for i in cover] + [c for c, n in zip(caps, counts) if not n])
         value, surplus = solve_min(
-            [-g for g in gain], le=rows, upper=values, then=[Fraction(1)] * len(members)
+            [-(count or 1) for count in counts], le=rows, upper=caps, then=[1] * len(members)
         )
         revenue = total - exact_sum(surplus)
         if value == -reach and revenue > high:
@@ -431,4 +425,4 @@ def revenue_range(polytope: CefPolytope) -> tuple[Fraction, Fraction]:
                 f"the cover search and is_equilibrium disagree at the revenue maximum: "
                 f"{verdict.failure}"
             )
-    return low, high
+    return low, high / instance._scale

@@ -12,6 +12,7 @@ from typing import Sequence
 from coopetition import (
     AuctionInstance,
     BidProfile,
+    CefPolytope,
     GridBudgetError,
     GridSpec,
     LoweringRound,
@@ -25,6 +26,7 @@ from coopetition import (
     settle,
     total_bid,
 )
+from coopetition.model import exact_sum
 
 F = Fraction
 
@@ -219,6 +221,25 @@ def egalitarian_by_rounds(
     outcome = settle(instance, winner, profile)
     trace = LoweringTrace(winner=winner, rounds=tuple(rounds))
     return profile, outcome, trace
+
+
+def surplus_rows_by_sums(polytope: CefPolytope) -> list[tuple[tuple[int, ...], Fraction]]:
+    """Each envy-free row in surplus coordinates y = value - bid, as (0/1
+    coefficients in member order, room): coefficients . y <= room, where the
+    room is the value of the row's bidders minus the rival's outside value.
+
+    The rows as Fractions, each room re-summed from the member values: the
+    reference for `polytope.surplus_rows`, whose rooms are the same numbers
+    in the instance's integer units."""
+    members = polytope.members
+    values = polytope.instance.values
+    return [
+        (
+            tuple(int(k in c.bidders) for k in members),
+            exact_sum(values[i] for i in c.bidders) - c.rhs,
+        )
+        for c in polytope.constraints
+    ]
 
 
 def bottleneck_failure(instance: AuctionInstance, bids: BidProfile) -> str | None:

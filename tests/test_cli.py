@@ -227,6 +227,27 @@ class TestSolve:
         message = json.loads(err)["error"] if fmt == "json" else err
         assert "advertisers[0].value" in message and "digits" in message
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_scale_past_its_limit_is_rejected_quickly(self, capsys, tmp_path, fmt):
+        # Each value's 4001-digit denominator is a valid literal, but the
+        # instance's scale, their lcm, crosses 43000 digits at the eleventh
+        # value; the full lcm of all 120 and a division by each took seconds.
+        path = tmp_path / "coprime.json"
+        path.write_text(json.dumps({
+            "advertisers": [
+                {"name": f"A{i}", "value": f"{i + 1}/{10**4000 + 2 * i + 1}"} for i in range(120)
+            ],
+            "ads": [[f"A{i}"] for i in range(120)],
+        }))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["solve", str(path), "vcg", "--format", fmt])
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert_error_report(
+            err, fmt, "advertisers[10].value: the values' common denominator has more than "
+            "43000 digits"
+        )
+
     def test_huge_weight_is_rejected(self, capsys, triangle_path):
         code, out, err = run(capsys, ["polytope", triangle_path, "--weights", "1,1,1e9999"])
         assert code == 1 and out == ""
@@ -392,6 +413,48 @@ def test_wraps_set_before_the_first_command_are_called(tmp_path):
     }
 
 
+READ_PROBE = """
+import json, sys
+import coopetition
+from coopetition import cli
+
+# contracts and oracle import no other package module, and egalitarian
+# imports polytope, so each module is first loaded by its own read here.
+record = {}
+for name in ("position_vcg", "vcg_bruteforce", "enumerate_vertices", "LoweringTrace"):
+    home = "coopetition." + coopetition._HOME[name]
+    loaded_before = home in sys.modules
+    record[name] = [
+        loaded_before,
+        getattr(cli, name) is getattr(sys.modules[home], name),
+        all(n in vars(cli) for n in coopetition._EXPORTS[coopetition._HOME[name]]),
+    ]
+for name in ("serialize_instance", "first_price_clear"):
+    record[name] = not hasattr(cli, name)
+print(json.dumps(record))
+"""
+
+
+def test_reading_any_exported_name_binds_its_module():
+    # Any public name of a lazily bound module binds that module, with all
+    # its exported names, on `cli`, not only the names its commands call; a
+    # `model` or `mechanisms` name that `cli` does not import stays no
+    # attribute of it.
+    result = subprocess.run(
+        [sys.executable, "-c", READ_PROBE], env=_package_env(), capture_output=True, text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {
+        "position_vcg": [False, True, True],
+        "vcg_bruteforce": [False, True, True],
+        "enumerate_vertices": [False, True, True],
+        "LoweringTrace": [False, True, True],
+        "serialize_instance": True,
+        "first_price_clear": True,
+    }
+
+
 def _cold_stdout(argv):
     result = subprocess.run(
         [sys.executable, "-m", "coopetition", *argv],
@@ -451,6 +514,41 @@ def _parse_error(err, fmt):
         return message
     assert err.startswith("error: ")
     return err[len("error: "):].rstrip("\n")
+
+
+# One JSON document of each kind that the decoder refuses before any field is
+# read: an integer literal past the interpreter's int-to-str digit limit, and
+# arrays nested past the recursion limit.
+JSON_LEVEL = {
+    "integer": ('{"value": ' + "1" * 5000 + "}", "value has 5000 digits"),
+    "nesting": ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+}
+
+
+class TestJsonLevelErrors:
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("kind", ["instance", "bids", "owned", "contracts"])
+    @pytest.mark.parametrize("case", sorted(JSON_LEVEL))
+    def test_reported_as_not_valid_json(self, capsys, tmp_path, case, kind, fmt):
+        if case == "integer" and not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("no int-to-str digit limit")
+        text, detail = JSON_LEVEL[case]
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        (tmp_path / "t.json").write_text(TRIANGLE)
+        (tmp_path / "o.json").write_text(OWNED)
+        argv = {
+            "instance": ["solve", bad, "vcg"],
+            "bids": ["verify", tmp_path / "t.json", bad],
+            "owned": ["contracts", bad],
+            "contracts": ["contracts", tmp_path / "o.json", "--contracts", bad],
+        }[kind]
+        code, out, err = run(capsys, [*map(str, argv), "--format", fmt])
+        assert code == 1 and out == ""
+        message = _parse_error(err, fmt)
+        prefix = "contract file is not valid JSON: " if kind == "contracts" else "not valid JSON: "
+        assert message.startswith(prefix) and detail in message
+        assert "set_int_max_str_digits" not in message
 
 
 class TestExitStatus:

@@ -325,6 +325,17 @@ class TestInstanceScale:
         assert (instance._scale, instance._units, instance._totals) == (6, (2, 15, 0), (17, 15, 0))
         assert [total_value(instance, j) for j in range(3)] == [F(17, 6), F(5, 2), F(0)]
 
+    def test_the_scale_admits_any_one_literal(self):
+        # The scale limit is ten times the literal limit, in digits.
+        for literal in ("1e-4300", "0." + "9" * 4295 + "e-4300"):
+            instance = make_instance({"A": literal, "B": 1}, [["A"], ["B"]])
+            assert instance._scale == parse_scalar(literal).denominator
+
+    def test_a_scale_past_its_limit_names_the_value_that_crossed_it(self):
+        values = {f"A{i}": F(1, 10**4000 + 2 * i + 1) for i in range(12)}
+        with pytest.raises(InstanceError, match=r"^advertisers\[10\]\.value: .* 43000 digits$"):
+            make_instance(values, [[name] for name in values])
+
     def test_record_semantics_see_only_the_fields(self):
         instance = self.sample()
         fields = (instance.names, instance.values, instance.ads)

@@ -33,16 +33,19 @@ from coopetition import (
     vcg,
 )
 from coopetition import polytope as polytope_module
-from coopetition.polytope import EquilibriumResult, vertex_rows
+from coopetition.polytope import EquilibriumResult, surplus_rows, vertex_rows
+from coopetition.simplex import solve_min
 from helpers import (
     F,
     ab_e,
     four_ones,
     hundreds,
     make_instance,
+    prime_family,
     random_instance,
     rival_family,
     single_ad,
+    surplus_rows_by_sums,
     triangle,
 )
 
@@ -536,3 +539,73 @@ class TestRevenueRange:
         assert revenue_lower_bound(instance) <= low <= high
         payments = vcg(instance).payments
         assert sum(payments, F(0)) <= low
+
+
+def unit_row_polytopes():
+    """The acceptance family, the prime-denominator families (`prime_family`
+    also at base 2**70) and 200 frontier-style winners of 8-12 members
+    facing two rivals each."""
+    yield from small_polytopes(0, 100)
+    yield from small_polytopes(1, 40, partial(random_instance, value_pool=PRIME_DENOMINATOR_VALUES))
+    yield from small_polytopes(2, 40, prime_rival_family)
+    rng = random.Random(3)
+    for base in (0, 2**70):
+        for _ in range(20):
+            yield build_polytope(prime_family(rng, rng.randint(3, 8), rng.randint(2, 10), base))
+    rng = random.Random(4)
+    for _ in range(200):
+        yield build_polytope(rival_family(rng, rng.randint(8, 12), rivals_per_member=2))
+
+
+class TestRowsInUnits:
+    """`surplus_rows` gives each room as an int in the instance's units, and
+    the LPs over those rows return the bids of the LPs over Fraction rows."""
+
+    def assert_same_rows_and_bids(self, polytope, rng):
+        instance = polytope.instance
+        rows, reference = surplus_rows(polytope), surplus_rows_by_sums(polytope)
+        assert [coeffs for coeffs, _ in rows] == [coeffs for coeffs, _ in reference]
+        assert all(type(room) is int for _, room in rows)
+        assert [room for _, room in rows] == [room * instance._scale for _, room in reference]
+        members = polytope.members
+        values = [instance.values[k] for k in members]
+        for weights in (
+            [F(1)] * len(members),
+            [F(rng.randint(1, 40), rng.choice((1, 2, 4))) for _ in members],
+        ):
+            _, surplus = solve_min([-w for w in weights], le=reference, upper=values)
+            bids = list(instance.values)
+            for member, y in zip(members, surplus):
+                bids[member] -= y
+            assert sample_pareto_equilibrium(polytope, weights) == tuple(bids)
+
+    def test_rooms_are_the_fraction_rooms_times_the_scale(self):
+        rng = random.Random(5)
+        for polytope in unit_row_polytopes():
+            self.assert_same_rows_and_bids(polytope, rng)
+
+    @given(instances(max_n=6), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_rooms_match_on_generated_instances(self, instance, rng):
+        self.assert_same_rows_and_bids(build_polytope(instance), rng)
+
+    def test_every_lp_reads_ints(self, monkeypatch):
+        # Rows, rhs and caps reach the simplex as ints, in the frontier
+        # sample and in both stages of every cover LP.
+        calls = []
+        solve = polytope_module.solve_min
+
+        def recorded(costs, le=(), upper=None, then=None):
+            calls.append((le, upper, then is not None))
+            return solve(costs, le=le, upper=upper, then=then)
+
+        monkeypatch.setattr(polytope_module, "solve_min", recorded)
+        rng = random.Random(6)
+        for polytope in itertools.chain([build_polytope(triangle())], small_polytopes(0, 30)):
+            weights = [F(rng.randint(1, 40), rng.choice((1, 2, 4))) for _ in polytope.members]
+            sample_pareto_equilibrium(polytope, weights)
+            revenue_range(polytope)
+        assert {staged for _, _, staged in calls} == {False, True}
+        for le, upper, _ in calls:
+            assert all(type(x) is int for coeffs, rhs in le for x in (*coeffs, rhs))
+            assert all(type(cap) is int for cap in upper)
