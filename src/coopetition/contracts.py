@@ -280,7 +280,7 @@ def best_response_contract(
     steps = int(max_subsidy / grid.epsilon) + 1
     total = steps ** len(supported)
     if total > grid.budget:
-        raise GridBudgetError(f"grid needs {total} points, budget is {grid.budget}")
+        raise GridBudgetError(total, grid.budget)
     levels = [grid.epsilon * k for k in range(steps)]
     best_utility: Fraction | None = None
     best_terms: ContractProfile = ()

@@ -101,6 +101,10 @@ class GridSpec(Record):
 class GridBudgetError(RuntimeError):
     """The requested sweep is larger than the configured budget."""
 
+    def __init__(self, points: int, budget: int) -> None:
+        count = points if points < 10**_MAX_DIGITS else f"at least 10^{_MAX_DIGITS}"
+        super().__init__(f"grid needs {count} points, budget is {budget}")
+
 
 # CPython's default int-to-str limit. A literal with more digits could not be
 # printed back, and an exponent in the millions makes Fraction() spend
@@ -123,6 +127,20 @@ def _check_literal_size(text: str, where: str) -> None:
             f"{where}: exponent larger than {_MAX_DIGITS} in magnitude, "
             f"the number would have more than {_MAX_DIGITS} digits"
         )
+
+
+def _common_denominator(scalars: Iterable[tuple[object, Fraction]], place: str, what: str) -> int:
+    """The lcm of the (key, scalar) pairs' denominators, one at a time; an
+    InstanceError at `place.format(key)` once it passes 43,000 digits."""
+    scale = 1
+    for key, x in scalars:
+        scale = math.lcm(scale, x.denominator)
+        if scale.bit_length() > _MAX_SCALE_BITS:
+            raise InstanceError(
+                f"{place.format(key)}: the {what}' common denominator has more "
+                f"than {10 * _MAX_DIGITS} digits"
+            )
+    return scale
 
 
 def parse_scalar(value: object, where: str = "value") -> Fraction:
@@ -176,22 +194,25 @@ def _terminating_decimal(x: Fraction) -> str | None:
 
 
 def format_scalar(x: Fraction) -> str:
-    """Render exactly: terminating decimal if one exists, else "p/q"."""
-    decimal = _terminating_decimal(x)
-    return decimal if decimal is not None else f"{x.numerator}/{x.denominator}"
+    """Render exactly: terminating decimal if one exists, else "p/q"; an
+    InstanceError when a numerator or denominator is too long to print."""
+    try:
+        decimal = _terminating_decimal(x)
+        return decimal if decimal is not None else f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise InstanceError(f"a number to print has more than {_MAX_DIGITS} digits") from None
 
 
 def display_scalar(x: Fraction) -> str:
     """Human-facing rendering: adds an approximate decimal to fraction forms
     whose magnitude fits in a float."""
-    decimal = _terminating_decimal(x)
-    if decimal is not None:
-        return decimal
+    text = format_scalar(x)
+    if "/" not in text:
+        return text
     try:
-        approximation = f" (~{float(x):.6g})"
+        return f"{text} (~{float(x):.6g})"
     except OverflowError:
-        approximation = ""
-    return f"{x.numerator}/{x.denominator}{approximation}"
+        return text
 
 
 class Ad(Record):
@@ -246,16 +267,10 @@ class AuctionInstance(Record, _Scaled):
             raise InstanceError("advertiser names must be unique")
         if len(values) != len(names):
             raise InstanceError("one value per advertiser is required")
-        scale = 1
         for k, value in enumerate(values):
             if value < 0:
                 raise InstanceError(f"advertisers[{k}].value: negative value {format_scalar(value)}")
-            scale = math.lcm(scale, value.denominator)
-            if scale.bit_length() > _MAX_SCALE_BITS:
-                raise InstanceError(
-                    f"advertisers[{k}].value: the values' common denominator has more "
-                    f"than {10 * _MAX_DIGITS} digits"
-                )
+        scale = _common_denominator(enumerate(values), "advertisers[{}].value", "values")
         if not ads:
             raise InstanceError("at least one ad is required")
         seen: dict[frozenset[int], int] = {}
@@ -398,7 +413,8 @@ def parse_bids(text: str, instance: AuctionInstance) -> BidProfile:
     """Parse a bid file against an instance.
 
     Returns a full profile, one bid per advertiser in instance order;
-    advertisers missing from the document bid their value.
+    advertisers missing from the document bid their value. The bids'
+    common denominator is held to the limit of the values'.
     """
     doc = load_document(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("bids"), dict):
@@ -409,6 +425,7 @@ def parse_bids(text: str, instance: AuctionInstance) -> BidProfile:
         if name not in index:
             raise InstanceError(f"bids: unknown advertiser {name!r}")
         bids[index[name]] = parse_scalar(amount, where=f"bids[{name!r}]")
+    _common_denominator([(name, bids[index[name]]) for name in doc["bids"]], "bids[{!r}]", "bids")
     return tuple(bids)
 
 

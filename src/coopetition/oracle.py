@@ -69,9 +69,7 @@ def enumerate_equilibria_grid(instance: AuctionInstance, grid: GridSpec) -> list
     tops = [values[i] - values[i] % eps for i in members]
     points = math.prod(top // eps + 1 for top in tops)
     if points > grid.budget:
-        raise GridBudgetError(
-            f"grid needs {points} points, budget is {grid.budget}"
-        )
+        raise GridBudgetError(points, grid.budget)
 
     # gaps[r]: winner total minus rival r's total, with the members not yet
     # visited bidding 0. A rival that lacks no member holds the whole winner,

@@ -26,10 +26,11 @@ and IR becomes 0 <= y <= value. The right-hand side is the winner's value
 minus the rival's, restricted to where they differ, so it is non-negative
 because T is efficient. Truthful bidding (y = 0) is therefore always
 feasible, which lets the LP start from the slack basis in a single phase.
-Every LP here is posed in these rows (`surplus_rows`): the frontier sample,
-the revenue minimum and the revenue maximum, which is the best of one
-lexicographic LP per irredundant cover of the members by tight rows
-(`revenue_range`), with rooms and caps in the instance's integer units.
+Every LP here is posed in these rows (`surplus_rows`), all ints in the
+instance's units, each member capped at its value: the frontier sample,
+whose weights are scaled by the lcm of their denominators, the revenue
+minimum, and the revenue maximum, the best of one lexicographic LP per
+irredundant cover of the members by tight rows (`revenue_range`).
 `enumerate_vertices` lists the vertices by one square solve per subset of
 rows; it is the reference the maximum is tested against.
 """
@@ -254,13 +255,12 @@ def sample_pareto_equilibrium(
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be strictly positive")
     caps = [polytope.instance._units[member] for member in members]
-    # Minimizing w . bid is maximizing w . y over the packing rows, y <= value.
-    _, surplus = solve_min([-w for w in weights], le=surplus_rows(polytope), upper=caps)
-    profile = _bids_from_surplus(polytope, surplus)
-    verdict = is_equilibrium(polytope, profile)
-    if not verdict.ok:
-        raise InternalError(f"optimizer left the equilibrium set: {verdict.failure}")
-    return profile
+    # Minimizing w . bid is maximizing w . y over the packing rows, y <= value,
+    # with w scaled to ints: one positive factor leaves every pivot the same.
+    scale = math.lcm(*(w.denominator for w in weights))
+    costs = [-w.numerator * (scale // w.denominator) for w in weights]
+    _, surplus = solve_min(costs, le=surplus_rows(polytope), upper=caps)
+    return _verified_bids(polytope, surplus, "optimizer left the equilibrium set")
 
 
 def surplus_rows(polytope: CefPolytope) -> list[tuple[tuple[int, ...], int]]:
@@ -276,10 +276,14 @@ def surplus_rows(polytope: CefPolytope) -> list[tuple[tuple[int, ...], int]]:
     ]
 
 
-def _bids_from_surplus(polytope: CefPolytope, surplus: Sequence[Fraction]) -> BidProfile:
+def _verified_bids(polytope: CefPolytope, surplus: Sequence[Fraction], failure: str) -> BidProfile:
+    """The bids value - y for LP surpluses y in units, checked by `is_equilibrium`."""
     bids = list(polytope.instance.values)
     for member, y in zip(polytope.members, surplus):
         bids[member] -= y / polytope.instance._scale
+    verdict = is_equilibrium(polytope, bids)
+    if not verdict.ok:
+        raise InternalError(f"{failure}: {verdict.failure}")
     return tuple(bids)
 
 
@@ -419,10 +423,6 @@ def revenue_range(polytope: CefPolytope) -> tuple[Fraction, Fraction]:
 
     extend([], 0, [], 0)
     if argmax is not None:
-        verdict = is_equilibrium(polytope, _bids_from_surplus(polytope, argmax))
-        if not verdict.ok:
-            raise InternalError(
-                f"the cover search and is_equilibrium disagree at the revenue maximum: "
-                f"{verdict.failure}"
-            )
+        failure = "the cover search and is_equilibrium disagree at the revenue maximum"
+        _verified_bids(polytope, argmax, failure)
     return low, high / instance._scale

@@ -1,29 +1,25 @@
-"""Exact linear programming over rationals.
+"""Exact linear programming over integers.
 
-A single-phase bounded-variable simplex with Bland's anti-cycling rule, for
-`<=` rows with non-negative right-hand sides and optional upper bounds, so
-x = 0 is feasible and the slack basis starts the only phase. The tableau is
-condensed (Tucker: one row per basic variable, one column per nonbasic one);
-a variable at its upper bound is complemented, x -> u - x, so the bounds
-need no rows (Dantzig 1955); and the entries are Python integers over one
-common denominator, each pivot dividing exactly by the previous one
+A single-phase bounded-variable simplex with Bland's anti-cycling rule. Its
+input is all ints: `<=` rows with rhs >= 0 and a cap on every variable, so
+x = 0 is feasible, the region is bounded and the slack basis starts the only
+phase. The tableau is condensed (Tucker: one row per basic variable, one
+column per nonbasic one); a variable at its cap is complemented, x -> u - x,
+so the caps need no rows (Dantzig 1955); and the entries are integers over
+one common denominator, each pivot dividing exactly by the previous one
 (`_eliminate`; Edmonds 1967, Bareiss 1968). Every comparison is exact.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from operator import index
 from typing import Sequence
 
-Row = tuple[Sequence[Fraction], Fraction]
+Row = tuple[Sequence[int], int]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-class UnboundedError(Exception):
-    """The objective is unbounded below on the feasible region."""
 
 
 def _eliminate(
@@ -45,54 +41,41 @@ def _eliminate(
 
 
 def solve_min(
-    costs: Sequence[Fraction],
-    le: Sequence[Row] = (),
-    upper: Sequence[Fraction | None] | None = None,
-    then: Sequence[Fraction] | None = None,
+    costs: Sequence[int],
+    le: Sequence[Row],
+    upper: Sequence[int],
+    then: Sequence[int] | None = None,
 ) -> tuple[Fraction, list[Fraction]]:
     """Minimize costs . x subject to the rows a.x <= rhs and 0 <= x <= upper.
 
     le is a sequence of (coefficients, rhs) with every rhs >= 0; upper holds
-    one bound >= 0 or None (no bound) per variable. Every number may be an
-    int or a Fraction and is read as given, not copied. When `then` is given,
-    then . x is minimized next over the optimal face of costs . x, as in the
+    one cap >= 0 per variable. Every number is an int; anything else, a
+    Fraction included, raises TypeError. When `then` is given, then . x is
+    minimized next over the optimal face of costs . x, as in the
     lexicographic simplex (Isermann 1982): after the first optimum only a
     column whose reduced cost in costs is zero may enter, so costs . x keeps
     its optimal value. Returns (optimal value of costs . x, optimal x).
-    Raises ValueError on a negative rhs or bound and UnboundedError when an
-    objective has no minimum.
+    Raises ValueError on a negative rhs or cap.
     """
     n, m = len(costs), len(le)
-    bounds = [None] * n if upper is None else upper
-    if len(bounds) != n:
-        raise ValueError(f"expected {n} upper bounds, got {len(bounds)}")
+    if len(upper) != n:
+        raise ValueError(f"expected {n} upper bounds, got {len(upper)}")
     objectives = [costs] if then is None else [costs, then]
     if len(objectives[-1]) != n:
         raise ValueError(f"expected {n} costs in then, got {len(objectives[-1])}")
     for r, (_, rhs) in enumerate(le):
         if rhs < 0:
             raise ValueError(f"le[{r}]: negative right-hand side {rhs}; x = 0 must be feasible")
-    for j, u in enumerate(bounds):
-        if u is not None and u < 0:
+    for j, u in enumerate(upper):
+        if u < 0:
             raise ValueError(f"upper[{j}]: negative bound {u}; x = 0 must be feasible")
-    # Integer tableau: variables scaled by `scale` (bounds and rhs become
-    # integers), each row by the lcm of its coefficient denominators, each
-    # objective by the lcm of its cost denominators. Row r reads basic[r] =
-    # (rhs - sum of entry * column variable) / det; rows m.. are the
-    # objectives in stage order, and the last column is the rhs.
-    scale = math.lcm(*(r.denominator for _, r in le), *(u.denominator for u in bounds if u))
-    tableau = []
-    for coeffs, rhs in le:
-        multiplier = math.lcm(*(a.denominator for a in coeffs))
-        tableau.append([a.numerator * multiplier // a.denominator for a in coeffs])
-        tableau[-1].append((rhs * scale * multiplier).numerator)
-    cost_scales = []
-    for objective in objectives:
-        cost_scales.append(math.lcm(*(c.denominator for c in objective)))
-        tableau.append([-c.numerator * cost_scales[-1] // c.denominator for c in objective])
-        tableau[-1].append(0)
-    # Labels 0..n-1 are the variables, n.. the slacks; caps are scaled bounds.
-    caps = [None if u is None else (u * scale).numerator for u in bounds] + [None] * m
+    # Row r reads basic[r] = (rhs - sum of entry * column variable) / det;
+    # rows m.. are the objectives in stage order, and the last column is the
+    # rhs. `index` admits ints only: `_eliminate` divides with //.
+    tableau = [[*map(index, coeffs), index(rhs)] for coeffs, rhs in le]
+    tableau += [[-index(c) for c in objective] + [0] for objective in objectives]
+    # Labels 0..n-1 are the variables, n.. the slacks, which have no cap.
+    caps = [*map(index, upper)] + [None] * m
     complemented = [False] * (n + m)
     basic, nonbasic = list(range(n, n + m)), list(range(n))
     det, stage = 1, m
@@ -133,8 +116,9 @@ def solve_min(
                 row[e] = -row[e]
             complemented[nonbasic[e]] ^= True
             continue
-        if leaving is None:
-            raise UnboundedError("objective decreases without bound")
+        # leaving is None only for an entering variable, whose cap the flip
+        # above takes: every variable is capped, and a slack is a function of
+        # them, so an entering slack always meets a limiting basic row.
         if tableau[leaving][e] < 0:
             # A basic variable rising to its cap leaves complemented.
             row = tableau[leaving]
@@ -157,8 +141,8 @@ def solve_min(
         x = tableau[row_of[j]][n] if j in row_of else 0
         if complemented[j]:
             x = caps[j] * det - x
-        solution.append(Fraction(x, det * scale))
-    return Fraction(tableau[m][n], det * cost_scales[0] * scale), solution
+        solution.append(Fraction(x, det))
+    return Fraction(tableau[m][n], det), solution
 
 
 def solve_square_system(

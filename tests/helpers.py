@@ -27,6 +27,7 @@ from coopetition import (
     total_bid,
 )
 from coopetition.model import exact_sum
+from coopetition.simplex import _eliminate
 
 F = Fraction
 
@@ -242,6 +243,132 @@ def surplus_rows_by_sums(polytope: CefPolytope) -> list[tuple[tuple[int, ...], F
     ]
 
 
+class UnboundedError(Exception):
+    """The objective is unbounded below on the feasible region."""
+
+
+def solve_min_by_fractions(
+    costs: Sequence[Fraction],
+    le: Sequence[tuple[Sequence[Fraction], Fraction]] = (),
+    upper: Sequence[Fraction | None] | None = None,
+    then: Sequence[Fraction] | None = None,
+) -> tuple[Fraction, list[Fraction]]:
+    """Minimize costs . x subject to the rows a.x <= rhs and 0 <= x <= upper.
+
+    The general solver that `simplex.solve_min` narrowed: it rescales
+    rational rows, rhs, caps and costs to ints and admits uncapped
+    variables. The reference for `simplex.solve_min`, which must return the
+    same value and x on the int LPs with caps that both accept.
+
+    le is a sequence of (coefficients, rhs) with every rhs >= 0; upper holds
+    one bound >= 0 or None (no bound) per variable. Every number may be an
+    int or a Fraction and is read as given, not copied. When `then` is given,
+    then . x is minimized next over the optimal face of costs . x, as in the
+    lexicographic simplex (Isermann 1982): after the first optimum only a
+    column whose reduced cost in costs is zero may enter, so costs . x keeps
+    its optimal value. Returns (optimal value of costs . x, optimal x).
+    Raises ValueError on a negative rhs or bound and UnboundedError when an
+    objective has no minimum.
+    """
+    n, m = len(costs), len(le)
+    bounds = [None] * n if upper is None else upper
+    if len(bounds) != n:
+        raise ValueError(f"expected {n} upper bounds, got {len(bounds)}")
+    objectives = [costs] if then is None else [costs, then]
+    if len(objectives[-1]) != n:
+        raise ValueError(f"expected {n} costs in then, got {len(objectives[-1])}")
+    for r, (_, rhs) in enumerate(le):
+        if rhs < 0:
+            raise ValueError(f"le[{r}]: negative right-hand side {rhs}; x = 0 must be feasible")
+    for j, u in enumerate(bounds):
+        if u is not None and u < 0:
+            raise ValueError(f"upper[{j}]: negative bound {u}; x = 0 must be feasible")
+    # Integer tableau: variables scaled by `scale` (bounds and rhs become
+    # integers), each row by the lcm of its coefficient denominators, each
+    # objective by the lcm of its cost denominators. Row r reads basic[r] =
+    # (rhs - sum of entry * column variable) / det; rows m.. are the
+    # objectives in stage order, and the last column is the rhs.
+    scale = math.lcm(*(r.denominator for _, r in le), *(u.denominator for u in bounds if u))
+    tableau = []
+    for coeffs, rhs in le:
+        multiplier = math.lcm(*(a.denominator for a in coeffs))
+        tableau.append([a.numerator * multiplier // a.denominator for a in coeffs])
+        tableau[-1].append((rhs * scale * multiplier).numerator)
+    cost_scales = []
+    for objective in objectives:
+        cost_scales.append(math.lcm(*(c.denominator for c in objective)))
+        tableau.append([-c.numerator * cost_scales[-1] // c.denominator for c in objective])
+        tableau[-1].append(0)
+    # Labels 0..n-1 are the variables, n.. the slacks; caps are scaled bounds.
+    caps = [None if u is None else (u * scale).numerator for u in bounds] + [None] * m
+    complemented = [False] * (n + m)
+    basic, nonbasic = list(range(n, n + m)), list(range(n))
+    det, stage = 1, m
+    while True:
+        # Bland: the lowest label that lowers the objective; a cap of 0 fixes
+        # it, and in the second stage so does a nonzero first reduced cost.
+        objective = tableau[stage]
+        entering = [
+            j
+            for j, label in enumerate(nonbasic)
+            if objective[j] > 0 and caps[label] != 0 and (stage == m or tableau[m][j] == 0)
+        ]
+        if not entering:
+            if stage + 1 == len(tableau):
+                break
+            stage += 1
+            continue
+        e = min(entering, key=nonbasic.__getitem__)
+        # Ratio test, ties to the lowest label: a basic variable falling to
+        # zero or rising to its cap, against the entering variable's own cap.
+        leaving, best = None, (0, 1)
+        for r in range(m):
+            coeff, rhs, cap = tableau[r][e], tableau[r][n], caps[basic[r]]
+            if coeff > 0:
+                ratio = (rhs, coeff)
+            elif coeff < 0 and cap is not None:
+                ratio = (cap * det - rhs, -coeff)
+            else:
+                continue
+            order = ratio[0] * best[1] - best[0] * ratio[1]
+            if leaving is None or order < 0 or (order == 0 and basic[r] < basic[leaving]):
+                leaving, best = r, ratio
+        cap = caps[nonbasic[e]]
+        if cap is not None and (leaving is None or cap * best[1] <= best[0]):
+            # Bound flip: the entering variable is complemented, no pivot.
+            for row in tableau:
+                row[n] -= row[e] * cap
+                row[e] = -row[e]
+            complemented[nonbasic[e]] ^= True
+            continue
+        if leaving is None:
+            raise UnboundedError("objective decreases without bound")
+        if tableau[leaving][e] < 0:
+            # A basic variable rising to its cap leaves complemented.
+            row = tableau[leaving]
+            tableau[leaving] = [-a for a in row[:n]] + [caps[basic[leaving]] * det - row[n]]
+            complemented[basic[leaving]] ^= True
+        pivot_row = tableau[leaving]
+        pivot = pivot_row[e]
+        for r, row in enumerate(tableau):
+            if r != leaving:
+                factor = row[e]
+                tableau[r] = _eliminate(row, pivot_row, e, pivot, det)
+                tableau[r][e] = -factor
+        pivot_row[e] = det
+        basic[leaving], nonbasic[e] = nonbasic[e], basic[leaving]
+        det = pivot
+
+    row_of = {label: r for r, label in enumerate(basic)}
+    solution = []
+    for j in range(n):
+        x = tableau[row_of[j]][n] if j in row_of else 0
+        if complemented[j]:
+            x = caps[j] * det - x
+        solution.append(Fraction(x, det * scale))
+    return Fraction(tableau[m][n], det * cost_scales[0] * scale), solution
+
+
 def bottleneck_failure(instance: AuctionInstance, bids: BidProfile) -> str | None:
     """Exact lexmax-surplus certificate (max-min fairness bottleneck), written
     from the definitions, independently of the package.
@@ -310,9 +437,7 @@ def enumerate_equilibria_grid_numpy(instance: AuctionInstance, grid: GridSpec) -
     counts = [values[i] // eps + 1 for i in members]
     points = math.prod(counts)
     if points > grid.budget:
-        raise GridBudgetError(
-            f"grid needs {points} points, budget is {grid.budget}"
-        )
+        raise GridBudgetError(points, grid.budget)
 
     member_position = {i: p for p, i in enumerate(members)}
     rivals = []

@@ -248,6 +248,55 @@ class TestSolve:
             "43000 digits"
         )
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("rivals", ["one rival", "one rival per member"])
+    def test_bid_scale_past_its_limit_is_rejected_quickly(self, capsys, tmp_path, rivals, fmt):
+        # 120 bids over distinct 4001-digit denominators against a
+        # 120-member winner: the bids' lcm crosses 43000 digits at the
+        # eleventh bid. Unchecked, one row slack over the bids took 14 s,
+        # and one rival per member ran past a minute.
+        names = [f"A{i}" for i in range(120)]
+        rival_names = ["R"] if rivals == "one rival" else [f"R{i}" for i in range(120)]
+        instance, bids = tmp_path / "winner.json", tmp_path / "bids.json"
+        instance.write_text(json.dumps({
+            "advertisers": [{"name": name, "value": "1"} for name in names + rival_names],
+            "ads": [names] + [[name] for name in rival_names],
+        }))
+        bids.write_text(json.dumps(
+            {"bids": {name: f"1/{10**4000 + 2 * i + 1}" for i, name in enumerate(names)}}
+        ))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["verify", str(instance), str(bids), "--format", fmt])
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert_error_report(
+            err, fmt, "bids['A10']: the bids' common denominator has more than 43000 digits"
+        )
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("command", [["solve", "vcg"], ["solve", "egalitarian"], ["compare"]])
+    def test_result_too_long_to_print_is_an_error_report(self, capsys, tmp_path, command, fmt):
+        # 14 values over distinct 401-digit denominators give a 5600-digit
+        # scale, within its limit, and results over it that the interpreter
+        # will not print: an error report that says so, without its hint.
+        names = [f"A{i}" for i in range(14)]
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({
+            "advertisers": [
+                {"name": name, "value": f"{i + 2}/{10**400 + 2 * i + 1}"}
+                for i, name in enumerate(names)
+            ] + [{"name": "R", "value": "1/1000000"}],
+            "ads": [names, ["R"]],
+        }))
+        start = time.perf_counter()
+        code, out, err = run(capsys, [command[0], str(path), *command[1:], "--format", fmt])
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert_error_report(err, fmt, "a number to print has more than 4300 digits")
+
     def test_huge_weight_is_rejected(self, capsys, triangle_path):
         code, out, err = run(capsys, ["polytope", triangle_path, "--weights", "1,1,1e9999"])
         assert code == 1 and out == ""

@@ -6,6 +6,7 @@ import copy
 import json
 import math
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,20 @@ class TestFormatScalar:
     def test_display_adds_approximation_to_fractions(self):
         assert display_scalar(F(1, 3)) == "1/3 (~0.333333)"
         assert display_scalar(F(29, 10)) == "2.9"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    @pytest.mark.parametrize("render", [format_scalar, display_scalar])
+    @pytest.mark.parametrize(
+        "value", [F(1, 10**4300 + 1), F(10**4300 + 1, 3), F(10**4400), F(1, 2**14300)]
+    )
+    def test_too_long_to_print_is_an_instance_error(self, render, value):
+        # A scale may have 43000 digits; a number past the interpreter's
+        # 4300-digit printing limit is an error that names it, not its hint.
+        with pytest.raises(InstanceError, match=r"^a number to print has more than 4300 digits$"):
+            render(value)
+        assert render(F(1, 10**4299)) == format_scalar(F(1, 10**4299))
 
     @given(
         st.fractions(
@@ -335,6 +350,15 @@ class TestInstanceScale:
         values = {f"A{i}": F(1, 10**4000 + 2 * i + 1) for i in range(12)}
         with pytest.raises(InstanceError, match=r"^advertisers\[10\]\.value: .* 43000 digits$"):
             make_instance(values, [[name] for name in values])
+
+    def test_bids_past_the_scale_limit_name_the_bid_that_crossed_it(self):
+        # The bids are held to the values' limit, through the same helper.
+        instance = make_instance({f"A{i}": 1 for i in range(12)}, [[f"A{i}" for i in range(12)]])
+        bids = {f"A{i}": f"1/{10**4000 + 2 * i + 1}" for i in range(12)}
+        with pytest.raises(InstanceError, match=r"^bids\['A10'\]: the bids' .* 43000 digits$"):
+            parse_bids(json.dumps({"bids": bids}), instance)
+        del bids["A11"], bids["A10"]
+        assert parse_bids(json.dumps({"bids": bids}), instance)[9] == F(1, 10**4000 + 19)
 
     def test_record_semantics_see_only_the_fields(self):
         instance = self.sample()

@@ -112,6 +112,12 @@ class TestEnumerate:
         with pytest.raises(GridBudgetError, match="budget"):
             enumerate_equilibria_grid(hundreds(), GridSpec(epsilon=F(1, 100)))
 
+    def test_a_count_too_long_to_print_is_bounded_in_the_message(self):
+        # 10^4300 + 1 lattice points: a count the interpreter will not print.
+        instance = make_instance({"A": "1e4300", "B": 0}, [["A"], ["B"]])
+        with pytest.raises(GridBudgetError, match=r"^grid needs at least 10\^4300 points, budget is 9$"):
+            enumerate_equilibria_grid(instance, GridSpec(epsilon=F(1), budget=9))
+
     def test_raising_the_budget_lifts_the_guard(self):
         fine = GridSpec(epsilon=F(1, 40))
         with pytest.raises(GridBudgetError):

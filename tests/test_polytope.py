@@ -34,7 +34,6 @@ from coopetition import (
 )
 from coopetition import polytope as polytope_module
 from coopetition.polytope import EquilibriumResult, surplus_rows, vertex_rows
-from coopetition.simplex import solve_min
 from helpers import (
     F,
     ab_e,
@@ -45,6 +44,7 @@ from helpers import (
     random_instance,
     rival_family,
     single_ad,
+    solve_min_by_fractions,
     surplus_rows_by_sums,
     triangle,
 )
@@ -573,7 +573,7 @@ class TestRowsInUnits:
             [F(1)] * len(members),
             [F(rng.randint(1, 40), rng.choice((1, 2, 4))) for _ in members],
         ):
-            _, surplus = solve_min([-w for w in weights], le=reference, upper=values)
+            _, surplus = solve_min_by_fractions([-w for w in weights], le=reference, upper=values)
             bids = list(instance.values)
             for member, y in zip(members, surplus):
                 bids[member] -= y
