@@ -29,9 +29,9 @@ import argparse
 import functools
 import importlib
 import io
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Sequence
 
 from . import _EXPORTS, _HOME
@@ -115,14 +115,54 @@ def _named(instance: AuctionInstance, profile: Sequence[Fraction]) -> dict[str, 
 # Rendering ------------------------------------------------------------------
 
 
-def _json_scalar(node: Node) -> str:
-    if isinstance(node, Fraction):
-        return format_scalar(node)
-    raise TypeError(f"unrenderable report node: {node!r}")
-
-
 def render_json(report: dict[str, Node]) -> str:
-    return json.dumps(report, indent=2, default=_json_scalar)
+    """The report as JSON indented by two spaces, byte for byte as
+    `json.dumps` writes it with that indent and Fractions as exact strings.
+    Written by hand: with `indent` set, json encodes in pure Python."""
+    chunks: list[str] = []
+    _write_json(report, "\n", chunks)
+    return "".join(chunks)
+
+
+def _write_json(node: Node, newline: str, chunks: list[str]) -> None:
+    if isinstance(node, str):
+        chunks.append(_quote(node))
+    elif node is None:
+        chunks.append("null")
+    elif node is True:
+        chunks.append("true")
+    elif node is False:
+        chunks.append("false")
+    elif isinstance(node, int):
+        chunks.append(int.__repr__(node))
+    elif isinstance(node, Fraction):
+        chunks.append(f'"{format_scalar(node)}"')
+    elif isinstance(node, dict):
+        if not node:
+            chunks.append("{}")
+            return
+        inner = newline + "  "
+        opening = "{" + inner
+        for key, value in node.items():
+            if not isinstance(key, str):
+                raise TypeError(f"unrenderable report key: {key!r}")
+            chunks += (opening, _quote(key), ": ")
+            _write_json(value, inner, chunks)
+            opening = "," + inner
+        chunks.append(newline + "}")
+    elif isinstance(node, (list, tuple)):
+        if not node:
+            chunks.append("[]")
+            return
+        inner = newline + "  "
+        opening = "[" + inner
+        for value in node:
+            chunks.append(opening)
+            _write_json(value, inner, chunks)
+            opening = "," + inner
+        chunks.append(newline + "]")
+    else:
+        raise TypeError(f"unrenderable report node: {node!r}")
 
 
 def _cell(node: Node, scalar: Callable[[Fraction], str]) -> str:

@@ -170,8 +170,34 @@ def parse_scalar(value: object, where: str = "value") -> Fraction:
     raise InstanceError(f"{where}: expected a string-encoded number, got {type(value).__name__}")
 
 
+# The longest string `_plain_scalar` reads; a longer one goes through
+# `parse_scalar` and its literal-size checks.
+_PLAIN_LENGTH = 40
+
+
+def _plain_scalar(value: object) -> Fraction | None:
+    """A short string "123", "p/q" (q nonzero) or "12.5" of ASCII digits,
+    read with int(); None for every other value, which `parse_scalar` reads
+    or rejects with its located message."""
+    if type(value) is not str or len(value) > _PLAIN_LENGTH or not value.isascii():
+        return None
+    if value.isdigit():
+        return Fraction(int(value))
+    num, slash, den = value.partition("/")
+    if slash:
+        if num.isdigit() and den.isdigit() and int(den):
+            return Fraction(int(num), int(den))
+        return None
+    whole, dot, decimals = value.partition(".")
+    if dot and whole.isdigit() and decimals.isdigit():
+        return Fraction(int(whole + decimals), 10 ** len(decimals))
+    return None
+
+
 def _terminating_decimal(x: Fraction) -> str | None:
     """Exact decimal string for x, or None when the decimal does not terminate."""
+    if x.denominator == 1:
+        return str(x.numerator)
     den = x.denominator
     twos = 0
     while den % 2 == 0:
@@ -184,8 +210,6 @@ def _terminating_decimal(x: Fraction) -> str | None:
     if den != 1:
         return None
     digits = max(twos, fives)
-    if digits == 0:
-        return str(x.numerator)
     scaled = abs(x.numerator) * 10**digits // x.denominator
     text = str(scaled).rjust(digits + 1, "0")
     whole, frac = text[:-digits], text[-digits:].rstrip("0")
@@ -280,9 +304,10 @@ class AuctionInstance(Record, _Scaled):
                 raise InstanceError(f"ads[{position}]: id {ad.id} does not match position")
             if not ad.members:
                 raise InstanceError(f"ads[{position}]: empty ad")
-            for i in ad.members:
-                if not 0 <= i < len(names):
-                    raise InstanceError(f"ads[{position}]: unknown advertiser index {i}")
+            if min(ad.members) < 0 or max(ad.members) >= len(names):
+                for i in ad.members:
+                    if not 0 <= i < len(names):
+                        raise InstanceError(f"ads[{position}]: unknown advertiser index {i}")
             if ad.members in seen:
                 raise InstanceError(
                     f"ads[{position}]: identical member set to ads[{seen[ad.members]}]"
@@ -379,7 +404,10 @@ def instance_from_document(doc: object) -> AuctionInstance:
             raise InstanceError(f"advertisers[{k}].name: duplicate advertiser {name!r}")
         index[name] = k
         names.append(name)
-        values.append(parse_scalar(entry["value"], where=f"advertisers[{k}].value"))
+        value = _plain_scalar(entry["value"])
+        if value is None:
+            value = parse_scalar(entry["value"], where=f"advertisers[{k}].value")
+        values.append(value)
     ads_doc = doc.get("ads")
     if not isinstance(ads_doc, list) or not ads_doc:
         raise InstanceError("ads: expected a non-empty list")
@@ -387,14 +415,20 @@ def instance_from_document(doc: object) -> AuctionInstance:
     for j, entry in enumerate(ads_doc):
         if not isinstance(entry, list) or not entry:
             raise InstanceError(f"ads[{j}]: expected a non-empty list of advertiser names")
-        members: set[int] = set()
-        for name in entry:
-            if not isinstance(name, str) or name not in index:
-                raise InstanceError(f"ads[{j}]: unknown advertiser {name!r}")
-            if index[name] in members:
-                raise InstanceError(f"ads[{j}]: duplicate member {name!r}")
-            members.add(index[name])
-        ads.append(Ad(id=j, members=frozenset(members)))
+        try:
+            members = frozenset([index[name] for name in entry])
+        except (KeyError, TypeError):
+            members = frozenset()
+        if len(members) != len(entry):
+            # Some name is unknown, not a string or repeated: find the first.
+            seen: set[str] = set()
+            for name in entry:
+                if not isinstance(name, str) or name not in index:
+                    raise InstanceError(f"ads[{j}]: unknown advertiser {name!r}")
+                if name in seen:
+                    raise InstanceError(f"ads[{j}]: duplicate member {name!r}")
+                seen.add(name)
+        ads.append(Ad(id=j, members=members))
     return AuctionInstance(names=tuple(names), values=tuple(values), ads=tuple(ads))
 
 
@@ -424,7 +458,8 @@ def parse_bids(text: str, instance: AuctionInstance) -> BidProfile:
     for name, amount in doc["bids"].items():
         if name not in index:
             raise InstanceError(f"bids: unknown advertiser {name!r}")
-        bids[index[name]] = parse_scalar(amount, where=f"bids[{name!r}]")
+        bid = _plain_scalar(amount)
+        bids[index[name]] = bid if bid is not None else parse_scalar(amount, where=f"bids[{name!r}]")
     _common_denominator([(name, bids[index[name]]) for name in doc["bids"]], "bids[{!r}]", "bids")
     return tuple(bids)
 

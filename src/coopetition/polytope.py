@@ -68,9 +68,6 @@ class CefConstraint(Record):
         object.__setattr__(self, "bidders", bidders)
         object.__setattr__(self, "rhs", rhs)
 
-    def slack(self, bids: Sequence[Fraction]) -> Fraction:
-        return exact_sum(bids[i] for i in self.bidders) - self.rhs
-
 
 class CefPolytope(Record):
     """CEF + IR + non-negativity constraints over the winner's member bids."""
@@ -176,11 +173,20 @@ def is_cef(polytope: CefPolytope, bids: Sequence[Fraction]) -> bool:
 def first_cef_violation(
     polytope: CefPolytope, bids: Sequence[Fraction]
 ) -> CefConstraint | None:
-    profile = check_bids(polytope.instance, bids)
-    for constraint in polytope.constraints:
-        if constraint.slack(profile) < 0:
-            return constraint
-    return None
+    _, slacks = _row_slacks(polytope, check_bids(polytope.instance, bids))
+    return next((c for c, slack in zip(polytope.constraints, slacks) if slack < 0), None)
+
+
+def _row_slacks(polytope: CefPolytope, profile: BidProfile) -> tuple[int, list[int]]:
+    """The lcm of the instance's scale and the members' bid denominators,
+    and each envy-free row's bid sum minus its rhs, an int in those units."""
+    members = polytope.members
+    scale = math.lcm(polytope.instance._scale, *[profile[k].denominator for k in members])
+    units = {k: profile[k].numerator * (scale // profile[k].denominator) for k in members}
+    return scale, [
+        sum([units[i] for i in c.bidders]) - c.rhs.numerator * (scale // c.rhs.denominator)
+        for c in polytope.constraints
+    ]
 
 
 def is_equilibrium(polytope: CefPolytope, bids: Sequence[Fraction]) -> EquilibriumResult:
@@ -203,19 +209,20 @@ def is_equilibrium(polytope: CefPolytope, bids: Sequence[Fraction]) -> Equilibri
                 f"[0, {format_scalar(instance.values[violator])}]"
             ),
         )
-    slacks = [(c, c.slack(profile)) for c in polytope.constraints]
-    for violated, slack in slacks:
+    scale, slacks = _row_slacks(polytope, profile)
+    for violated, slack in zip(polytope.constraints, slacks):
         if slack < 0:
+            uncovered = violated.rhs + Fraction(slack, scale)
             return EquilibriumResult(
                 ok=False,
                 certificate=None,
                 failure=(
                     f"not CEF: against {instance.label(violated.ad)} the uncovered members "
-                    f"bid {format_scalar(slack + violated.rhs)}, below the "
+                    f"bid {format_scalar(uncovered)}, below the "
                     f"outside value {format_scalar(violated.rhs)}"
                 ),
             )
-    tight = [c for c, slack in slacks if slack == 0]
+    tight = [c for c, slack in zip(polytope.constraints, slacks) if slack == 0]
     witnesses: dict[int, int | None] = {}
     for k in polytope.members:
         if profile[k] == 0:

@@ -3,6 +3,7 @@ test-only reference implementations."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import string
@@ -15,6 +16,7 @@ from coopetition import (
     CefPolytope,
     GridBudgetError,
     GridSpec,
+    InstanceError,
     LoweringRound,
     LoweringTrace,
     Outcome,
@@ -26,7 +28,7 @@ from coopetition import (
     settle,
     total_bid,
 )
-from coopetition.model import exact_sum
+from coopetition.model import _MAX_DIGITS, exact_sum, format_scalar
 from coopetition.simplex import _eliminate
 
 F = Fraction
@@ -561,3 +563,55 @@ def _lex_greater(a: Sequence[Fraction], b: Sequence[Fraction], eps: Fraction) ->
         if x < y - eps:
             return False
     return False
+
+
+def _json_scalar(node: object) -> str:
+    if isinstance(node, Fraction):
+        return format_scalar(node)
+    raise TypeError(f"unrenderable report node: {node!r}")
+
+
+def render_json_by_dumps(report: dict) -> str:
+    """The JSON report as `json.dumps` indents it, with Fractions as exact
+    strings: the reference for `cli.render_json`, which writes the same
+    bytes by hand."""
+    return json.dumps(report, indent=2, default=_json_scalar)
+
+
+def _check_literal_size_by_counting(text: str, where: str) -> None:
+    if len(text) > _MAX_DIGITS and sum(ch.isdigit() for ch in text) > _MAX_DIGITS:
+        raise InstanceError(f"{where}: number literal has more than {_MAX_DIGITS} digits")
+    _, marker, exponent = text.lower().partition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if marker and digits.isdecimal() and (
+        len(digits) > len(str(_MAX_DIGITS)) or int(digits) > _MAX_DIGITS
+    ):
+        raise InstanceError(
+            f"{where}: exponent larger than {_MAX_DIGITS} in magnitude, "
+            f"the number would have more than {_MAX_DIGITS} digits"
+        )
+
+
+def parse_scalar_by_fraction(value: object, where: str = "value") -> Fraction:
+    """Every value read by `Fraction(text)` after the literal-size checks: the
+    reference for the document readers, which read short plain literals
+    ("123", "p/q", "12.5") with int() and hand every other value to
+    `model.parse_scalar`."""
+    if isinstance(value, bool):
+        raise InstanceError(f"{where}: expected a number, got a boolean")
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        text = value.strip()
+        _check_literal_size_by_counting(text, where)
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise InstanceError(f"{where}: not an exact number: {value!r}") from None
+    if isinstance(value, float):
+        raise InstanceError(
+            f"{where}: floats are inexact, write the number as a string"
+        )
+    raise InstanceError(f"{where}: expected a string-encoded number, got {type(value).__name__}")

@@ -6,18 +6,21 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coopetition
-from coopetition import parse_scalar
+from coopetition import cli, parse_scalar, serialize_instance
 from coopetition.cli import build_parser, main, render_json
 from coopetition.polytope import EquilibriumResult
-from helpers import F
+from helpers import F, random_instance, render_json_by_dumps, rival_family
 
 AB_E = """
 {
@@ -723,10 +726,136 @@ class TestCompare:
         assert "A=1/6 (~0.166667)" in out
 
 
+# Report strings that json must escape: quotes, backslashes, control
+# characters, non-ASCII letters and characters outside the BMP.
+AWKWARD = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\u2028\u00e9\U0001f600')),
+    max_size=6,
+)
+REPORT_TREES = st.recursive(
+    st.one_of(
+        AWKWARD, st.booleans(), st.none(), st.integers(), st.integers(-(2**80), 2**80),
+        st.builds(F, st.integers(), st.integers(1, 10**30)),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(AWKWARD, inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@pytest.fixture
+def dumps_checked(monkeypatch):
+    """Every report `main` renders as JSON is written by both `render_json`
+    and the `json.dumps` reference, which must agree byte for byte. Returns
+    the list of reports seen."""
+    reports = []
+
+    def both(report):
+        text = render_json(report)
+        assert text == render_json_by_dumps(report)
+        reports.append(report)
+        return text
+
+    monkeypatch.setattr(cli, "render_json", both)
+    return reports
+
+
+def _document(instance) -> dict:
+    return json.loads(serialize_instance(instance))
+
+
 class TestJson:
     def test_unrenderable_node_raises_type_error(self):
         with pytest.raises(TypeError, match=r"unrenderable report node: \{1\}"):
             render_json({"members": {1}})
+
+    @pytest.mark.parametrize("node", [{1}, object(), b"bytes", 0.5j])
+    def test_an_unknown_leaf_raises_type_error(self, node):
+        with pytest.raises(TypeError, match="unrenderable report node"):
+            render_json({"a": [{"b": node}]})
+        with pytest.raises(TypeError):
+            render_json_by_dumps({"a": [{"b": node}]})
+
+    @pytest.mark.parametrize("key", [(1, 2), F(1, 2), 1, None])
+    def test_a_non_str_key_raises_type_error(self, key):
+        # json.dumps would write an int or None key as a string; report keys
+        # are names and labels, so any other key is a bug.
+        with pytest.raises(TypeError, match="unrenderable report key"):
+            render_json({"a": {key: 1}})
+
+    @given(st.dictionaries(AWKWARD, REPORT_TREES, max_size=5))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_matches_json_dumps_on_report_trees(self, report):
+        assert render_json(report) == render_json_by_dumps(report)
+
+    def test_empty_containers_and_nesting(self):
+        report = {"a": {}, "b": [], "c": [{}, [], [{"d": [F(1, 3), True, None, 0]}]]}
+        assert render_json(report) == render_json_by_dumps(report)
+
+    def test_every_report_on_the_acceptance_family(self, capsys, tmp_path, dumps_checked):
+        rng = random.Random(1818)
+        bids = tmp_path / "bids.json"
+        contracts = tmp_path / "contracts.json"
+        path = tmp_path / "instance.json"
+        for case in range(30):
+            instance = random_instance(rng)
+            names = instance.names
+            owners = [names[min(instance.members(j))] for j in range(instance.m)]
+            path.write_text(json.dumps({**_document(instance), "owners": owners, "slots": ["1", "1/2"]}))
+            bids.write_text(json.dumps({"bids": {name: "1/3" for name in names[::2]}}))
+            contracts.write_text(json.dumps({"contracts": [
+                {"supporter": names[-1], "ad": 0, "amount": "1/4"},
+            ]}))
+            forms = [
+                ["solve", str(path), "vcg"],
+                ["solve", str(path), "egalitarian", "--trace"],
+                ["solve", str(path), "bounds"],
+                ["verify", str(path), str(bids)],
+                ["compare", str(path), "--trace"],
+                ["polytope", str(path)],
+                ["oracle", str(path), "--epsilon", "1/2", "--budget", "3000"],
+                ["contracts", str(path), "--contracts", str(contracts)],
+                ["contracts", str(path), "--responder", names[0], "--subsidy-grid", "1:2"],
+                ["verify", str(path), str(tmp_path / "missing.json")],
+                ["polytope", str(path), "--weights", "1,x"],
+            ]
+            for argv in forms:
+                code, _, _ = run(capsys, argv + ["--format", "json"])
+                assert code in (0, 1)
+        assert len(dumps_checked) == 30 * 11
+        assert sum("error" in report for report in dumps_checked) > 60
+
+    def test_every_report_on_wide_winners(self, capsys, tmp_path, dumps_checked):
+        rng = random.Random(3248)
+        path = tmp_path / "instance.json"
+        bids = tmp_path / "bids.json"
+        # A non-ASCII name with a quote reaches keys, labels and error texts.
+        for members in (32, 40, 48):
+            instance = rival_family(rng, members, rivals_per_member=2)
+            doc = _document(instance)
+            odd = 'W\u00e9"0'
+            doc["advertisers"][0]["name"] = odd
+            doc["ads"] = [[odd if name == "W0" else name for name in ad] for ad in doc["ads"]]
+            path.write_text(json.dumps(doc))
+            _, out, _ = run(capsys, ["solve", str(path), "egalitarian", "--format", "json"])
+            # An equilibrium, and zero bids, which fail a row.
+            for named in (json.loads(out)["bids"], dict.fromkeys(doc["ads"][0], "0")):
+                bids.write_text(json.dumps({"bids": named}))
+                code, _, _ = run(capsys, ["verify", str(path), str(bids), "--format", "json"])
+                assert code == 0
+            for argv in (
+                ["solve", str(path), "vcg"],
+                ["solve", str(path), "egalitarian", "--trace"],
+                ["polytope", str(path)],
+                ["oracle", str(path), "--epsilon", "1/2"],
+                ["contracts", str(path)],
+            ):
+                code, _, _ = run(capsys, argv + ["--format", "json"])
+                assert code in (0, 1)
+        assert sum("error" in report for report in dumps_checked) == 6
+        verdicts = [r["is_equilibrium"] for r in dumps_checked if r.get("command") == "verify"]
+        assert verdicts == [True, False] * 3
 
 
 class TestCsv:

@@ -10,11 +10,13 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coopetition
 from coopetition import (
+    Ad,
+    AuctionInstance,
     InstanceError,
     display_scalar,
     format_scalar,
@@ -26,8 +28,8 @@ from coopetition import (
     total_bid,
     total_value,
 )
-from coopetition.model import Record, exact_sum
-from helpers import F, ab_e, make_instance, triangle
+from coopetition.model import Record, _plain_scalar, exact_sum, instance_from_document
+from helpers import F, ab_e, make_instance, parse_scalar_by_fraction, triangle
 
 GOOD_DOC = """
 {
@@ -82,6 +84,92 @@ class TestParseScalar:
     )
     def test_literals_at_the_limit_parse(self, raw):
         assert parse_scalar(raw) == F(raw)
+
+
+# Short strings over digits and the characters the plain-literal reader
+# must not mistake for them: "²" and "٣" are digits to str.isdigit and "\\d"
+# but not ASCII; "_", signs, spaces and exponents belong to Fraction alone.
+LITERALS = st.text(st.sampled_from("0123456789²٣_+- ./e"), max_size=8)
+
+
+def _read(read, *args):
+    """A reader's Fraction, or its InstanceError text."""
+    try:
+        return read(*args)
+    except InstanceError as exc:
+        return str(exc)
+
+
+class TestPlainLiterals:
+    """Instance values and bids in the forms "123", "p/q" and "12.5" are
+    read with int(); each must read as `Fraction(text)` does, and every
+    other form and every error must be what `parse_scalar` says."""
+
+    @given(LITERALS)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_bids_read_as_the_reference_reads_them(self, text):
+        instance = make_instance({"A": 5, "B": 1}, [["A"], ["B"]])
+        got = _read(parse_bids, json.dumps({"bids": {"A": text}}), instance)
+        expected = _read(parse_scalar_by_fraction, text, "bids['A']")
+        assert (got[0] if isinstance(got, tuple) else got) == expected
+
+    @given(LITERALS)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_values_read_as_the_reference_reads_them(self, text):
+        doc = {"advertisers": [{"name": "A", "value": text}], "ads": [["A"]]}
+        got = _read(instance_from_document, doc)
+        expected = _read(parse_scalar_by_fraction, text, "advertisers[0].value")
+        if isinstance(expected, Fraction) and expected < 0:
+            expected = f"advertisers[0].value: negative value {format_scalar(expected)}"
+        assert (got if isinstance(got, str) else got.values[0]) == expected
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("0", F(0)), ("007", F(7)), ("12.5", F(25, 2)), ("0.125", F(1, 8)), ("6/4", F(3, 2)),
+         ("0/3", F(0)), ("9" * 40, F(int("9" * 40)))],
+    )
+    def test_plain_forms_are_read_with_int(self, text, value):
+        assert _plain_scalar(text) == value
+
+    @pytest.mark.parametrize(
+        "text",
+        ["²", "1²", "٣", "1/٣", "1_0", "+1", "-1", " 1", "1 ", "1/0", "1/00", "/2", "2/", ".5",
+         "5.", "1e2", "1.2.3", "1/2/3", "9" * 41, 7, True, None],
+    )
+    def test_every_other_form_is_left_to_parse_scalar(self, text):
+        assert _plain_scalar(text) is None
+
+    def test_a_non_ascii_digit_is_a_located_error(self):
+        doc = {"advertisers": [{"name": "A", "value": "²"}], "ads": [["A"]]}
+        with pytest.raises(InstanceError) as caught:
+            instance_from_document(doc)
+        assert str(caught.value) == "advertisers[0].value: not an exact number: '²'"
+
+    @pytest.mark.parametrize(
+        "ads, message",
+        [
+            ([["A", "Q"]], "ads[0]: unknown advertiser 'Q'"),
+            ([["A"], ["B", "B"]], "ads[1]: duplicate member 'B'"),
+            ([["A", 3]], "ads[0]: unknown advertiser 3"),
+            ([["A", ["B"]]], "ads[0]: unknown advertiser ['B']"),
+            ([["A", {"B": 1}]], "ads[0]: unknown advertiser {'B': 1}"),
+            ([["A", "A", "Q"]], "ads[0]: duplicate member 'A'"),
+            ([["Q", "A", "A"]], "ads[0]: unknown advertiser 'Q'"),
+        ],
+        ids=["unknown", "duplicate", "int", "list", "dict", "duplicate-first", "unknown-first"],
+    )
+    def test_member_errors_name_the_first_bad_member(self, ads, message):
+        doc = {"advertisers": [{"name": "A", "value": "1"}, {"name": "B", "value": "1"}], "ads": ads}
+        with pytest.raises(InstanceError) as caught:
+            instance_from_document(doc)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("index", [2, 7, -1])
+    def test_an_index_out_of_range_is_named(self, index):
+        ads = (Ad(0, frozenset({0})), Ad(1, frozenset({1, index})))
+        with pytest.raises(InstanceError) as caught:
+            AuctionInstance(("A", "B"), (F(1), F(1)), ads)
+        assert str(caught.value) == f"ads[1]: unknown advertiser index {index}"
 
 
 class TestFormatScalar:

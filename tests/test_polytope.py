@@ -33,6 +33,7 @@ from coopetition import (
     vcg,
 )
 from coopetition import polytope as polytope_module
+from coopetition.model import exact_sum
 from coopetition.polytope import EquilibriumResult, surplus_rows, vertex_rows
 from helpers import (
     F,
@@ -360,6 +361,34 @@ class TestIsEquilibrium:
         polytope = build_polytope(triangle())
         # Loser bids in the input are irrelevant; they are reset to values.
         assert is_equilibrium(polytope, (F(1), F(1), F(0), F(0), F(0))).ok
+
+    def test_cef_failure_text_is_exact(self):
+        polytope = build_polytope(make_instance({"A": "1/3", "B": 1, "E": 1}, [["A", "B"], ["E"]]))
+        verdict = is_equilibrium(polytope, (F(1, 7), F(2, 3), F(1)))
+        assert verdict.failure == (
+            "not CEF: against ad 1 {E} the uncovered members bid 17/21, below the outside value 1"
+        )
+
+    def test_row_slacks_in_units_are_the_fraction_slacks(self):
+        # Member bids over denominators the instance's scale lacks, some
+        # past 64 bits, some negative or above the value.
+        rng = random.Random(1819)
+        for case in range(80):
+            members = 3 + case % 8
+            if case % 2:
+                instance = prime_family(rng, members, 2 * members)
+            else:
+                instance = rival_family(rng, members, rivals_per_member=2)
+            polytope = build_polytope(instance)
+            bids = list(instance.values)
+            for k in polytope.members:
+                bids[k] *= F(rng.randint(-1, 12), rng.choice((1, 3, 7, 10, 10**20 + 1)))
+            scale, slacks = polytope_module._row_slacks(polytope, tuple(bids))
+            assert scale % instance._scale == 0
+            expected = [exact_sum(bids[i] for i in c.bidders) - c.rhs for c in polytope.constraints]
+            assert [F(slack, scale) for slack in slacks] == expected
+            violated = next((c for c, x in zip(polytope.constraints, expected) if x < 0), None)
+            assert first_cef_violation(polytope, bids) == violated
 
 
 class TestSamplePareto:

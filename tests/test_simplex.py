@@ -55,6 +55,39 @@ def test_beale_cycling_example_terminates():
     assert x == [F(1, 25), 0, 1, 0]
 
 
+def test_ratio_test_ties_go_to_the_lowest_label(monkeypatch):
+    # Beale's LP starts degenerate: x1 enters, and both of the first two
+    # rows hold it at 0, so the ratio test ties. Bland's rule sends out the
+    # lower label, the first row's slack; ties to the higher label would
+    # reach the same optimum by another path (x1 enters on the second row,
+    # then x3). Each pivot is recorded once as (entering column, pivot row).
+    pivots = []
+    eliminate = simplex._eliminate
+
+    def recording(row, pivot_row, column, det, previous):
+        pivot = (column, tuple(pivot_row))
+        if not pivots or pivots[-1] != pivot:
+            pivots.append(pivot)
+        return eliminate(row, pivot_row, column, det, previous)
+
+    monkeypatch.setattr(simplex, "_eliminate", recording)
+    costs = [-75, 15000, -2, 600]
+    le = [
+        ([25, -6000, -4, 900], 0),
+        ([25, -4500, -1, 150], 0),
+        ([0, 0, 1, 0], 1),
+    ]
+    assert solve_min(costs, le=le, upper=[10] * 4) == (-5, [F(1, 25), 0, 1, 0])
+    assert pivots == [
+        (0, (25, -6000, -4, 900, 0)),
+        (1, (-25, 37500, 75, -18750, 0)),
+        (2, (-4500, 6000, 12000, -3150000, 0)),
+        (3, (1, -4, -75, 300, 0)),
+        (2, (-150, 900, 18750, -3150000, 300)),
+        (0, (25, -25, 75, -37500, 75)),
+    ]
+
+
 def test_negative_rhs_is_rejected():
     # x = 0 is infeasible, so the slack basis cannot start the single phase.
     with pytest.raises(ValueError, match=r"le\[1\]: negative right-hand side"):
