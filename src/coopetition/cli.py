@@ -109,7 +109,7 @@ def _load_instance(path: str) -> AuctionInstance:
 
 
 def _named(instance: AuctionInstance, profile: Sequence[Fraction]) -> dict[str, Node]:
-    return {instance.names[i]: profile[i] for i in range(instance.n)}
+    return dict(zip(instance.names, profile))
 
 
 # Rendering ------------------------------------------------------------------
@@ -125,7 +125,9 @@ def render_json(report: dict[str, Node]) -> str:
 
 
 def _write_json(node: Node, newline: str, chunks: list[str]) -> None:
-    if isinstance(node, str):
+    if isinstance(node, Fraction):
+        chunks.append(f'"{format_scalar(node)}"')
+    elif isinstance(node, str):
         chunks.append(_quote(node))
     elif node is None:
         chunks.append("null")
@@ -135,8 +137,6 @@ def _write_json(node: Node, newline: str, chunks: list[str]) -> None:
         chunks.append("false")
     elif isinstance(node, int):
         chunks.append(int.__repr__(node))
-    elif isinstance(node, Fraction):
-        chunks.append(f'"{format_scalar(node)}"')
     elif isinstance(node, dict):
         if not node:
             chunks.append("{}")
@@ -294,13 +294,10 @@ def cmd_verify(args: argparse.Namespace) -> dict[str, Node]:
         "is_equilibrium": bool(result),
     }
     if result:
-        witnesses: dict[str, Node] = {}
-        for member in polytope.members:
-            ad = result.certificate.witnesses[member]
-            witnesses[instance.names[member]] = (
-                "zero bid" if ad is None else instance.label(ad)
-            )
-        report["certificate"] = witnesses
+        witnesses = result.certificate.witnesses
+        labels = {ad: instance.label(ad) for ad in set(witnesses.values()) - {None}}
+        labels[None] = "zero bid"
+        report["certificate"] = {instance.names[k]: labels[witnesses[k]] for k in polytope.members}
     else:
         report["failure"] = result.failure or ""
     return report

@@ -22,12 +22,13 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import Mapping, Sequence
 
 # benchmarks/spans.py wraps contracts.parse_instance by name in its traced
 # run, so the name stays bound here although nothing in this module calls it.
 from .model import (  # noqa: F401
     AuctionInstance,
+    FrozenMap,
     GridBudgetError,
     GridSpec,
     InstanceError,
@@ -117,21 +118,22 @@ ContractProfile = tuple[ContractTerm, ...]
 
 
 class PositionOutcome(Record):
-    """Slots assigned, per-click prices of assigned ads, expected utilities."""
+    """Slots assigned, per-click prices of assigned ads, expected utilities.
+    The assignment and the prices are read-only copies."""
 
     __slots__ = ("assignment", "prices", "utilities")
-    assignment: dict[int, int]
-    prices: dict[int, Fraction]
+    assignment: Mapping[int, int]
+    prices: Mapping[int, Fraction]
     utilities: tuple[Fraction, ...]
 
     def __init__(
         self,
-        assignment: dict[int, int],
-        prices: dict[int, Fraction],
+        assignment: Mapping[int, int],
+        prices: Mapping[int, Fraction],
         utilities: tuple[Fraction, ...],
     ) -> None:
-        object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "prices", prices)
+        object.__setattr__(self, "assignment", FrozenMap(assignment))
+        object.__setattr__(self, "prices", FrozenMap(prices))
         object.__setattr__(self, "utilities", utilities)
 
 

@@ -11,10 +11,10 @@ The rounds are progressive filling (Bertsekas & Gallager, *Data Networks*,
 2nd ed., §6.5.2) over running totals. Each rival keeps its slack, the
 winner's total minus its own, and the count of unfrozen winner members it
 lacks. A round lowers each slack by the decrement times that count, a rival
-goes tight when its count is positive and its slack reaches zero, and a
-member that freezes decrements the count of every rival lacking it. So ad
-totals are never re-summed: the slacks start from the instance's integer ad
-totals.
+goes tight when its count is positive and its slack reaches zero, and the
+members a round freezes lower each moving rival's count by as many of them
+as it lacks. So ad totals are never re-summed: the slacks start from the
+instance's integer ad totals.
 
 The resulting profile maximizes the sorted surplus vector lexicographically
 over the equilibrium set: the least-happy member is as happy as possible,
@@ -87,6 +87,9 @@ class LoweringTrace(Record):
 
     def describe(self, instance: AuctionInstance) -> list[str]:
         lines = [f"winner: {instance.label(self.winner)}"]
+        members = sorted(instance.members(self.winner))
+        # Each member's bid and its text, kept while the member is frozen.
+        shown: dict[int, tuple[Fraction, str]] = {}
         for number, r in enumerate(self.rounds, start=1):
             events = []
             for event in r.events:
@@ -95,10 +98,10 @@ class LoweringTrace(Record):
                 else:
                     events.append(f"{instance.label(event.ad)} went tight")
             fixed = ", ".join(instance.names[i] for i in r.fixed)
-            member_bids = ", ".join(
-                f"{instance.names[i]}={display_scalar(r.bids[i])}"
-                for i in sorted(instance.members(self.winner))
-            )
+            for i in members:
+                if i not in shown or shown[i][0] is not r.bids[i]:
+                    shown[i] = (r.bids[i], f"{instance.names[i]}={display_scalar(r.bids[i])}")
+            member_bids = ", ".join([shown[i][1] for i in members])
             lines.append(
                 f"round {number}: lowered by {display_scalar(r.decrement)}; "
                 f"{'; '.join(events)}; fixed {fixed}; bids {member_bids}"
@@ -131,21 +134,17 @@ def egalitarian_solve(
     unfixed = set(members)
     rivals = [j for j in range(instance.m) if j != winner]
     slack = {j: totals[winner] - totals[j] for j in rivals}
-    moving: dict[int, int] = {}
-    lacking: dict[int, list[int]] = {k: [] for k in members}
-    for j in rivals:
-        outside = winner_members - instance.members(j)
-        moving[j] = len(outside)
-        for k in outside:
-            lacking[k].append(j)
+    moving = {j: len(winner_members - instance.ads[j].members) for j in rivals}
+    # Only a rival lacking an unfrozen member moves; `active` keeps ad order.
+    active = [j for j in rivals if moving[j]]
     rounds: list[LoweringRound] = []
 
     while unfixed:
         # The step, num/den over the running denominator: the lowest unfixed
         # bid, or the first rival slack to close at `moving` per unit.
-        num, den = min(scaled[k] for k in unfixed), 1
-        for j in rivals:
-            if moving[j] and slack[j] * den < num * moving[j]:
+        num, den = min(map(scaled.__getitem__, unfixed)), 1
+        for j in active:
+            if slack[j] * den < num * moving[j]:
                 num, den = slack[j], moving[j]
         if num < 0:
             raise InternalError("a rival ad overtook the winner between rounds")
@@ -154,33 +153,32 @@ def egalitarian_solve(
             denominator *= grow
             for k in unfixed:
                 scaled[k] *= grow
-            for j in rivals:
+            for j in active:
                 slack[j] *= grow
         step = num * grow // den
 
+        zeros = []
         for k in unfixed:
             scaled[k] -= step
             bids[k] = Fraction(scaled[k], denominator)
-        for j in rivals:
-            if moving[j]:
-                slack[j] -= step * moving[j]
-
-        events: list[RoundEvent] = []
-        frozen: set[int] = set()
-        for k in sorted(unfixed):
-            if scaled[k] == 0:
-                events.append(RoundEvent(kind="zero", bidder=k))
-                frozen.add(k)
-        for j in rivals:
-            if moving[j] and slack[j] == 0:
+            if not scaled[k]:
+                zeros.append(k)
+        zeros.sort()
+        events = [RoundEvent(kind="zero", bidder=k) for k in zeros]
+        frozen = set(zeros)
+        for j in active:
+            slack[j] -= step * moving[j]
+            if slack[j] < 0:
+                raise InternalError("lowering must preserve the winner")
+            if slack[j] == 0:
                 events.append(RoundEvent(kind="tight", ad=j))
-                frozen.update(unfixed - instance.members(j))
+                frozen.update(unfixed - instance.ads[j].members)
         if not frozen:
             raise InternalError("a lowering round must fix at least one member")
         unfixed -= frozen
-        for k in frozen:
-            for j in lacking[k]:
-                moving[j] -= 1
+        for j in active:
+            moving[j] -= len(frozen - instance.ads[j].members)
+        active = [j for j in active if moving[j]]
         rounds.append(
             LoweringRound(
                 decrement=Fraction(step, denominator),
@@ -189,8 +187,6 @@ def egalitarian_solve(
                 bids=tuple(bids),
             )
         )
-        if any(s < 0 for s in slack.values()):
-            raise InternalError("lowering must preserve the winner")
 
     if len(rounds) > len(members):
         raise InternalError("one round per member at most")

@@ -10,6 +10,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .model import (
+    ZERO,
     AuctionInstance,
     Outcome,
     check_bids,
@@ -45,25 +46,26 @@ def vcg(instance: AuctionInstance) -> Outcome:
     free clicks.
 
     In closed form, with t_j the total value of ad j and W = t_winner, member
-    i pays max(0, max_j (t_j - [i in j]·v_i) - (W - v_i)). The arithmetic is
-    on the instance's integer units, O(|winner|·m); each payment is one
-    Fraction. A member is charged only a positive shortfall, so payments are
-    non-negative.
+    i pays max(0, max_j (t_j - [i in j]·v_i) - (W - v_i)). An ad holding i gives
+    at most W - v_i, so that is max(0, t - (W - v_i)) for t the largest total of
+    an ad lacking i. One walk over the ads by descending total, in integer
+    units, gives each member its t: O(m log m) plus a set difference per ad.
     """
     totals = instance._totals
     units = instance._units
     winner = _winner(totals)
     welfare = totals[winner]
-    payments = [Fraction(0)] * instance.n
-    for i in instance.members(winner):
-        value = units[i]
-        best_without = max(
-            total - value if i in ad.members else total
-            for ad, total in zip(instance.ads, totals)
-        )
-        shortfall = best_without - (welfare - value)
-        if shortfall > 0:
-            payments[i] = Fraction(shortfall, instance._scale)
+    payments = [ZERO] * instance.n
+    unplaced = instance.members(winner)
+    for j in sorted(range(instance.m), key=totals.__getitem__, reverse=True):
+        lacking = unplaced - instance.ads[j].members
+        for i in lacking:
+            shortfall = totals[j] - (welfare - units[i])
+            if shortfall > 0:
+                payments[i] = Fraction(shortfall, instance._scale)
+        unplaced -= lacking
+        if not unplaced:
+            break
     return settle(instance, winner, payments)
 
 

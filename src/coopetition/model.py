@@ -28,6 +28,7 @@ the standing threat level used throughout the equilibrium analysis.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -80,6 +81,24 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class FrozenMap(dict):
+    """A read-only dict that hashes, for a record's mapping fields."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self) -> tuple:
+        return type(self), (dict(self),)
+
+    def _read_only(self, *args: object) -> None:
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
 
 
 class GridSpec(Record):
@@ -194,24 +213,30 @@ def _plain_scalar(value: object) -> Fraction | None:
     return None
 
 
+@functools.lru_cache(maxsize=256)
+def _decimal_plan(denominator: int) -> tuple[int, int] | None:
+    """(digits, 10**digits // denominator) when p/denominator has a decimal of
+    that many places, else None; a report's numbers share a few denominators."""
+    twos = (denominator & -denominator).bit_length() - 1
+    rest, fives = denominator >> twos, 0
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    if rest != 1:
+        return None
+    digits = max(twos, fives)
+    return digits, 10**digits // denominator
+
+
 def _terminating_decimal(x: Fraction) -> str | None:
     """Exact decimal string for x, or None when the decimal does not terminate."""
     if x.denominator == 1:
         return str(x.numerator)
-    den = x.denominator
-    twos = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    fives = 0
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
+    plan = _decimal_plan(x.denominator)
+    if plan is None:
         return None
-    digits = max(twos, fives)
-    scaled = abs(x.numerator) * 10**digits // x.denominator
-    text = str(scaled).rjust(digits + 1, "0")
+    digits, factor = plan
+    text = str(abs(x.numerator) * factor).rjust(digits + 1, "0")
     whole, frac = text[:-digits], text[-digits:].rstrip("0")
     sign = "-" if x.numerator < 0 else ""
     return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
@@ -292,29 +317,32 @@ class AuctionInstance(Record, _Scaled):
         if len(values) != len(names):
             raise InstanceError("one value per advertiser is required")
         for k, value in enumerate(values):
-            if value < 0:
+            if value.numerator < 0:
                 raise InstanceError(f"advertisers[{k}].value: negative value {format_scalar(value)}")
         scale = _common_denominator(enumerate(values), "advertisers[{}].value", "values")
         if not ads:
             raise InstanceError("at least one ad is required")
-        seen: dict[frozenset[int], int] = {}
-        covered: set[int] = set()
-        for position, ad in enumerate(ads):
-            if ad.id != position:
-                raise InstanceError(f"ads[{position}]: id {ad.id} does not match position")
-            if not ad.members:
-                raise InstanceError(f"ads[{position}]: empty ad")
-            if min(ad.members) < 0 or max(ad.members) >= len(names):
+        member_sets = [ad.members for ad in ads]
+        covered = frozenset().union(*member_sets)
+        if [ad.id for ad in ads] != list(range(len(ads))) or not all(member_sets) or (
+            min(covered) < 0 or max(covered) >= len(names) or len(set(member_sets)) != len(ads)
+        ):
+            # Some ad is bad: name the first, and its first problem.
+            seen: dict[frozenset[int], int] = {}
+            for position, ad in enumerate(ads):
+                if ad.id != position:
+                    raise InstanceError(f"ads[{position}]: id {ad.id} does not match position")
+                if not ad.members:
+                    raise InstanceError(f"ads[{position}]: empty ad")
                 for i in ad.members:
                     if not 0 <= i < len(names):
                         raise InstanceError(f"ads[{position}]: unknown advertiser index {i}")
-            if ad.members in seen:
-                raise InstanceError(
-                    f"ads[{position}]: identical member set to ads[{seen[ad.members]}]"
-                )
-            seen[ad.members] = position
-            covered |= ad.members
-        for i, name in enumerate(names):
+                if ad.members in seen:
+                    raise InstanceError(
+                        f"ads[{position}]: identical member set to ads[{seen[ad.members]}]"
+                    )
+                seen[ad.members] = position
+        for i, name in enumerate(names if len(covered) != len(names) else ()):
             if i not in covered:
                 raise InstanceError(f"advertiser {name!r} appears in no ad")
         object.__setattr__(self, "names", names)
@@ -324,7 +352,7 @@ class AuctionInstance(Record, _Scaled):
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_units", units)
         object.__setattr__(
-            self, "_totals", tuple([sum([units[i] for i in ad.members]) for ad in ads])
+            self, "_totals", tuple([sum(map(units.__getitem__, ad.members)) for ad in ads])
         )
 
     @property
@@ -416,7 +444,7 @@ def instance_from_document(doc: object) -> AuctionInstance:
         if not isinstance(entry, list) or not entry:
             raise InstanceError(f"ads[{j}]: expected a non-empty list of advertiser names")
         try:
-            members = frozenset([index[name] for name in entry])
+            members = frozenset(map(index.__getitem__, entry))
         except (KeyError, TypeError):
             members = frozenset()
         if len(members) != len(entry):
@@ -428,7 +456,7 @@ def instance_from_document(doc: object) -> AuctionInstance:
                 if name in seen:
                     raise InstanceError(f"ads[{j}]: duplicate member {name!r}")
                 seen.add(name)
-        ads.append(Ad(id=j, members=members))
+        ads.append(Ad(j, members))
     return AuctionInstance(names=tuple(names), values=tuple(values), ads=tuple(ads))
 
 
@@ -501,12 +529,16 @@ def total_bid(instance: AuctionInstance, bids: Sequence[Fraction], ad_id: int) -
     return exact_sum(bids[i] for i in instance.ads[ad_id].members)
 
 
+# The zero non-members pay and keep; `Outcome` skips it by identity when summing.
+ZERO = Fraction(0)
+
+
 class Outcome(Record):
     """A cleared auction: who won, who pays what, and who keeps what.
 
     Surpluses are value minus payment for members of the winning ad and zero
     for everyone else; revenue is the sum of payments, and only winning
-    members ever pay.
+    members ever pay. A revenue of None is taken to be that sum.
     """
 
     __slots__ = ("winner", "payments", "revenue", "surpluses")
@@ -519,10 +551,13 @@ class Outcome(Record):
         self,
         winner: int,
         payments: tuple[Fraction, ...],
-        revenue: Fraction,
+        revenue: Fraction | None,
         surpluses: tuple[Fraction, ...],
     ) -> None:
-        if exact_sum(payments) != revenue:
+        total = exact_sum(p for p in payments if p is not ZERO)
+        if revenue is None:
+            revenue = total
+        elif total != revenue:
             raise ValueError("revenue must equal the sum of payments")
         object.__setattr__(self, "winner", winner)
         object.__setattr__(self, "payments", payments)
@@ -531,16 +566,11 @@ class Outcome(Record):
 
 
 def settle(instance: AuctionInstance, winner: int, bids: Sequence[Fraction]) -> Outcome:
-    """Charge the winning ad's members their own bids."""
-    members = instance.ads[winner].members
-    payments = tuple(bids[i] if i in members else Fraction(0) for i in range(instance.n))
-    surpluses = tuple(
-        instance.values[i] - bids[i] if i in members else Fraction(0)
-        for i in range(instance.n)
-    )
-    return Outcome(
-        winner=winner,
-        payments=payments,
-        revenue=exact_sum(payments),
-        surpluses=surpluses,
-    )
+    """Charge the winning ad's members their own bids; only they are touched."""
+    payments = [ZERO] * instance.n
+    surpluses = [ZERO] * instance.n
+    values = instance.values
+    for i in instance.ads[winner].members:
+        bid = payments[i] = bids[i]
+        surpluses[i] = values[i] if bid is ZERO else values[i] - bid
+    return Outcome(winner, tuple(payments), None, tuple(surpluses))

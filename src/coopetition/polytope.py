@@ -46,6 +46,7 @@ from .mechanisms import efficient_winner
 from .model import (
     AuctionInstance,
     BidProfile,
+    FrozenMap,
     InternalError,
     Record,
     check_bids,
@@ -91,13 +92,13 @@ class CefPolytope(Record):
 
 class EquilibriumCertificate(Record):
     """Why nobody lowers: each member is at zero (None) or names a tying
-    rival ad it does not belong to."""
+    rival ad it does not belong to. The witnesses are a read-only copy."""
 
     __slots__ = ("witnesses",)
     witnesses: Mapping[int, int | None]
 
     def __init__(self, witnesses: Mapping[int, int | None]) -> None:
-        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "witnesses", FrozenMap(witnesses))
 
 
 class EquilibriumResult(Record):
@@ -127,18 +128,17 @@ def build_polytope(instance: AuctionInstance) -> CefPolytope:
     winner_members = instance.members(winner)
     units = instance._units
     constraints = []
-    for j in range(instance.m):
-        if j == winner:
+    for ad in instance.ads:
+        if ad.id == winner:
             continue
-        rival = instance.members(j)
-        bidders = tuple(sorted(winner_members - rival))
-        outside = sum([units[i] for i in rival - winner_members])
+        bidders = winner_members - ad.members
+        outside = sum(map(units.__getitem__, ad.members - winner_members))
         if not bidders:
             if outside != 0:
                 raise InternalError("an ad covering the winner cannot out-value it")
             continue
         rhs = Fraction(outside, instance._scale)
-        constraints.append(CefConstraint(ad=j, bidders=bidders, rhs=rhs))
+        constraints.append(CefConstraint(ad.id, tuple(sorted(bidders)), rhs))
     return CefPolytope(instance=instance, winner=winner, constraints=tuple(constraints))
 
 
@@ -146,10 +146,10 @@ def canonical_bids(polytope: CefPolytope, bids: Sequence[Fraction]) -> BidProfil
     """Replace non-winner bids with their values; member bids pass through."""
     instance = polytope.instance
     profile = check_bids(instance, bids)
-    members = instance.members(polytope.winner)
-    return tuple(
-        profile[i] if i in members else instance.values[i] for i in range(instance.n)
-    )
+    canonical = list(instance.values)
+    for i in instance.members(polytope.winner):
+        canonical[i] = profile[i]
+    return tuple(canonical)
 
 
 def is_ir(instance: AuctionInstance, bids: Sequence[Fraction]) -> bool:
@@ -159,10 +159,7 @@ def is_ir(instance: AuctionInstance, bids: Sequence[Fraction]) -> bool:
 
 def first_ir_violation(instance: AuctionInstance, bids: Sequence[Fraction]) -> int | None:
     profile = check_bids(instance, bids)
-    for i, bid in enumerate(profile):
-        if bid < 0 or bid > instance.values[i]:
-            return i
-    return None
+    return next((i for i, v in enumerate(instance.values) if not 0 <= profile[i] <= v), None)
 
 
 def is_cef(polytope: CefPolytope, bids: Sequence[Fraction]) -> bool:
@@ -173,20 +170,32 @@ def is_cef(polytope: CefPolytope, bids: Sequence[Fraction]) -> bool:
 def first_cef_violation(
     polytope: CefPolytope, bids: Sequence[Fraction]
 ) -> CefConstraint | None:
-    _, slacks = _row_slacks(polytope, check_bids(polytope.instance, bids))
+    _, _, slacks = _row_slacks(polytope, check_bids(polytope.instance, bids))
     return next((c for c, slack in zip(polytope.constraints, slacks) if slack < 0), None)
 
 
-def _row_slacks(polytope: CefPolytope, profile: BidProfile) -> tuple[int, list[int]]:
-    """The lcm of the instance's scale and the members' bid denominators,
-    and each envy-free row's bid sum minus its rhs, an int in those units."""
-    members = polytope.members
-    scale = math.lcm(polytope.instance._scale, *[profile[k].denominator for k in members])
-    units = {k: profile[k].numerator * (scale // profile[k].denominator) for k in members}
-    return scale, [
-        sum([units[i] for i in c.bidders]) - c.rhs.numerator * (scale // c.rhs.denominator)
+def _row_slacks(polytope: CefPolytope, profile: BidProfile) -> tuple[int, dict, list[int]]:
+    """The lcm of the instance's scale and the members' bid denominators; each
+    member's surplus value - bid, an int in those units; and each envy-free
+    row's bid sum minus its rhs in them: its room less its bidders' surpluses."""
+    instance = polytope.instance
+    members = instance.members(polytope.winner)
+    scale = math.lcm(instance._scale, *[profile[k].denominator for k in members])
+    grow = scale // instance._scale
+    units, totals = instance._units, instance._totals
+    surplus = {
+        k: units[k] * grow - profile[k].numerator * (scale // profile[k].denominator)
+        for k in members
+    }
+    total = totals[polytope.winner]
+    return scale, surplus, [
+        (total - totals[c.ad]) * grow - sum([surplus[i] for i in c.bidders])
         for c in polytope.constraints
     ]
+
+
+def _failed(failure: str) -> EquilibriumResult:
+    return EquilibriumResult(ok=False, certificate=None, failure=failure)
 
 
 def is_equilibrium(polytope: CefPolytope, bids: Sequence[Fraction]) -> EquilibriumResult:
@@ -195,50 +204,45 @@ def is_equilibrium(polytope: CefPolytope, bids: Sequence[Fraction]) -> Equilibri
     Non-winner bids are canonicalized to their values first. Fails fast with
     a reason when the profile is not IR or not CEF; otherwise every member
     with a positive bid must be pinned by a tying rival ad that excludes it.
+    All of it runs over the members only, in the units of `_row_slacks`:
+    a non-member bids its value, so it is IR and pins no one.
     """
     instance = polytope.instance
+    members = polytope.members
     profile = canonical_bids(polytope, bids)
-    violator = first_ir_violation(instance, profile)
-    if violator is not None:
-        name = instance.names[violator]
-        return EquilibriumResult(
-            ok=False,
-            certificate=None,
-            failure=(
-                f"not IR: {name!r} bids {format_scalar(profile[violator])}, outside "
-                f"[0, {format_scalar(instance.values[violator])}]"
-            ),
-        )
-    scale, slacks = _row_slacks(polytope, profile)
+    scale, surplus, slacks = _row_slacks(polytope, profile)
+    caps = {k: instance._units[k] * (scale // instance._scale) for k in members}
+    for k in members:
+        if not 0 <= surplus[k] <= caps[k]:
+            return _failed(
+                f"not IR: {instance.names[k]!r} bids {format_scalar(profile[k])}, outside "
+                f"[0, {format_scalar(instance.values[k])}]"
+            )
     for violated, slack in zip(polytope.constraints, slacks):
         if slack < 0:
             uncovered = violated.rhs + Fraction(slack, scale)
-            return EquilibriumResult(
-                ok=False,
-                certificate=None,
-                failure=(
-                    f"not CEF: against {instance.label(violated.ad)} the uncovered members "
-                    f"bid {format_scalar(uncovered)}, below the "
-                    f"outside value {format_scalar(violated.rhs)}"
-                ),
+            return _failed(
+                f"not CEF: against {instance.label(violated.ad)} the uncovered members "
+                f"bid {format_scalar(uncovered)}, below the "
+                f"outside value {format_scalar(violated.rhs)}"
             )
-    tight = [c for c, slack in zip(polytope.constraints, slacks) if slack == 0]
-    witnesses: dict[int, int | None] = {}
-    for k in polytope.members:
-        if profile[k] == 0:
-            witnesses[k] = None
-            continue
-        witness = next((c.ad for c in tight if k in c.bidders), None)
-        if witness is None:
-            return EquilibriumResult(
-                ok=False,
-                certificate=None,
-                failure=(
-                    f"{instance.names[k]!r} bids {format_scalar(profile[k])} but no rival "
-                    f"ad excluding it ties the winner: lowering would be profitable"
-                ),
-            )
-        witnesses[k] = witness
+    # Each positive member's witness: the first tight row whose rival lacks it.
+    unpinned = {k for k in members if surplus[k] != caps[k]}
+    witnesses = dict.fromkeys(members)
+    for c, slack in zip(polytope.constraints, slacks):
+        if not unpinned:
+            break
+        if slack == 0:
+            pinned = unpinned - instance.ads[c.ad].members
+            for k in pinned:
+                witnesses[k] = c.ad
+            unpinned -= pinned
+    if unpinned:
+        k = min(unpinned)
+        return _failed(
+            f"{instance.names[k]!r} bids {format_scalar(profile[k])} but no rival "
+            f"ad excluding it ties the winner: lowering would be profitable"
+        )
     return EquilibriumResult(
         ok=True, certificate=EquilibriumCertificate(witnesses=witnesses), failure=None
     )

@@ -615,3 +615,56 @@ def parse_scalar_by_fraction(value: object, where: str = "value") -> Fraction:
             f"{where}: floats are inexact, write the number as a string"
         )
     raise InstanceError(f"{where}: expected a string-encoded number, got {type(value).__name__}")
+
+
+def vcg_by_member_scan(instance: AuctionInstance) -> Outcome:
+    """VCG by scanning every ad for each winning member: the reference for
+    `mechanisms.vcg`, which walks the ads once by descending total."""
+    totals = instance._totals
+    units = instance._units
+    winner = totals.index(max(totals))
+    welfare = totals[winner]
+    payments = [Fraction(0)] * instance.n
+    for i in instance.members(winner):
+        value = units[i]
+        best_without = max(
+            total - value if i in ad.members else total
+            for ad, total in zip(instance.ads, totals)
+        )
+        shortfall = best_without - (welfare - value)
+        if shortfall > 0:
+            payments[i] = Fraction(shortfall, instance._scale)
+    return settle(instance, winner, payments)
+
+
+def _terminating_decimal_by_loops(x: Fraction) -> str | None:
+    """Exact decimal string for x, or None when the decimal does not terminate."""
+    if x.denominator == 1:
+        return str(x.numerator)
+    den = x.denominator
+    twos = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    fives = 0
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    if den != 1:
+        return None
+    digits = max(twos, fives)
+    scaled = abs(x.numerator) * 10**digits // x.denominator
+    text = str(scaled).rjust(digits + 1, "0")
+    whole, frac = text[:-digits], text[-digits:].rstrip("0")
+    sign = "-" if x.numerator < 0 else ""
+    return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
+
+
+def format_scalar_by_loops(x: Fraction) -> str:
+    """`model.format_scalar` dividing out the 2s and 5s of every denominator
+    afresh: the reference for the one that reads a memo per denominator."""
+    try:
+        decimal = _terminating_decimal_by_loops(x)
+        return decimal if decimal is not None else f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise InstanceError(f"a number to print has more than {_MAX_DIGITS} digits") from None

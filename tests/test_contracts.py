@@ -12,6 +12,7 @@ from coopetition import (
     GridSpec,
     InstanceError,
     OwnedAuction,
+    PositionOutcome,
     best_response_contract,
     evaluate_contracts,
     parse_instance,
@@ -103,6 +104,26 @@ class TestContractTerm:
 
 
 class TestPositionVcg:
+    def test_outcome_hashes_and_keeps_its_own_mappings(self):
+        assignment, prices = {0: 0, 1: 1}, {0: F(3), 1: F(0)}
+        outcome = PositionOutcome(assignment, prices, (F(0), F(8)))
+        assert hash(outcome) == hash(PositionOutcome({1: 1, 0: 0}, {1: F(0), 0: F(3)}, (F(0), F(8))))
+        assignment[2] = 2
+        prices[0] = F(1)
+        assert outcome.assignment == {0: 0, 1: 1} and outcome.prices == {0: F(3), 1: F(0)}
+        for mapping in (outcome.assignment, outcome.prices):
+            with pytest.raises(TypeError, match="read-only"):
+                mapping[0] = 1
+            with pytest.raises(TypeError, match="read-only"):
+                mapping.pop(0)
+        # The contract outcome is a record of its own, hashable alike.
+        auction = two_sellers()
+        cleared = evaluate_contracts(auction, [ContractTerm.committed(1, 0, F(2))])
+        hash(cleared)
+        with pytest.raises(TypeError, match="read-only"):
+            cleared.prices.clear()
+        assert cleared == evaluate_contracts(auction, [ContractTerm.committed(1, 0, F(2))])
+
     def test_three_bidder_ladder(self):
         auction = owned(
             {"X": 11, "Y": 3, "Z": 2},

@@ -19,6 +19,7 @@ from coopetition import (
     vcg_bruteforce,
     welfare_ties,
 )
+from coopetition.model import ZERO
 from helpers import (
     F,
     ab_e,
@@ -26,9 +27,11 @@ from helpers import (
     make_instance,
     prime_family,
     random_instance,
+    random_value,
     rival_family,
     single_ad,
     triangle,
+    vcg_by_member_scan,
 )
 
 
@@ -116,6 +119,50 @@ class TestVcg:
             if i not in members:
                 assert result.payments[i] == F(0)
         assert result.revenue <= total_value(instance, result.winner)
+
+
+class TestVcgWalk:
+    """The walk over the ads by descending total against the breakpoint
+    oracle and the per-member scan it replaced."""
+
+    def check(self, instance) -> None:
+        result = vcg(instance)
+        assert result == vcg_by_member_scan(instance)
+        assert result == vcg_bruteforce(instance)
+        # Only a positive payment is a Fraction of its own; every other
+        # payment is the one shared zero.
+        assert all(payment > 0 or payment is ZERO for payment in result.payments)
+
+    @pytest.mark.parametrize("members", [32, 40, 48])
+    def test_wide_rival_winners(self, members):
+        self.check(rival_family(random.Random(members), members, rivals_per_member=2))
+
+    def test_the_acceptance_family(self):
+        rng = random.Random(1919)
+        for _ in range(300):
+            self.check(random_instance(rng))
+
+    def test_a_single_ad(self):
+        self.check(single_ad())
+        self.check(make_instance({"A": 3, "B": 0}, [["A", "B"]]))
+
+    def test_every_ad_holds_one_member(self):
+        rng = random.Random(7)
+        for n in (1, 2, 5, 30):
+            values = {f"A{i}": random_value(rng) for i in range(n)}
+            self.check(make_instance(values, [[name] for name in values]))
+
+    def test_a_shortfall_of_exactly_zero_pays_the_shared_zero(self):
+        # Without B, the best rival {A, C, R} reaches 2, exactly what A and C
+        # get: B's shortfall is 0. Without C, {A, B, S} reaches 2 + 1/2.
+        instance = make_instance(
+            {"A": 1, "B": 1, "C": 1, "R": 0, "S": "1/2"},
+            [["A", "B", "C"], ["A", "C", "R"], ["A", "B", "S"]],
+        )
+        result = vcg(instance)
+        assert result.payments == (F(0), F(0), F("1/2"), F(0), F(0))
+        assert result.payments[1] is ZERO
+        self.check(instance)
 
 
 class TestFirstPriceClear:

@@ -6,6 +6,7 @@ import copy
 import json
 import math
 import pickle
+import random
 import sys
 from fractions import Fraction
 
@@ -28,8 +29,25 @@ from coopetition import (
     total_bid,
     total_value,
 )
-from coopetition.model import Record, _plain_scalar, exact_sum, instance_from_document
-from helpers import F, ab_e, make_instance, parse_scalar_by_fraction, triangle
+from coopetition import model
+from coopetition.model import (
+    ZERO,
+    Outcome,
+    Record,
+    _plain_scalar,
+    exact_sum,
+    instance_from_document,
+)
+from helpers import (
+    F,
+    ab_e,
+    format_scalar_by_loops,
+    make_instance,
+    parse_scalar_by_fraction,
+    prime_family,
+    rival_family,
+    triangle,
+)
 
 GOOD_DOC = """
 {
@@ -215,6 +233,52 @@ class TestFormatScalar:
         assert parse_scalar(format_scalar(x)) == x
 
 
+def _printed(render, x: Fraction) -> tuple[str, str]:
+    """A rendering's text, or the text of the InstanceError it raised."""
+    try:
+        return "text", render(x)
+    except InstanceError as exc:
+        return "error", str(exc)
+
+
+# Numerators: small, negative, and past the 4300-digit print limit.
+_NUMERATORS = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.builds(lambda sign, r: sign * (10**4300 + r), st.sampled_from((1, -1)), st.integers(0, 99)),
+)
+
+
+class TestDecimalPlans:
+    """`format_scalar` reads one memoized plan per denominator; the loops it
+    replaced stay in `tests/helpers` as the reference."""
+
+    @given(
+        _NUMERATORS,
+        st.integers(0, 70),
+        st.integers(0, 40),
+        st.sampled_from((1, 1, 1, 3, 7, 9, 21, 49, 10**20 + 1)),
+    )
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_the_loops(self, numerator, twos, fives, k):
+        x = F(numerator, 2**twos * 5**fives * k)
+        assert _printed(format_scalar, x) == _printed(format_scalar_by_loops, x)
+
+    def test_the_print_limit_reads_the_same(self):
+        # Denominators 2^a with a past 14,300 need that many decimal places.
+        for x in (
+            F(1, 2**14_300), F(-3, 2**14_280 * 5), F(7, 5**6_200), F(1, 10**4299),
+            F(-(10**4300), 3), F(10**4300 + 1, 2**10), F(10**4299, 2**4 * 5**9 * 7),
+        ):
+            assert _printed(format_scalar, x) == _printed(format_scalar_by_loops, x)
+
+    def test_the_memo_stays_within_its_bound(self):
+        plans = model._decimal_plan
+        for denominator in range(2, 10**4 + 2):
+            assert format_scalar(F(1, denominator)) == format_scalar_by_loops(F(1, denominator))
+        info = plans.cache_info()
+        assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
+
+
 class TestParseInstance:
     def test_good_document(self):
         instance = parse_instance(GOOD_DOC)
@@ -331,6 +395,40 @@ class TestSettle:
         assert outcome.payments == (F(0), F(0), F(3))
         assert outcome.surpluses == (F(0), F(0), F(0))
 
+    def test_families_match_a_fraction_reference(self):
+        rng = random.Random(2024)
+        for case in range(60):
+            members = 3 + case % 14
+            if case % 2:
+                instance = prime_family(rng, members, 2 * members)
+            else:
+                instance = rival_family(rng, members, rivals_per_member=2)
+            winner = rng.randrange(instance.m)
+            inside = instance.members(winner)
+            # Bids of every kind: a new zero, the shared zero, above value.
+            bids = [
+                rng.choice((F(0), ZERO, value, value * F(rng.randint(0, 30), rng.choice((7, 10)))))
+                for value in instance.values
+            ]
+            outcome = settle(instance, winner, bids)
+            payments = tuple(bids[i] if i in inside else F(0) for i in range(instance.n))
+            assert outcome.winner == winner
+            assert outcome.payments == payments
+            assert outcome.surpluses == tuple(
+                instance.values[i] - bids[i] if i in inside else F(0) for i in range(instance.n)
+            )
+            assert outcome.revenue == sum(payments, F(0))
+            assert type(outcome.revenue) is Fraction
+
+    def test_outcome_checks_its_revenue(self):
+        payments = (F(1), ZERO, F(1, 2), F(0))
+        surpluses = (F(0),) * 4
+        assert Outcome(0, payments, F(3, 2), surpluses).revenue == F(3, 2)
+        assert Outcome(0, payments, None, surpluses).revenue == F(3, 2)
+        for revenue in (F(1), F(2), F(0)):
+            with pytest.raises(ValueError, match="^revenue must equal the sum of payments$"):
+                Outcome(0, payments, revenue, surpluses)
+
 
 def _record_samples():
     """One valid record of every record type, as (type, positional args)."""
@@ -361,7 +459,11 @@ def _record_samples():
 RECORD_SAMPLES = _record_samples()
 
 
-def _hashable(values) -> bool:
+def _hashable(cls, values) -> bool:
+    """Whether a record built from `values` hashes: when they all hash, or
+    when the record keeps read-only copies of its mapping arguments."""
+    if cls in (coopetition.EquilibriumCertificate, coopetition.PositionOutcome):
+        return True
     try:
         hash(values)
     except TypeError:
@@ -390,7 +492,7 @@ class TestRecordSemantics:
         other_type = type(cls.__name__, (cls,), {"__slots__": ()})
         assert record != other_type(*args)
         assert record != args
-        if _hashable(args):
+        if _hashable(cls, args):
             assert hash(record) == hash(twin)
         else:
             with pytest.raises(TypeError):

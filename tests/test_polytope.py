@@ -34,7 +34,12 @@ from coopetition import (
 )
 from coopetition import polytope as polytope_module
 from coopetition.model import exact_sum
-from coopetition.polytope import EquilibriumResult, surplus_rows, vertex_rows
+from coopetition.polytope import (
+    EquilibriumCertificate,
+    EquilibriumResult,
+    surplus_rows,
+    vertex_rows,
+)
 from helpers import (
     F,
     ab_e,
@@ -324,6 +329,59 @@ class TestIsEquilibrium:
         assert verdict.ok
         assert verdict.certificate.witnesses == {0: 2, 1: 1, 2: None}
 
+    def test_certificate_hashes_and_keeps_its_own_witnesses(self):
+        verdict = is_equilibrium(build_polytope(triangle()), tri_bids(1, 1, 0))
+        assert hash(verdict) == hash(is_equilibrium(build_polytope(triangle()), tri_bids(1, 1, 0)))
+        source = {0: 2, 1: 1, 2: None}
+        certificate = EquilibriumCertificate(source)
+        assert hash(certificate) == hash(verdict.certificate) and certificate == verdict.certificate
+        source[0] = 1
+        del source[2]
+        assert certificate.witnesses == {0: 2, 1: 1, 2: None}
+        with pytest.raises(TypeError, match="read-only"):
+            certificate.witnesses[0] = 1
+        with pytest.raises(TypeError, match="read-only"):
+            certificate.witnesses.update({0: 1})
+        assert certificate.witnesses == {0: 2, 1: 1, 2: None}
+
+    def test_witnesses_are_the_first_tight_rows_lacking_each_member(self):
+        # The member-set lookups against the tuple scan over tight rows, on
+        # egalitarian profiles and on profiles with one member bid raised
+        # (unpinning it or breaking IR) or lowered (breaking CEF).
+        rng = random.Random(4411)
+        kinds = set()
+        for case in range(90):
+            members = 4 + case % 13
+            if case % 2:
+                instance = prime_family(rng, members, 2 * members)
+            else:
+                instance = rival_family(rng, members, rivals_per_member=2)
+            polytope = build_polytope(instance)
+            bids = list(coopetition.egalitarian_solve(instance)[0])
+            k = rng.choice(polytope.members)
+            bids[k] += rng.choice((F(0), F(1, 7), F(-1, 3), instance.values[k]))
+            verdict = is_equilibrium(polytope, bids)
+            if not is_ir(instance, bids) or not is_cef(polytope, bids):
+                assert not verdict.ok and verdict.failure.startswith("not ")
+                kinds.add("not IR or not CEF")
+                continue
+            tight = [
+                c for c in polytope.constraints if exact_sum(bids[i] for i in c.bidders) == c.rhs
+            ]
+            expected = {
+                k: None if bids[k] == 0 else next((c.ad for c in tight if k in c.bidders), None)
+                for k in polytope.members
+            }
+            unpinned = [k for k, ad in expected.items() if ad is None and bids[k] != 0]
+            if unpinned:
+                assert not verdict.ok
+                assert verdict.failure.startswith(f"{instance.names[unpinned[0]]!r} bids ")
+                kinds.add("unpinned")
+            else:
+                assert verdict.ok and verdict.certificate.witnesses == expected
+                kinds.add("equilibrium")
+        assert kinds == {"not IR or not CEF", "unpinned", "equilibrium"}
+
     def test_family_midpoint(self):
         polytope = build_polytope(triangle())
         assert is_equilibrium(polytope, tri_bids("0.5", "0.5", "0.5")).ok
@@ -383,7 +441,7 @@ class TestIsEquilibrium:
             bids = list(instance.values)
             for k in polytope.members:
                 bids[k] *= F(rng.randint(-1, 12), rng.choice((1, 3, 7, 10, 10**20 + 1)))
-            scale, slacks = polytope_module._row_slacks(polytope, tuple(bids))
+            scale, _, slacks = polytope_module._row_slacks(polytope, tuple(bids))
             assert scale % instance._scale == 0
             expected = [exact_sum(bids[i] for i in c.bidders) - c.rhs for c in polytope.constraints]
             assert [F(slack, scale) for slack in slacks] == expected
