@@ -88,8 +88,6 @@ class LoweringTrace(Record):
     def describe(self, instance: AuctionInstance) -> list[str]:
         lines = [f"winner: {instance.label(self.winner)}"]
         members = sorted(instance.members(self.winner))
-        # Each member's bid and its text, kept while the member is frozen.
-        shown: dict[int, tuple[Fraction, str]] = {}
         for number, r in enumerate(self.rounds, start=1):
             events = []
             for event in r.events:
@@ -98,10 +96,9 @@ class LoweringTrace(Record):
                 else:
                     events.append(f"{instance.label(event.ad)} went tight")
             fixed = ", ".join(instance.names[i] for i in r.fixed)
-            for i in members:
-                if i not in shown or shown[i][0] is not r.bids[i]:
-                    shown[i] = (r.bids[i], f"{instance.names[i]}={display_scalar(r.bids[i])}")
-            member_bids = ", ".join([shown[i][1] for i in members])
+            member_bids = ", ".join(
+                f"{instance.names[i]}={display_scalar(r.bids[i])}" for i in members
+            )
             lines.append(
                 f"round {number}: lowered by {display_scalar(r.decrement)}; "
                 f"{'; '.join(events)}; fixed {fixed}; bids {member_bids}"

@@ -230,15 +230,16 @@ def _decimal_plan(denominator: int) -> tuple[int, int] | None:
 
 def _terminating_decimal(x: Fraction) -> str | None:
     """Exact decimal string for x, or None when the decimal does not terminate."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    plan = _decimal_plan(x.denominator)
+    numerator, denominator = x.numerator, x.denominator
+    if denominator == 1:
+        return str(numerator)
+    plan = _decimal_plan(denominator)
     if plan is None:
         return None
     digits, factor = plan
-    text = str(abs(x.numerator) * factor).rjust(digits + 1, "0")
+    text = str(abs(numerator) * factor).rjust(digits + 1, "0")
     whole, frac = text[:-digits], text[-digits:].rstrip("0")
-    sign = "-" if x.numerator < 0 else ""
+    sign = "-" if numerator < 0 else ""
     return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
 
 
@@ -322,27 +323,24 @@ class AuctionInstance(Record, _Scaled):
         scale = _common_denominator(enumerate(values), "advertisers[{}].value", "values")
         if not ads:
             raise InstanceError("at least one ad is required")
-        member_sets = [ad.members for ad in ads]
-        covered = frozenset().union(*member_sets)
-        if [ad.id for ad in ads] != list(range(len(ads))) or not all(member_sets) or (
-            min(covered) < 0 or max(covered) >= len(names) or len(set(member_sets)) != len(ads)
-        ):
-            # Some ad is bad: name the first, and its first problem.
-            seen: dict[frozenset[int], int] = {}
-            for position, ad in enumerate(ads):
-                if ad.id != position:
-                    raise InstanceError(f"ads[{position}]: id {ad.id} does not match position")
-                if not ad.members:
-                    raise InstanceError(f"ads[{position}]: empty ad")
+        seen: dict[frozenset[int], int] = {}
+        covered: set[int] = set()
+        for position, ad in enumerate(ads):
+            if ad.id != position:
+                raise InstanceError(f"ads[{position}]: id {ad.id} does not match position")
+            if not ad.members:
+                raise InstanceError(f"ads[{position}]: empty ad")
+            if min(ad.members) < 0 or max(ad.members) >= len(names):
                 for i in ad.members:
                     if not 0 <= i < len(names):
                         raise InstanceError(f"ads[{position}]: unknown advertiser index {i}")
-                if ad.members in seen:
-                    raise InstanceError(
-                        f"ads[{position}]: identical member set to ads[{seen[ad.members]}]"
-                    )
-                seen[ad.members] = position
-        for i, name in enumerate(names if len(covered) != len(names) else ()):
+            if ad.members in seen:
+                raise InstanceError(
+                    f"ads[{position}]: identical member set to ads[{seen[ad.members]}]"
+                )
+            seen[ad.members] = position
+            covered |= ad.members
+        for i, name in enumerate(names):
             if i not in covered:
                 raise InstanceError(f"advertiser {name!r} appears in no ad")
         object.__setattr__(self, "names", names)
@@ -529,7 +527,7 @@ def total_bid(instance: AuctionInstance, bids: Sequence[Fraction], ad_id: int) -
     return exact_sum(bids[i] for i in instance.ads[ad_id].members)
 
 
-# The zero non-members pay and keep; `Outcome` skips it by identity when summing.
+# The one shared Fraction zero: what everyone outside the winning ad pays and keeps.
 ZERO = Fraction(0)
 
 
@@ -538,7 +536,7 @@ class Outcome(Record):
 
     Surpluses are value minus payment for members of the winning ad and zero
     for everyone else; revenue is the sum of payments, and only winning
-    members ever pay. A revenue of None is taken to be that sum.
+    members ever pay.
     """
 
     __slots__ = ("winner", "payments", "revenue", "surpluses")
@@ -551,13 +549,10 @@ class Outcome(Record):
         self,
         winner: int,
         payments: tuple[Fraction, ...],
-        revenue: Fraction | None,
+        revenue: Fraction,
         surpluses: tuple[Fraction, ...],
     ) -> None:
-        total = exact_sum(p for p in payments if p is not ZERO)
-        if revenue is None:
-            revenue = total
-        elif total != revenue:
+        if exact_sum(payments) != revenue:
             raise ValueError("revenue must equal the sum of payments")
         object.__setattr__(self, "winner", winner)
         object.__setattr__(self, "payments", payments)
@@ -570,7 +565,9 @@ def settle(instance: AuctionInstance, winner: int, bids: Sequence[Fraction]) -> 
     payments = [ZERO] * instance.n
     surpluses = [ZERO] * instance.n
     values = instance.values
-    for i in instance.ads[winner].members:
+    members = instance.ads[winner].members
+    for i in members:
         bid = payments[i] = bids[i]
-        surpluses[i] = values[i] if bid is ZERO else values[i] - bid
-    return Outcome(winner, tuple(payments), None, tuple(surpluses))
+        surpluses[i] = values[i] - bid if bid else values[i]
+    revenue = exact_sum(bids[i] for i in members)
+    return Outcome(winner, tuple(payments), revenue, tuple(surpluses))

@@ -48,12 +48,15 @@ from .model import (
     BidProfile,
     FrozenMap,
     InternalError,
+    ZERO,
     Record,
     check_bids,
     exact_sum,
     format_scalar,
 )
-from .simplex import ONE, ZERO, solve_min, solve_square_system
+from .simplex import solve_min, solve_square_system
+
+ONE = Fraction(1)
 
 
 class CefConstraint(Record):
@@ -71,7 +74,14 @@ class CefConstraint(Record):
 
 
 class CefPolytope(Record):
-    """CEF + IR + non-negativity constraints over the winner's member bids."""
+    """CEF + IR + non-negativity constraints over the winner's member bids.
+
+    The rows are those `build_polytope` makes: one per rival ad lacking a
+    winning member, with those members as bidders and the rival's value
+    outside the winner as rhs, a multiple of one over the instance's scale.
+    The checks read each row's rhs in those units; the LPs pose the same
+    rows from the instance's integer totals (`surplus_rows`).
+    """
 
     __slots__ = ("instance", "winner", "constraints")
     instance: AuctionInstance
@@ -177,19 +187,15 @@ def first_cef_violation(
 def _row_slacks(polytope: CefPolytope, profile: BidProfile) -> tuple[int, dict, list[int]]:
     """The lcm of the instance's scale and the members' bid denominators; each
     member's surplus value - bid, an int in those units; and each envy-free
-    row's bid sum minus its rhs in them: its room less its bidders' surpluses."""
+    row's bid sum minus its rhs, an int in them."""
     instance = polytope.instance
     members = instance.members(polytope.winner)
     scale = math.lcm(instance._scale, *[profile[k].denominator for k in members])
     grow = scale // instance._scale
-    units, totals = instance._units, instance._totals
-    surplus = {
-        k: units[k] * grow - profile[k].numerator * (scale // profile[k].denominator)
-        for k in members
-    }
-    total = totals[polytope.winner]
+    bid = {k: profile[k].numerator * (scale // profile[k].denominator) for k in members}
+    surplus = {k: instance._units[k] * grow - bid[k] for k in members}
     return scale, surplus, [
-        (total - totals[c.ad]) * grow - sum([surplus[i] for i in c.bidders])
+        sum([bid[i] for i in c.bidders]) - c.rhs.numerator * (scale // c.rhs.denominator)
         for c in polytope.constraints
     ]
 

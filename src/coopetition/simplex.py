@@ -18,9 +18,6 @@ from typing import Sequence
 
 Row = tuple[Sequence[int], int]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def _eliminate(
     row: list[int], pivot_row: list[int], pivot: int, det: int, previous: int

@@ -424,7 +424,6 @@ class TestSettle:
         payments = (F(1), ZERO, F(1, 2), F(0))
         surpluses = (F(0),) * 4
         assert Outcome(0, payments, F(3, 2), surpluses).revenue == F(3, 2)
-        assert Outcome(0, payments, None, surpluses).revenue == F(3, 2)
         for revenue in (F(1), F(2), F(0)):
             with pytest.raises(ValueError, match="^revenue must equal the sum of payments$"):
                 Outcome(0, payments, revenue, surpluses)

@@ -35,6 +35,8 @@ from coopetition import (
 from coopetition import polytope as polytope_module
 from coopetition.model import exact_sum
 from coopetition.polytope import (
+    CefConstraint,
+    CefPolytope,
     EquilibriumCertificate,
     EquilibriumResult,
     surplus_rows,
@@ -425,6 +427,24 @@ class TestIsEquilibrium:
         verdict = is_equilibrium(polytope, (F(1, 7), F(2, 3), F(1)))
         assert verdict.failure == (
             "not CEF: against ad 1 {E} the uncovered members bid 17/21, below the outside value 1"
+        )
+
+    def test_rows_are_read_from_the_polytope_record(self):
+        # A polytope built by hand, its rhs in the instance's units, is
+        # checked against the rows it holds, and the failure quotes the rhs
+        # the verdict used.
+        instance = make_instance({"A": "1/3", "B": 1, "E": 1}, [["A", "B"], ["E"]])
+        built = build_polytope(instance)
+        (row,) = built.constraints
+        lower, higher = (
+            CefPolytope(instance, built.winner, (CefConstraint(row.ad, row.bidders, rhs),))
+            for rhs in (F(2, 3), F(4, 3))
+        )
+        bids = (F(1, 7), F(2, 3), F(1))
+        assert not is_cef(built, bids)
+        assert is_cef(lower, bids)
+        assert is_equilibrium(higher, (F(1, 3), F(5, 6), F(1))).failure == (
+            "not CEF: against ad 1 {E} the uncovered members bid 7/6, below the outside value 4/3"
         )
 
     def test_row_slacks_in_units_are_the_fraction_slacks(self):
