@@ -353,8 +353,8 @@ def cmd_polytope(args: argparse.Namespace) -> dict[str, Node]:
     bids = sample_pareto_equilibrium(polytope, weights)
     outcome = settle(instance, polytope.winner, bids)
     constraints = [
-        f"{' + '.join(instance.names[i] for i in row.bidders)}"
-        f" >= {format_scalar(row.rhs)}  (vs {instance.label(row.ad)})"
+        f"{' + '.join(instance.names[i] for i in sorted(row.bidders))}"
+        f" >= {format_scalar(polytope.rhs(row))}  (vs {instance.label(row.ad)})"
         for row in polytope.constraints
     ]
     return {

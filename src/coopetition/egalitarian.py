@@ -8,13 +8,13 @@ would hand the rival the slot). Events that coincide are processed in the
 same round, so the whole run takes at most one round per member.
 
 The rounds are progressive filling (Bertsekas & Gallager, *Data Networks*,
-2nd ed., §6.5.2) over running totals. Each rival keeps its slack, the
-winner's total minus its own, and the count of unfrozen winner members it
-lacks. A round lowers each slack by the decrement times that count, a rival
-goes tight when its count is positive and its slack reaches zero, and the
-members a round freezes lower each moving rival's count by as many of them
-as it lacks. So ad totals are never re-summed: the slacks start from the
-instance's integer ad totals.
+2nd ed., §6.5.2) over the envy-free rows of `build_polytope`, which are
+packing rows in surplus coordinates: the members a rival lacks share its
+room. Each row keeps its slack, starting at its room, and the count of its
+bidders still unfrozen. A round lowers each slack by the decrement times
+that count, a row goes tight when its count is positive and its slack
+reaches zero, and the members a round freezes lower each moving row's count
+by as many of them as it holds. So ad totals are never re-summed.
 
 The resulting profile maximizes the sorted surplus vector lexicographically
 over the equilibrium set: the least-happy member is as happy as possible,
@@ -27,7 +27,9 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .mechanisms import efficient_winner
+# benchmarks/spans.py counts calls through this name in its traced run, so it
+# stays bound although the lowering takes its winner from `build_polytope`.
+from .mechanisms import efficient_winner  # noqa: F401
 from .model import (
     AuctionInstance,
     BidProfile,
@@ -111,7 +113,7 @@ def egalitarian_solve(
 ) -> tuple[BidProfile, Outcome, LoweringTrace]:
     """Run the lowering rounds; returns (bids, outcome, trace).
 
-    Non-winners stay at their values. The winner never changes: every rival's
+    Non-winners stay at their values. The winner never changes: every row's
     slack stays non-negative. The invariants raise InternalError, also under
     `python -O`: a negative slack or decrement, a round that freezes no one,
     or more rounds than members.
@@ -121,28 +123,28 @@ def egalitarian_solve(
     only when a step slack/moving does not divide. Fractions are built for
     the rounds and the result only.
     """
-    winner = efficient_winner(instance)
-    winner_members = instance.members(winner)
-    members = sorted(winner_members)
-    totals = instance._totals
+    polytope = build_polytope(instance)
+    winner, members = polytope.winner, polytope.members
     denominator = instance._scale
     scaled = {k: instance._units[k] for k in members}
     bids = list(instance.values)
     unfixed = set(members)
-    rivals = [j for j in range(instance.m) if j != winner]
-    slack = {j: totals[winner] - totals[j] for j in rivals}
-    moving = {j: len(winner_members - instance.ads[j].members) for j in rivals}
-    # Only a rival lacking an unfrozen member moves; `active` keeps ad order.
-    active = [j for j in rivals if moving[j]]
+    # Per row, as plain lists: its bidders, slack and unfrozen-bidder count.
+    rows = polytope.constraints
+    lacks = [row.bidders for row in rows]
+    slack = [row.room for row in rows]
+    moving = [len(bidders) for bidders in lacks]
+    # Only a row with an unfrozen bidder moves; `active` keeps ad order.
+    active = list(range(len(rows)))
     rounds: list[LoweringRound] = []
 
     while unfixed:
         # The step, num/den over the running denominator: the lowest unfixed
-        # bid, or the first rival slack to close at `moving` per unit.
+        # bid, or the first row slack to close at `moving` per unit.
         num, den = min(map(scaled.__getitem__, unfixed)), 1
-        for j in active:
-            if slack[j] * den < num * moving[j]:
-                num, den = slack[j], moving[j]
+        for r in active:
+            if slack[r] * den < num * moving[r]:
+                num, den = slack[r], moving[r]
         if num < 0:
             raise InternalError("a rival ad overtook the winner between rounds")
         grow = den // math.gcd(num, den)
@@ -150,8 +152,8 @@ def egalitarian_solve(
             denominator *= grow
             for k in unfixed:
                 scaled[k] *= grow
-            for j in active:
-                slack[j] *= grow
+            for r in active:
+                slack[r] *= grow
         step = num * grow // den
 
         zeros = []
@@ -163,19 +165,19 @@ def egalitarian_solve(
         zeros.sort()
         events = [RoundEvent(kind="zero", bidder=k) for k in zeros]
         frozen = set(zeros)
-        for j in active:
-            slack[j] -= step * moving[j]
-            if slack[j] < 0:
+        for r in active:
+            slack[r] -= step * moving[r]
+            if slack[r] < 0:
                 raise InternalError("lowering must preserve the winner")
-            if slack[j] == 0:
-                events.append(RoundEvent(kind="tight", ad=j))
-                frozen.update(unfixed - instance.ads[j].members)
+            if slack[r] == 0:
+                events.append(RoundEvent(kind="tight", ad=rows[r].ad))
+                frozen.update(unfixed & lacks[r])
         if not frozen:
             raise InternalError("a lowering round must fix at least one member")
         unfixed -= frozen
-        for j in active:
-            moving[j] -= len(frozen - instance.ads[j].members)
-        active = [j for j in active if moving[j]]
+        for r in active:
+            moving[r] -= len(frozen & lacks[r])
+        active = [r for r in active if moving[r]]
         rounds.append(
             LoweringRound(
                 decrement=Fraction(step, denominator),

@@ -162,13 +162,28 @@ def _common_denominator(scalars: Iterable[tuple[object, Fraction]], place: str, 
     return scale
 
 
+# The longest string `parse_scalar` reads with int() alone; a longer one
+# goes through its literal-size checks.
+_PLAIN_LENGTH = 40
+
+
 def parse_scalar(value: object, where: str = "value") -> Fraction:
     """Parse an exact scalar from a JSON value (string or integer).
 
-    Floats are rejected: by the time json has produced one, exactness is
-    already lost. String literals with more than 4300 digits or an exponent
-    beyond ±4300 are rejected before they are converted.
+    A short string "123", "p/q" (q nonzero) or "12.5" of ASCII digits is
+    read with int(). Floats are rejected: by the time json has produced one,
+    exactness is already lost. String literals with more than 4300 digits or
+    an exponent beyond ±4300 are rejected before they are converted.
     """
+    if type(value) is str and len(value) <= _PLAIN_LENGTH and value.isascii():
+        if value.isdigit():
+            return Fraction(int(value))
+        num, slash, den = value.partition("/")
+        if slash and num.isdigit() and den.isdigit() and int(den):
+            return Fraction(int(num), int(den))
+        whole, dot, decimals = value.partition(".")
+        if dot and whole.isdigit() and decimals.isdigit():
+            return Fraction(int(whole + decimals), 10 ** len(decimals))
     if isinstance(value, bool):
         raise InstanceError(f"{where}: expected a number, got a boolean")
     if isinstance(value, Fraction):
@@ -187,30 +202,6 @@ def parse_scalar(value: object, where: str = "value") -> Fraction:
             f"{where}: floats are inexact, write the number as a string"
         )
     raise InstanceError(f"{where}: expected a string-encoded number, got {type(value).__name__}")
-
-
-# The longest string `_plain_scalar` reads; a longer one goes through
-# `parse_scalar` and its literal-size checks.
-_PLAIN_LENGTH = 40
-
-
-def _plain_scalar(value: object) -> Fraction | None:
-    """A short string "123", "p/q" (q nonzero) or "12.5" of ASCII digits,
-    read with int(); None for every other value, which `parse_scalar` reads
-    or rejects with its located message."""
-    if type(value) is not str or len(value) > _PLAIN_LENGTH or not value.isascii():
-        return None
-    if value.isdigit():
-        return Fraction(int(value))
-    num, slash, den = value.partition("/")
-    if slash:
-        if num.isdigit() and den.isdigit() and int(den):
-            return Fraction(int(num), int(den))
-        return None
-    whole, dot, decimals = value.partition(".")
-    if dot and whole.isdigit() and decimals.isdigit():
-        return Fraction(int(whole + decimals), 10 ** len(decimals))
-    return None
 
 
 @functools.lru_cache(maxsize=256)
@@ -430,10 +421,7 @@ def instance_from_document(doc: object) -> AuctionInstance:
             raise InstanceError(f"advertisers[{k}].name: duplicate advertiser {name!r}")
         index[name] = k
         names.append(name)
-        value = _plain_scalar(entry["value"])
-        if value is None:
-            value = parse_scalar(entry["value"], where=f"advertisers[{k}].value")
-        values.append(value)
+        values.append(parse_scalar(entry["value"], where=f"advertisers[{k}].value"))
     ads_doc = doc.get("ads")
     if not isinstance(ads_doc, list) or not ads_doc:
         raise InstanceError("ads: expected a non-empty list")
@@ -484,8 +472,7 @@ def parse_bids(text: str, instance: AuctionInstance) -> BidProfile:
     for name, amount in doc["bids"].items():
         if name not in index:
             raise InstanceError(f"bids: unknown advertiser {name!r}")
-        bid = _plain_scalar(amount)
-        bids[index[name]] = bid if bid is not None else parse_scalar(amount, where=f"bids[{name!r}]")
+        bids[index[name]] = parse_scalar(amount, where=f"bids[{name!r}]")
     _common_denominator([(name, bids[index[name]]) for name in doc["bids"]], "bids[{!r}]", "bids")
     return tuple(bids)
 

@@ -20,19 +20,20 @@ values, the standing threat level.
 In surplus coordinates y = value - bid the polytope is a 0/1 packing
 system: each envy-free row becomes
 
-    sum of y over (T minus S)  <=  sum of values over (T minus S) - rhs,
+    sum of y over (T minus S)  <=  total(T) - total(S),
 
-and IR becomes 0 <= y <= value. The right-hand side is the winner's value
+and IR becomes 0 <= y <= value. The room on the right is the winner's value
 minus the rival's, restricted to where they differ, so it is non-negative
 because T is efficient. Truthful bidding (y = 0) is therefore always
 feasible, which lets the LP start from the slack basis in a single phase.
-Every LP here is posed in these rows (`surplus_rows`), all ints in the
-instance's units, each member capped at its value: the frontier sample,
-whose weights are scaled by the lcm of their denominators, the revenue
-minimum, and the revenue maximum, the best of one lexicographic LP per
-irredundant cover of the members by tight rows (`revenue_range`).
-`enumerate_vertices` lists the vertices by one square solve per subset of
-rows; it is the reference the maximum is tested against.
+Each `CefConstraint` holds its row once in this form, the room an int in
+the instance's units, and the checks, the LPs (`surplus_rows`, each member
+capped at its value) and the egalitarian lowering all read it there;
+`CefPolytope.rhs` gives the bid form for reports. The LPs are the frontier
+sample, the revenue minimum, and the revenue maximum, the best of one
+lexicographic LP per irredundant cover of the members by tight rows
+(`revenue_range`). `enumerate_vertices` lists the vertices by one square
+solve per subset of rows; it is the reference the maximum is tested against.
 """
 
 from __future__ import annotations
@@ -60,27 +61,28 @@ ONE = Fraction(1)
 
 
 class CefConstraint(Record):
-    """One rival ad's envy-free row: sum of bids over `bidders` >= rhs."""
+    """One rival ad's envy-free row in surplus coordinates: the sum of
+    value - bid over `bidders`, the winning members the rival lacks, is at
+    most `room`, an int in the instance's units."""
 
-    __slots__ = ("ad", "bidders", "rhs")
+    __slots__ = ("ad", "bidders", "room")
     ad: int
-    bidders: tuple[int, ...]
-    rhs: Fraction
+    bidders: frozenset[int]
+    room: int
 
-    def __init__(self, ad: int, bidders: tuple[int, ...], rhs: Fraction) -> None:
+    def __init__(self, ad: int, bidders: frozenset[int], room: int) -> None:
         object.__setattr__(self, "ad", ad)
         object.__setattr__(self, "bidders", bidders)
-        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "room", room)
 
 
 class CefPolytope(Record):
     """CEF + IR + non-negativity constraints over the winner's member bids.
 
     The rows are those `build_polytope` makes: one per rival ad lacking a
-    winning member, with those members as bidders and the rival's value
-    outside the winner as rhs, a multiple of one over the instance's scale.
-    The checks read each row's rhs in those units; the LPs pose the same
-    rows from the instance's integer totals (`surplus_rows`).
+    winning member, with those members as bidders and the winner's total
+    minus the rival's as room. The checks, the LPs and the lowering all read
+    these rows, so a polytope built by hand is checked and solved alike.
     """
 
     __slots__ = ("instance", "winner", "constraints")
@@ -98,6 +100,12 @@ class CefPolytope(Record):
     @property
     def members(self) -> tuple[int, ...]:
         return tuple(sorted(self.instance.members(self.winner)))
+
+    def rhs(self, row: CefConstraint) -> Fraction:
+        """The row in bid form, sum of bids over its bidders >= rhs: their
+        value less the room, the rival's value outside the winner if built."""
+        units = self.instance._units
+        return Fraction(sum([units[i] for i in row.bidders]) - row.room, self.instance._scale)
 
 
 class EquilibriumCertificate(Record):
@@ -131,24 +139,21 @@ class EquilibriumResult(Record):
 def build_polytope(instance: AuctionInstance) -> CefPolytope:
     """Collect the envy-free rows for the efficient winner.
 
-    Rival ads containing all of the winner's members yield the vacuous row
-    0 >= 0 (efficiency forces their outside value to zero) and are dropped.
+    Ads containing all of the winner's members (the winner itself among
+    them) yield the vacuous row 0 <= room and are dropped; efficiency forces
+    their room to zero.
     """
     winner = efficient_winner(instance)
     winner_members = instance.members(winner)
-    units = instance._units
+    totals = instance._totals
+    total = totals[winner]
     constraints = []
     for ad in instance.ads:
-        if ad.id == winner:
-            continue
         bidders = winner_members - ad.members
-        outside = sum(map(units.__getitem__, ad.members - winner_members))
-        if not bidders:
-            if outside != 0:
-                raise InternalError("an ad covering the winner cannot out-value it")
-            continue
-        rhs = Fraction(outside, instance._scale)
-        constraints.append(CefConstraint(ad.id, tuple(sorted(bidders)), rhs))
+        if bidders:
+            constraints.append(CefConstraint(ad.id, bidders, total - totals[ad.id]))
+        elif totals[ad.id] != total:
+            raise InternalError("an ad covering the winner cannot out-value it")
     return CefPolytope(instance=instance, winner=winner, constraints=tuple(constraints))
 
 
@@ -187,17 +192,17 @@ def first_cef_violation(
 def _row_slacks(polytope: CefPolytope, profile: BidProfile) -> tuple[int, dict, list[int]]:
     """The lcm of the instance's scale and the members' bid denominators; each
     member's surplus value - bid, an int in those units; and each envy-free
-    row's bid sum minus its rhs, an int in them."""
+    row's room less its bidders' surplus, an int in them."""
     instance = polytope.instance
     members = instance.members(polytope.winner)
     scale = math.lcm(instance._scale, *[profile[k].denominator for k in members])
     grow = scale // instance._scale
-    bid = {k: profile[k].numerator * (scale // profile[k].denominator) for k in members}
-    surplus = {k: instance._units[k] * grow - bid[k] for k in members}
-    return scale, surplus, [
-        sum([bid[i] for i in c.bidders]) - c.rhs.numerator * (scale // c.rhs.denominator)
-        for c in polytope.constraints
-    ]
+    surplus = {
+        k: instance._units[k] * grow - profile[k].numerator * (scale // profile[k].denominator)
+        for k in members
+    }
+    get = surplus.__getitem__
+    return scale, surplus, [c.room * grow - sum(map(get, c.bidders)) for c in polytope.constraints]
 
 
 def _failed(failure: str) -> EquilibriumResult:
@@ -226,20 +231,20 @@ def is_equilibrium(polytope: CefPolytope, bids: Sequence[Fraction]) -> Equilibri
             )
     for violated, slack in zip(polytope.constraints, slacks):
         if slack < 0:
-            uncovered = violated.rhs + Fraction(slack, scale)
+            rhs = polytope.rhs(violated)
             return _failed(
                 f"not CEF: against {instance.label(violated.ad)} the uncovered members "
-                f"bid {format_scalar(uncovered)}, below the "
-                f"outside value {format_scalar(violated.rhs)}"
+                f"bid {format_scalar(rhs + Fraction(slack, scale))}, below the "
+                f"outside value {format_scalar(rhs)}"
             )
-    # Each positive member's witness: the first tight row whose rival lacks it.
+    # Each positive member's witness: the first tight row it is a bidder of.
     unpinned = {k for k in members if surplus[k] != caps[k]}
     witnesses = dict.fromkeys(members)
     for c, slack in zip(polytope.constraints, slacks):
         if not unpinned:
             break
         if slack == 0:
-            pinned = unpinned - instance.ads[c.ad].members
+            pinned = unpinned & c.bidders
             for k in pinned:
                 witnesses[k] = c.ad
             unpinned -= pinned
@@ -281,16 +286,10 @@ def sample_pareto_equilibrium(
 
 
 def surplus_rows(polytope: CefPolytope) -> list[tuple[tuple[int, ...], int]]:
-    """Each envy-free row in surplus coordinates y = value - bid, as (0/1
-    coefficients in member order, room): coefficients . y <= room, where the
-    room is the value of the row's bidders minus the rival's outside value:
-    the winner's total minus the rival's, an int in the instance's units."""
+    """Each envy-free row as (0/1 coefficients in member order, room): the
+    row's bidders and room, read off the polytope's own rows."""
     members = polytope.members
-    totals = polytope.instance._totals
-    return [
-        (tuple(int(k in c.bidders) for k in members), totals[polytope.winner] - totals[c.ad])
-        for c in polytope.constraints
-    ]
+    return [(tuple([int(k in c.bidders) for k in members]), c.room) for c in polytope.constraints]
 
 
 def _verified_bids(polytope: CefPolytope, surplus: Sequence[Fraction], failure: str) -> BidProfile:
@@ -314,9 +313,9 @@ def vertex_rows(polytope: CefPolytope) -> list[tuple[tuple[Fraction, ...], Fract
     """
     members = polytope.members
     rows = [
-        (tuple(ONE if k in c.bidders else ZERO for k in members), c.rhs)
+        (tuple(ONE if k in c.bidders else ZERO for k in members), rhs)
         for c in polytope.constraints
-        if c.rhs != 0
+        if (rhs := polytope.rhs(c)) != 0
     ]
     for p, member in enumerate(members):
         unit = tuple(ONE if q == p else ZERO for q in range(len(members)))
@@ -334,7 +333,9 @@ def in_polytope(polytope: CefPolytope, point: Sequence[Fraction]) -> bool:
     if any(x < 0 or x > values[member] for x, member in zip(point, members)):
         return False
     bids = dict(zip(members, point))
-    return all(exact_sum(bids[i] for i in c.bidders) >= c.rhs for c in polytope.constraints)
+    return all(
+        exact_sum(bids[i] for i in c.bidders) >= polytope.rhs(c) for c in polytope.constraints
+    )
 
 
 _COMBINATION_BUDGET = 500_000
@@ -407,10 +408,11 @@ def revenue_range(polytope: CefPolytope) -> tuple[Fraction, Fraction]:
     cheapest = sample_pareto_equilibrium(polytope, [Fraction(1)] * len(members))
     low = exact_sum(cheapest[i] for i in members)
     caps = [instance._units[k] for k in members]
-    total = instance._totals[polytope.winner]
+    total = sum(caps)
     rows = surplus_rows(polytope)
-    positive = [row for row, c in zip(rows, polytope.constraints) if c.rhs > 0]
-    masks = [sum(a << p for p, a in enumerate(coeffs)) for coeffs, _ in positive]
+    positive = [c for c in polytope.constraints if polytope.rhs(c) > 0]
+    position = {k: p for p, k in enumerate(members)}
+    masks = [sum([1 << position[k] for k in c.bidders]) for c in positive]
     high, argmax, solved = low * instance._scale, None, 0
 
     def solve(cover: list[int]) -> None:
@@ -421,8 +423,8 @@ def revenue_range(polytope: CefPolytope) -> tuple[Fraction, Fraction]:
                 f"{solved} solved of {_COVER_BUDGET}"
             )
         solved += 1
-        counts = [sum(positive[i][0][p] for i in cover) for p in range(len(members))]
-        reach = sum([positive[i][1] for i in cover] + [c for c, n in zip(caps, counts) if not n])
+        counts = [sum([masks[i] >> p & 1 for i in cover]) for p in range(len(members))]
+        reach = sum([positive[i].room for i in cover] + [c for c, n in zip(caps, counts) if not n])
         value, surplus = solve_min(
             [-(count or 1) for count in counts], le=rows, upper=caps, then=[1] * len(members)
         )

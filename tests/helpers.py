@@ -226,22 +226,34 @@ def egalitarian_by_rounds(
     return profile, outcome, trace
 
 
+def rows_by_sums(polytope: CefPolytope) -> list[tuple[frozenset[int], Fraction]]:
+    """Each envy-free row of the polytope in bid form, as (bidders, rhs):
+    sum of bids over bidders >= rhs. Both are rebuilt from the row's rival
+    ad, not read off the row: the winning members it lacks and its Fraction
+    values outside the winner. The reference for every test that checks
+    the rows' own bidders and room."""
+    instance = polytope.instance
+    winner = instance.members(polytope.winner)
+    rows = []
+    for c in polytope.constraints:
+        rival = instance.ads[c.ad].members
+        rows.append((winner - rival, exact_sum(instance.values[i] for i in rival - winner)))
+    return rows
+
+
 def surplus_rows_by_sums(polytope: CefPolytope) -> list[tuple[tuple[int, ...], Fraction]]:
     """Each envy-free row in surplus coordinates y = value - bid, as (0/1
     coefficients in member order, room): coefficients . y <= room, where the
     room is the value of the row's bidders minus the rival's outside value.
 
-    The rows as Fractions, each room re-summed from the member values: the
-    reference for `polytope.surplus_rows`, whose rooms are the same numbers
-    in the instance's integer units."""
+    The rows of `rows_by_sums` as Fractions, each room re-summed from the
+    member values: the reference for `polytope.surplus_rows`, whose rooms
+    are the same numbers in the instance's integer units."""
     members = polytope.members
     values = polytope.instance.values
     return [
-        (
-            tuple(int(k in c.bidders) for k in members),
-            exact_sum(values[i] for i in c.bidders) - c.rhs,
-        )
-        for c in polytope.constraints
+        (tuple(int(k in bidders) for k in members), exact_sum(values[i] for i in bidders) - rhs)
+        for bidders, rhs in rows_by_sums(polytope)
     ]
 
 
@@ -594,9 +606,8 @@ def _check_literal_size_by_counting(text: str, where: str) -> None:
 
 def parse_scalar_by_fraction(value: object, where: str = "value") -> Fraction:
     """Every value read by `Fraction(text)` after the literal-size checks: the
-    reference for the document readers, which read short plain literals
-    ("123", "p/q", "12.5") with int() and hand every other value to
-    `model.parse_scalar`."""
+    reference for `model.parse_scalar`, which reads short plain literals
+    ("123", "p/q", "12.5") with int()."""
     if isinstance(value, bool):
         raise InstanceError(f"{where}: expected a number, got a boolean")
     if isinstance(value, Fraction):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -218,7 +219,8 @@ def tie_families():
 
 
 class TestIntegerTotals:
-    """The integer ad totals against plain Fraction sums, on exact ties."""
+    """The integer ad totals against plain Fraction sums, on exact ties (and
+    for the envy-free rows, on wide winners too)."""
 
     def test_winner_and_ties_match_fraction_sums(self):
         tied = 0
@@ -237,12 +239,21 @@ class TestIntegerTotals:
             assert vcg(instance) == vcg_bruteforce(instance)
 
     def test_revenue_floor_and_rows_match_fraction_sums(self):
-        for instance in tie_families():
+        # The tie families, then winners of 32-48 members as in the wide
+        # workload.
+        rng = random.Random(3248)
+        wide = [rival_family(rng, members) for members in range(32, 49)]
+        for instance in itertools.chain(tie_families(), wide):
             winner = instance.members(efficient_winner(instance))
             outside = [
                 sum((instance.values[i] for i in ad.members - winner), F(0))
                 for ad in instance.ads
             ]
             assert revenue_lower_bound(instance) == max(outside)
-            for row in build_polytope(instance).constraints:
-                assert row.rhs == outside[row.ad]
+            polytope = build_polytope(instance)
+            rows = [(row.ad, row.bidders, polytope.rhs(row)) for row in polytope.constraints]
+            assert rows == [
+                (ad.id, winner - ad.members, outside[ad.id])
+                for ad in instance.ads
+                if winner - ad.members
+            ]

@@ -34,7 +34,6 @@ from coopetition.model import (
     ZERO,
     Outcome,
     Record,
-    _plain_scalar,
     exact_sum,
     instance_from_document,
 )
@@ -120,8 +119,8 @@ def _read(read, *args):
 
 class TestPlainLiterals:
     """Instance values and bids in the forms "123", "p/q" and "12.5" are
-    read with int(); each must read as `Fraction(text)` does, and every
-    other form and every error must be what `parse_scalar` says."""
+    read with int(); each value and every error must be what
+    `parse_scalar_by_fraction`, which reads with `Fraction(text)`, says."""
 
     @given(LITERALS)
     @settings(max_examples=400, deadline=None, derandomize=True)
@@ -147,7 +146,7 @@ class TestPlainLiterals:
          ("0/3", F(0)), ("9" * 40, F(int("9" * 40)))],
     )
     def test_plain_forms_are_read_with_int(self, text, value):
-        assert _plain_scalar(text) == value
+        assert parse_scalar(text) == value == parse_scalar_by_fraction(text)
 
     @pytest.mark.parametrize(
         "text",
@@ -155,7 +154,8 @@ class TestPlainLiterals:
          "5.", "1e2", "1.2.3", "1/2/3", "9" * 41, 7, True, None],
     )
     def test_every_other_form_is_left_to_parse_scalar(self, text):
-        assert _plain_scalar(text) is None
+        where = "advertisers[0].value"
+        assert _read(parse_scalar, text, where) == _read(parse_scalar_by_fraction, text, where)
 
     def test_a_non_ascii_digit_is_a_located_error(self):
         doc = {"advertisers": [{"name": "A", "value": "²"}], "ads": [["A"]]}
@@ -434,7 +434,7 @@ def _record_samples():
     c = coopetition
     instance = make_instance({"A": 1, "B": 2}, [["A", "B"], ["B"]])
     ad = instance.ads[0]
-    row = c.CefConstraint(1, (0,), F(0))
+    row = c.CefConstraint(1, frozenset({0}), 1)
     event = c.RoundEvent("zero", 0)
     lowering = c.LoweringRound(F(1), (event,), (0,), (F(0), F(2)))
     return [
@@ -442,7 +442,7 @@ def _record_samples():
         (c.Ad, (0, frozenset({0, 1}))),
         (c.AuctionInstance, (("A", "B"), (F(1), F(2)), (ad, c.Ad(1, frozenset({1}))))),
         (c.Outcome, (0, (F(1), F(0)), F(1), (F(0), F(2)))),
-        (c.CefConstraint, (1, (0,), F(1, 3))),
+        (c.CefConstraint, (1, frozenset({0}), 2)),
         (c.CefPolytope, (instance, 0, (row,))),
         (c.EquilibriumCertificate, ({0: None, 1: 2},)),
         (c.EquilibriumResult, (False, None, "A could lower")),

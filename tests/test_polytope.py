@@ -51,6 +51,7 @@ from helpers import (
     prime_family,
     random_instance,
     rival_family,
+    rows_by_sums,
     single_ad,
     solve_min_by_fractions,
     surplus_rows_by_sums,
@@ -126,7 +127,8 @@ def bruteforce_vertices(polytope, determinants: set[int] | None = None):
     define the polytope, kept when `is_ir` and `is_cef` accept them.
 
     Independent of `enumerate_vertices`: every envy-free row is a candidate
-    (rhs 0 too), the rows are built here, the square systems are solved by
+    (rhs 0 too), the rows are rebuilt from the rival ads (`rows_by_sums`)
+    with the bounds added here, the square systems are solved by
     integer determinants, and membership is the IR and CEF tests. The
     magnitude of each non-singular system's determinant is added to
     `determinants` when it is given.
@@ -134,7 +136,9 @@ def bruteforce_vertices(polytope, determinants: set[int] | None = None):
     members = polytope.members
     values = polytope.instance.values
     d = len(members)
-    rows = {(tuple(int(k in c.bidders) for k in members), c.rhs) for c in polytope.constraints}
+    rows = {
+        (tuple(int(k in bidders) for k in members), rhs) for bidders, rhs in rows_by_sums(polytope)
+    }
     for p, member in enumerate(members):
         unit = tuple(int(q == p) for q in range(d))
         rows |= {(unit, F(0)), (unit, values[member])}
@@ -214,28 +218,30 @@ def milp_max_revenue(polytope) -> float:
     """The revenue maximum as a scipy MILP in bid coordinates, independent of
     the cover search: binary t_r marks a tight row with rhs > 0 (its slack is
     at most room_r * (1 - t_r)), and a member bids at most its value times
-    the number of marked rows it is a bidder of."""
+    the number of marked rows it is a bidder of. The rows are rebuilt from
+    the rival ads (`rows_by_sums`)."""
     scipy_optimize = pytest.importorskip("scipy.optimize")
     members = polytope.members
     values = [float(polytope.instance.values[k]) for k in members]
-    positive = [c for c in polytope.constraints if c.rhs > 0]
+    envy_free = rows_by_sums(polytope)
+    positive = [(bidders, rhs) for bidders, rhs in envy_free if rhs > 0]
     d, width = len(members), len(members) + len(positive)
     rows, low, high = [], [], []
-    for c in polytope.constraints:
-        rows.append([float(k in c.bidders) for k in members] + [0.0] * len(positive))
-        low.append(float(c.rhs))
+    for bidders, rhs in envy_free:
+        rows.append([float(k in bidders) for k in members] + [0.0] * len(positive))
+        low.append(float(rhs))
         high.append(float("inf"))
-    for r, c in enumerate(positive):
-        room = sum(values[p] for p, k in enumerate(members) if k in c.bidders) - float(c.rhs)
-        rows.append([float(k in c.bidders) for k in members] + [0.0] * len(positive))
+    for r, (bidders, rhs) in enumerate(positive):
+        room = sum(values[p] for p, k in enumerate(members) if k in bidders) - float(rhs)
+        rows.append([float(k in bidders) for k in members] + [0.0] * len(positive))
         rows[-1][d + r] = room
         low.append(-float("inf"))
-        high.append(float(c.rhs) + room)
+        high.append(float(rhs) + room)
     for p, k in enumerate(members):
         rows.append([0.0] * width)
         rows[-1][p] = 1.0
-        for r, c in enumerate(positive):
-            rows[-1][d + r] = -values[p] if k in c.bidders else 0.0
+        for r, (bidders, _) in enumerate(positive):
+            rows[-1][d + r] = -values[p] if k in bidders else 0.0
         low.append(-float("inf"))
         high.append(0.0)
     result = scipy_optimize.milp(
@@ -256,14 +262,14 @@ def tri_bids(a, b, c):
 class TestBuildPolytope:
     def test_triangle_rows(self):
         polytope = build_polytope(triangle())
-        rows = [(c.ad, c.bidders, c.rhs) for c in polytope.constraints]
-        assert rows == [(1, (1, 2), F(1)), (2, (0, 2), F(1))]
+        rows = [(c.ad, c.bidders, c.room, polytope.rhs(c)) for c in polytope.constraints]
+        assert rows == [(1, {1, 2}, 1, F(1)), (2, {0, 2}, 1, F(1))]
         assert polytope.members == (0, 1, 2)
 
     def test_two_ad_row(self):
         polytope = build_polytope(ab_e())
-        rows = [(c.ad, c.bidders, c.rhs) for c in polytope.constraints]
-        assert rows == [(1, (0, 1), F(3))]
+        rows = [(c.ad, c.bidders, c.room, polytope.rhs(c)) for c in polytope.constraints]
+        assert rows == [(1, {0, 1}, 1, F(3))]
 
     def test_single_ad_has_no_rows(self):
         assert build_polytope(single_ad()).constraints == ()
@@ -368,10 +374,12 @@ class TestIsEquilibrium:
                 kinds.add("not IR or not CEF")
                 continue
             tight = [
-                c for c in polytope.constraints if exact_sum(bids[i] for i in c.bidders) == c.rhs
+                (c.ad, bidders)
+                for c, (bidders, rhs) in zip(polytope.constraints, rows_by_sums(polytope))
+                if exact_sum(bids[i] for i in bidders) == rhs
             ]
             expected = {
-                k: None if bids[k] == 0 else next((c.ad for c in tight if k in c.bidders), None)
+                k: None if bids[k] == 0 else next((ad for ad, b in tight if k in b), None)
                 for k in polytope.members
             }
             unpinned = [k for k, ad in expected.items() if ad is None and bids[k] != 0]
@@ -429,23 +437,40 @@ class TestIsEquilibrium:
             "not CEF: against ad 1 {E} the uncovered members bid 17/21, below the outside value 1"
         )
 
-    def test_rows_are_read_from_the_polytope_record(self):
-        # A polytope built by hand, its rhs in the instance's units, is
-        # checked against the rows it holds, and the failure quotes the rhs
-        # the verdict used.
+    @staticmethod
+    def hand_built(room):
+        """The one row of {A: 1/3, B: 1, E: 1} with ads [[A, B], [E]] (room
+        1, bid-form rhs 1), rebuilt by hand with another room."""
         instance = make_instance({"A": "1/3", "B": 1, "E": 1}, [["A", "B"], ["E"]])
         built = build_polytope(instance)
         (row,) = built.constraints
-        lower, higher = (
-            CefPolytope(instance, built.winner, (CefConstraint(row.ad, row.bidders, rhs),))
-            for rhs in (F(2, 3), F(4, 3))
-        )
+        return CefPolytope(instance, built.winner, (CefConstraint(row.ad, row.bidders, room),))
+
+    def test_rows_are_read_from_the_polytope_record(self):
+        # A polytope built by hand is checked against the rows it holds, and
+        # the failure quotes the bid-form rhs its room gives: the bidders'
+        # value 4/3 less room 2 is 2/3, less room 0 is 4/3.
+        lower, higher = self.hand_built(2), self.hand_built(0)
+        built = build_polytope(lower.instance)
+        assert [p.rhs(row) for p in (lower, higher) for row in p.constraints] == [F(2, 3), F(4, 3)]
         bids = (F(1, 7), F(2, 3), F(1))
         assert not is_cef(built, bids)
         assert is_cef(lower, bids)
         assert is_equilibrium(higher, (F(1, 3), F(5, 6), F(1))).failure == (
             "not CEF: against ad 1 {E} the uncovered members bid 7/6, below the outside value 4/3"
         )
+
+    @pytest.mark.parametrize(
+        "room, bids, revenue",
+        [(2, (F(0), F(2, 3), F(1)), F(2, 3)), (0, (F(1, 3), F(1), F(1)), F(4, 3))],
+    )
+    def test_lps_read_the_rows_the_checks_read(self, room, bids, revenue):
+        # The LPs pose the hand-built row too, so their optima pass the
+        # checks that read it.
+        polytope = self.hand_built(room)
+        assert sample_pareto_equilibrium(polytope, [F(1), F(1)]) == bids
+        assert is_equilibrium(polytope, bids).ok
+        assert revenue_range(polytope) == (revenue, revenue)
 
     def test_row_slacks_in_units_are_the_fraction_slacks(self):
         # Member bids over denominators the instance's scale lacks, some
@@ -463,7 +488,9 @@ class TestIsEquilibrium:
                 bids[k] *= F(rng.randint(-1, 12), rng.choice((1, 3, 7, 10, 10**20 + 1)))
             scale, _, slacks = polytope_module._row_slacks(polytope, tuple(bids))
             assert scale % instance._scale == 0
-            expected = [exact_sum(bids[i] for i in c.bidders) - c.rhs for c in polytope.constraints]
+            expected = [
+                exact_sum(bids[i] for i in bidders) - rhs for bidders, rhs in rows_by_sums(polytope)
+            ]
             assert [F(slack, scale) for slack in slacks] == expected
             violated = next((c for c, x in zip(polytope.constraints, expected) if x < 0), None)
             assert first_cef_violation(polytope, bids) == violated
@@ -499,6 +526,7 @@ class TestSamplePareto:
         for size in sizes:
             polytope = build_polytope(rival_family(rng, size))
             members = polytope.members
+            rows = rows_by_sums(polytope)
             caps = [(0.0, float(polytope.instance.values[k])) for k in members]
             random_weights = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in members]
             for weights in ([F(1)] * len(members), random_weights):
@@ -506,11 +534,8 @@ class TestSamplePareto:
                 exact = float(sum(w * bids[k] for w, k in zip(weights, members)))
                 result = scipy_optimize.linprog(
                     c=[float(w) for w in weights],
-                    A_ub=[
-                        [-1.0 if k in c.bidders else 0.0 for k in members]
-                        for c in polytope.constraints
-                    ],
-                    b_ub=[-float(c.rhs) for c in polytope.constraints],
+                    A_ub=[[-1.0 if k in bidders else 0.0 for k in members] for bidders, _ in rows],
+                    b_ub=[-float(rhs) for _, rhs in rows],
                     bounds=caps,
                     method="highs",
                 )
