@@ -23,8 +23,7 @@ _EXPORTS = {
         "position_vcg", "serialize_owned_auction",
     ),
     "egalitarian": (
-        "LoweringRound", "LoweringTrace", "RoundEvent", "egalitarian_solve",
-        "verify_egalitarian",
+        "LoweringRound", "LoweringTrace", "egalitarian_solve", "verify_egalitarian",
     ),
     "mechanisms": (
         "efficient_winner", "first_price_clear", "revenue_lower_bound", "vcg",
@@ -34,14 +33,13 @@ _EXPORTS = {
         "Ad", "AuctionInstance", "BidProfile", "GridBudgetError", "GridSpec",
         "InstanceError", "InternalError", "Outcome", "Scalar", "check_bids",
         "display_scalar", "format_scalar", "parse_bids", "parse_instance",
-        "parse_scalar", "serialize_instance", "settle", "total_bid", "total_value",
+        "parse_scalar", "serialize_instance", "settle", "total_bid",
     ),
     "oracle": ("enumerate_equilibria_grid", "lexmax_surplus_grid", "vcg_bruteforce"),
     "polytope": (
-        "CefConstraint", "CefPolytope", "EquilibriumCertificate", "EquilibriumResult",
-        "build_polytope", "canonical_bids", "enumerate_vertices", "first_cef_violation",
-        "first_ir_violation", "is_cef", "is_equilibrium", "is_ir", "revenue_range",
-        "sample_pareto_equilibrium",
+        "CefConstraint", "CefPolytope", "EquilibriumResult", "build_polytope",
+        "canonical_bids", "enumerate_vertices", "first_cef_violation", "first_ir_violation",
+        "is_cef", "is_equilibrium", "is_ir", "revenue_range", "sample_pareto_equilibrium",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -294,12 +294,12 @@ def cmd_verify(args: argparse.Namespace) -> dict[str, Node]:
         "is_equilibrium": bool(result),
     }
     if result:
-        witnesses = result.certificate.witnesses
+        witnesses = result.witnesses
         labels = {ad: instance.label(ad) for ad in set(witnesses.values()) - {None}}
         labels[None] = "zero bid"
         report["certificate"] = {instance.names[k]: labels[witnesses[k]] for k in polytope.members}
     else:
-        report["failure"] = result.failure or ""
+        report["failure"] = result.failure
     return report
 
 

@@ -44,36 +44,28 @@ from .oracle import enumerate_equilibria_grid
 from .polytope import build_polytope, is_equilibrium
 
 
-class RoundEvent(Record):
-    """What triggered a freeze: a bid reaching zero or a rival ad going tight."""
-
-    __slots__ = ("kind", "bidder", "ad")
-    kind: str  # "zero" or "tight"
-    bidder: int | None
-    ad: int | None
-
-    def __init__(self, kind: str, bidder: int | None = None, ad: int | None = None) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "bidder", bidder)
-        object.__setattr__(self, "ad", ad)
-
-
 class LoweringRound(Record):
-    __slots__ = ("decrement", "events", "fixed", "bids")
+    """One round: its decrement, the members whose bids reached 0 (sorted), the
+    rival ads that went tight (in ad order), the members it froze, the bids."""
+
+    __slots__ = ("decrement", "zeros", "tight", "fixed", "bids")
     decrement: Fraction
-    events: tuple[RoundEvent, ...]
+    zeros: tuple[int, ...]
+    tight: tuple[int, ...]
     fixed: tuple[int, ...]
     bids: BidProfile  # full profile after the round
 
     def __init__(
         self,
         decrement: Fraction,
-        events: tuple[RoundEvent, ...],
+        zeros: tuple[int, ...],
+        tight: tuple[int, ...],
         fixed: tuple[int, ...],
         bids: BidProfile,
     ) -> None:
         object.__setattr__(self, "decrement", decrement)
-        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "zeros", zeros)
+        object.__setattr__(self, "tight", tight)
         object.__setattr__(self, "fixed", fixed)
         object.__setattr__(self, "bids", bids)
 
@@ -91,12 +83,8 @@ class LoweringTrace(Record):
         lines = [f"winner: {instance.label(self.winner)}"]
         members = sorted(instance.members(self.winner))
         for number, r in enumerate(self.rounds, start=1):
-            events = []
-            for event in r.events:
-                if event.kind == "zero":
-                    events.append(f"{instance.names[event.bidder]} reached 0")
-                else:
-                    events.append(f"{instance.label(event.ad)} went tight")
+            events = [f"{instance.names[k]} reached 0" for k in r.zeros]
+            events += [f"{instance.label(j)} went tight" for j in r.tight]
             fixed = ", ".join(instance.names[i] for i in r.fixed)
             member_bids = ", ".join(
                 f"{instance.names[i]}={display_scalar(r.bids[i])}" for i in members
@@ -163,14 +151,14 @@ def egalitarian_solve(
             if not scaled[k]:
                 zeros.append(k)
         zeros.sort()
-        events = [RoundEvent(kind="zero", bidder=k) for k in zeros]
+        tight = []
         frozen = set(zeros)
         for r in active:
             slack[r] -= step * moving[r]
             if slack[r] < 0:
                 raise InternalError("lowering must preserve the winner")
             if slack[r] == 0:
-                events.append(RoundEvent(kind="tight", ad=rows[r].ad))
+                tight.append(rows[r].ad)
                 frozen.update(unfixed & lacks[r])
         if not frozen:
             raise InternalError("a lowering round must fix at least one member")
@@ -181,7 +169,8 @@ def egalitarian_solve(
         rounds.append(
             LoweringRound(
                 decrement=Fraction(step, denominator),
-                events=tuple(events),
+                zeros=tuple(zeros),
+                tight=tuple(tight),
                 fixed=tuple(sorted(frozen)),
                 bids=tuple(bids),
             )

@@ -83,7 +83,7 @@ def revenue_lower_bound(instance: AuctionInstance) -> Fraction:
     winner_members = instance.members(winner)
     units = instance._units
     bound = 0
-    for ad in instance.ads:
-        if ad.id != winner:
+    for j, ad in enumerate(instance.ads):
+        if j != winner:
             bound = max(bound, sum([units[i] for i in ad.members - winner_members]))
     return Fraction(bound, instance._scale)

@@ -257,14 +257,12 @@ def display_scalar(x: Fraction) -> str:
 
 
 class Ad(Record):
-    """One ad: an id (its position in the instance) and its member set."""
+    """One ad: its member set. Its id is its position in the instance."""
 
-    __slots__ = ("id", "members")
-    id: int
+    __slots__ = ("members",)
     members: frozenset[int]
 
-    def __init__(self, id: int, members: frozenset[int]) -> None:
-        object.__setattr__(self, "id", id)
+    def __init__(self, members: frozenset[int]) -> None:
         object.__setattr__(self, "members", members)
 
 
@@ -288,10 +286,9 @@ class _Scaled:
 class AuctionInstance(Record, _Scaled):
     """Immutable auction instance: advertiser names, values, and ads.
 
-    Invariants enforced at construction: values are non-negative, ad ids
-    match their positions, member sets are non-empty, pairwise distinct and
-    reference declared advertisers, and every advertiser appears in at least
-    one ad.
+    Invariants enforced at construction: values are non-negative, member
+    sets are non-empty, pairwise distinct and reference declared advertisers,
+    and every advertiser appears in at least one ad.
     """
 
     __slots__ = ("names", "values", "ads")
@@ -314,17 +311,15 @@ class AuctionInstance(Record, _Scaled):
         scale = _common_denominator(enumerate(values), "advertisers[{}].value", "values")
         if not ads:
             raise InstanceError("at least one ad is required")
+        indices = frozenset(range(len(names)))
         seen: dict[frozenset[int], int] = {}
         covered: set[int] = set()
         for position, ad in enumerate(ads):
-            if ad.id != position:
-                raise InstanceError(f"ads[{position}]: id {ad.id} does not match position")
             if not ad.members:
                 raise InstanceError(f"ads[{position}]: empty ad")
-            if min(ad.members) < 0 or max(ad.members) >= len(names):
-                for i in ad.members:
-                    if not 0 <= i < len(names):
-                        raise InstanceError(f"ads[{position}]: unknown advertiser index {i}")
+            if not ad.members <= indices:
+                bad = next(i for i in ad.members if i not in indices)
+                raise InstanceError(f"ads[{position}]: unknown advertiser index {bad}")
             if ad.members in seen:
                 raise InstanceError(
                     f"ads[{position}]: identical member set to ads[{seen[ad.members]}]"
@@ -442,7 +437,7 @@ def instance_from_document(doc: object) -> AuctionInstance:
                 if name in seen:
                     raise InstanceError(f"ads[{j}]: duplicate member {name!r}")
                 seen.add(name)
-        ads.append(Ad(j, members))
+        ads.append(Ad(members))
     return AuctionInstance(names=tuple(names), values=tuple(values), ads=tuple(ads))
 
 
@@ -452,7 +447,7 @@ def serialize_instance(instance: AuctionInstance) -> str:
             {"name": name, "value": format_scalar(value)}
             for name, value in zip(instance.names, instance.values)
         ],
-        "ads": [list(instance.member_names(ad.id)) for ad in instance.ads],
+        "ads": [list(instance.member_names(j)) for j in range(instance.m)],
     }
     return json.dumps(doc, indent=2)
 
@@ -502,11 +497,6 @@ def exact_sum(terms: Iterable[Fraction | int]) -> Fraction:
             common = grown
         numerator += term.numerator * (common // denominator)
     return Fraction(numerator, common)
-
-
-def total_value(instance: AuctionInstance, ad_id: int) -> Fraction:
-    """Sum of member values for one ad."""
-    return Fraction(instance._totals[ad_id], instance._scale)
 
 
 def total_bid(instance: AuctionInstance, bids: Sequence[Fraction], ad_id: int) -> Fraction:

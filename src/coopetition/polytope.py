@@ -108,29 +108,26 @@ class CefPolytope(Record):
         return Fraction(sum([units[i] for i in row.bidders]) - row.room, self.instance._scale)
 
 
-class EquilibriumCertificate(Record):
-    """Why nobody lowers: each member is at zero (None) or names a tying
-    rival ad it does not belong to. The witnesses are a read-only copy."""
-
-    __slots__ = ("witnesses",)
-    witnesses: Mapping[int, int | None]
-
-    def __init__(self, witnesses: Mapping[int, int | None]) -> None:
-        object.__setattr__(self, "witnesses", FrozenMap(witnesses))
-
-
 class EquilibriumResult(Record):
-    __slots__ = ("ok", "certificate", "failure")
-    ok: bool
-    certificate: EquilibriumCertificate | None
+    """A verdict on a bid profile: `witnesses` for an equilibrium, else the
+    `failure`, never both. Each member's witness is None when it bids zero,
+    else a tying rival ad it does not belong to; they are a read-only copy."""
+
+    __slots__ = ("witnesses", "failure")
+    witnesses: Mapping[int, int | None] | None
     failure: str | None
 
     def __init__(
-        self, ok: bool, certificate: EquilibriumCertificate | None, failure: str | None
+        self, witnesses: Mapping[int, int | None] | None = None, failure: str | None = None
     ) -> None:
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "certificate", certificate)
+        if (witnesses is None) == (failure is None):
+            raise ValueError("exactly one of witnesses and failure must be set")
+        object.__setattr__(self, "witnesses", None if witnesses is None else FrozenMap(witnesses))
         object.__setattr__(self, "failure", failure)
+
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -148,11 +145,11 @@ def build_polytope(instance: AuctionInstance) -> CefPolytope:
     totals = instance._totals
     total = totals[winner]
     constraints = []
-    for ad in instance.ads:
+    for j, ad in enumerate(instance.ads):
         bidders = winner_members - ad.members
         if bidders:
-            constraints.append(CefConstraint(ad.id, bidders, total - totals[ad.id]))
-        elif totals[ad.id] != total:
+            constraints.append(CefConstraint(j, bidders, total - totals[j]))
+        elif totals[j] != total:
             raise InternalError("an ad covering the winner cannot out-value it")
     return CefPolytope(instance=instance, winner=winner, constraints=tuple(constraints))
 
@@ -205,10 +202,6 @@ def _row_slacks(polytope: CefPolytope, profile: BidProfile) -> tuple[int, dict, 
     return scale, surplus, [c.room * grow - sum(map(get, c.bidders)) for c in polytope.constraints]
 
 
-def _failed(failure: str) -> EquilibriumResult:
-    return EquilibriumResult(ok=False, certificate=None, failure=failure)
-
-
 def is_equilibrium(polytope: CefPolytope, bids: Sequence[Fraction]) -> EquilibriumResult:
     """Check the no-unilateral-lowering condition and produce a certificate.
 
@@ -225,16 +218,16 @@ def is_equilibrium(polytope: CefPolytope, bids: Sequence[Fraction]) -> Equilibri
     caps = {k: instance._units[k] * (scale // instance._scale) for k in members}
     for k in members:
         if not 0 <= surplus[k] <= caps[k]:
-            return _failed(
-                f"not IR: {instance.names[k]!r} bids {format_scalar(profile[k])}, outside "
-                f"[0, {format_scalar(instance.values[k])}]"
+            return EquilibriumResult(
+                failure=f"not IR: {instance.names[k]!r} bids {format_scalar(profile[k])}, "
+                f"outside [0, {format_scalar(instance.values[k])}]"
             )
     for violated, slack in zip(polytope.constraints, slacks):
         if slack < 0:
             rhs = polytope.rhs(violated)
-            return _failed(
-                f"not CEF: against {instance.label(violated.ad)} the uncovered members "
-                f"bid {format_scalar(rhs + Fraction(slack, scale))}, below the "
+            return EquilibriumResult(
+                failure=f"not CEF: against {instance.label(violated.ad)} the uncovered "
+                f"members bid {format_scalar(rhs + Fraction(slack, scale))}, below the "
                 f"outside value {format_scalar(rhs)}"
             )
     # Each positive member's witness: the first tight row it is a bidder of.
@@ -250,13 +243,11 @@ def is_equilibrium(polytope: CefPolytope, bids: Sequence[Fraction]) -> Equilibri
             unpinned -= pinned
     if unpinned:
         k = min(unpinned)
-        return _failed(
-            f"{instance.names[k]!r} bids {format_scalar(profile[k])} but no rival "
+        return EquilibriumResult(
+            failure=f"{instance.names[k]!r} bids {format_scalar(profile[k])} but no rival "
             f"ad excluding it ties the winner: lowering would be profitable"
         )
-    return EquilibriumResult(
-        ok=True, certificate=EquilibriumCertificate(witnesses=witnesses), failure=None
-    )
+    return EquilibriumResult(witnesses=witnesses)
 
 
 def sample_pareto_equilibrium(
@@ -407,10 +398,12 @@ def revenue_range(polytope: CefPolytope) -> tuple[Fraction, Fraction]:
     members = polytope.members
     cheapest = sample_pareto_equilibrium(polytope, [Fraction(1)] * len(members))
     low = exact_sum(cheapest[i] for i in members)
-    caps = [instance._units[k] for k in members]
+    units = instance._units
+    caps = [units[k] for k in members]
     total = sum(caps)
     rows = surplus_rows(polytope)
-    positive = [c for c in polytope.constraints if polytope.rhs(c) > 0]
+    # The rows with rhs > 0, their bidders' value past their room.
+    positive = [c for c in polytope.constraints if c.room < sum([units[k] for k in c.bidders])]
     position = {k: p for p, k in enumerate(members)}
     masks = [sum([1 << position[k] for k in c.bidders]) for c in positive]
     high, argmax, solved = low * instance._scale, None, 0

@@ -20,7 +20,6 @@ from coopetition import (
     LoweringRound,
     LoweringTrace,
     Outcome,
-    RoundEvent,
     build_polytope,
     efficient_winner,
     enumerate_equilibria_grid,
@@ -192,17 +191,18 @@ def egalitarian_by_rounds(
         for k in unfixed:
             bids[k] -= step
 
-        events: list[RoundEvent] = []
+        zeros: list[int] = []
+        tight: list[int] = []
         frozen: set[int] = set()
         for k in sorted(unfixed):
             if bids[k] == 0:
-                events.append(RoundEvent(kind="zero", bidder=k))
+                zeros.append(k)
                 frozen.add(k)
         winner_total = total_bid(instance, bids, winner)
         for j in rivals:
             outside = [k for k in unfixed if k not in instance.members(j)]
             if outside and total_bid(instance, bids, j) == winner_total:
-                events.append(RoundEvent(kind="tight", ad=j))
+                tight.append(j)
                 frozen.update(outside)
         if not frozen:
             raise RuntimeError("a lowering round must fix at least one member")
@@ -210,7 +210,8 @@ def egalitarian_by_rounds(
         rounds.append(
             LoweringRound(
                 decrement=step,
-                events=tuple(events),
+                zeros=tuple(zeros),
+                tight=tuple(tight),
                 fixed=tuple(sorted(frozen)),
                 bids=tuple(bids),
             )

@@ -614,7 +614,7 @@ class TestExitStatus:
 
         def reject_the_maximum(polytope, bids):
             if sum(bids[k] for k in polytope.members) == 2:
-                return EquilibriumResult(ok=False, certificate=None, failure="rejected")
+                return EquilibriumResult(failure="rejected")
             return check(polytope, bids)
 
         monkeypatch.setattr(coopetition.polytope, "is_equilibrium", reject_the_maximum)

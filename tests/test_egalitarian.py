@@ -81,16 +81,15 @@ class TestGoldenRuns:
         bids, outcome, trace = egalitarian_solve(instance)
         assert bids[:2] == (F(3), F(0))
         assert [r.decrement for r in trace.rounds] == [F(1), F(6)]
-        assert trace.rounds[0].events[0].kind == "zero"
-        assert trace.rounds[1].events[0].kind == "tight"
+        assert (trace.rounds[0].zeros, trace.rounds[0].tight) == ((1,), ())
+        assert (trace.rounds[1].zeros, trace.rounds[1].tight) == ((), (1,))
 
     def test_simultaneous_events_share_a_round(self):
         instance = make_instance({"A": 1, "B": 1, "E": 0}, [["A", "B"], ["E"]])
         bids, _, trace = egalitarian_solve(instance)
         assert bids[:2] == (F(0), F(0))
         assert len(trace.rounds) == 1
-        kinds = sorted(e.kind for e in trace.rounds[0].events)
-        assert kinds == ["tight", "zero", "zero"]
+        assert (trace.rounds[0].zeros, trace.rounds[0].tight) == ((0, 1), (1,))
 
 
 class TestTrace:
@@ -214,7 +213,7 @@ class TestLexmaxCertificate:
     def test_bottleneck_holds_at_wide_size(self):
         for instance in wide_slice():
             bids, _, trace = egalitarian_solve(instance)
-            assert any(e.kind == "tight" for r in trace.rounds for e in r.events)
+            assert any(r.tight for r in trace.rounds)
             assert bottleneck_failure(instance, bids) is None
 
     def test_lopsided_equilibrium_has_no_bottleneck(self):

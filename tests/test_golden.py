@@ -1,0 +1,62 @@
+"""Golden reports: the exact bytes of `solve egalitarian --trace` and of
+`verify` on a passing and a failing bid file, in all three formats, for the
+triangle and a seeded rival-family winner (`rival_family(Random(200), 4, 2)`,
+whose first lowering round has a bid reaching zero and a rival going tight
+together, and whose certificate has a zero bid). The inputs and the expected
+reports live in `tests/golden/`.
+
+A deliberate change to a report is written back with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and the diff of `tests/golden/` is then the change to review.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from coopetition.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+FORMATS = ("table", "csv", "json")
+COMMANDS = {
+    "solve-egalitarian": lambda name: ["solve", f"{name}.json", "egalitarian", "--trace"],
+    "verify-pass": lambda name: ["verify", f"{name}.json", f"{name}-pass.json"],
+    "verify-fail": lambda name: ["verify", f"{name}.json", f"{name}-fail.json"],
+}
+CASES = [
+    (name, command, fmt)
+    for name in ("triangle", "rival")
+    for command in COMMANDS
+    for fmt in FORMATS
+]
+
+
+def report(name: str, command: str, fmt: str) -> str:
+    """The command's standard output; it must exit 0 and write no error."""
+    argv = [str(GOLDEN / arg) if arg.endswith(".json") else arg for arg in COMMANDS[command](name)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--format", fmt])
+    assert (code, err.getvalue()) == (0, "")
+    return out.getvalue()
+
+
+def expected_path(name: str, command: str, fmt: str) -> Path:
+    return GOLDEN / f"{name}.{command}.{fmt}"
+
+
+@pytest.mark.parametrize("name, command, fmt", CASES)
+def test_report_bytes(name, command, fmt):
+    expected = expected_path(name, command, fmt).read_bytes().decode("utf-8")
+    assert report(name, command, fmt) == expected
+
+
+if __name__ == "__main__":
+    for case in CASES:
+        expected_path(*case).write_bytes(report(*case).encode("utf-8"))

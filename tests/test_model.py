@@ -27,7 +27,6 @@ from coopetition import (
     serialize_instance,
     settle,
     total_bid,
-    total_value,
 )
 from coopetition import model
 from coopetition.model import (
@@ -184,7 +183,7 @@ class TestPlainLiterals:
 
     @pytest.mark.parametrize("index", [2, 7, -1])
     def test_an_index_out_of_range_is_named(self, index):
-        ads = (Ad(0, frozenset({0})), Ad(1, frozenset({1, index})))
+        ads = (Ad(frozenset({0})), Ad(frozenset({1, index})))
         with pytest.raises(InstanceError) as caught:
             AuctionInstance(("A", "B"), (F(1), F(1)), ads)
         assert str(caught.value) == f"ads[1]: unknown advertiser index {index}"
@@ -343,9 +342,12 @@ class TestParseBids:
 
 class TestTotals:
     def test_total_value(self):
+        # An ad's total value is the sum of its members' values, which the
+        # instance caches in its units.
         instance = triangle()
-        assert total_value(instance, 0) == F(3)
-        assert total_value(instance, 1) == F(2)
+        totals = [sum((instance.values[i] for i in ad.members), F(0)) for ad in instance.ads]
+        assert totals == [F(3), F(2), F(2)]
+        assert [F(t, instance._scale) for t in instance._totals] == totals
 
     def test_total_bid(self):
         instance = triangle()
@@ -435,19 +437,16 @@ def _record_samples():
     instance = make_instance({"A": 1, "B": 2}, [["A", "B"], ["B"]])
     ad = instance.ads[0]
     row = c.CefConstraint(1, frozenset({0}), 1)
-    event = c.RoundEvent("zero", 0)
-    lowering = c.LoweringRound(F(1), (event,), (0,), (F(0), F(2)))
+    lowering = c.LoweringRound(F(1), (0,), (1,), (0,), (F(0), F(2)))
     return [
         (c.GridSpec, (F(1, 2), 5)),
-        (c.Ad, (0, frozenset({0, 1}))),
-        (c.AuctionInstance, (("A", "B"), (F(1), F(2)), (ad, c.Ad(1, frozenset({1}))))),
+        (c.Ad, (frozenset({0, 1}),)),
+        (c.AuctionInstance, (("A", "B"), (F(1), F(2)), (ad, c.Ad(frozenset({1}))))),
         (c.Outcome, (0, (F(1), F(0)), F(1), (F(0), F(2)))),
         (c.CefConstraint, (1, frozenset({0}), 2)),
         (c.CefPolytope, (instance, 0, (row,))),
-        (c.EquilibriumCertificate, ({0: None, 1: 2},)),
-        (c.EquilibriumResult, (False, None, "A could lower")),
-        (c.RoundEvent, ("tight", None, 1)),
-        (c.LoweringRound, (F(1), (event,), (0,), (F(0), F(2)))),
+        (c.EquilibriumResult, ({0: None, 1: 2}, None)),
+        (c.LoweringRound, (F(1), (0,), (1,), (0,), (F(0), F(2)))),
         (c.LoweringTrace, (0, (lowering,))),
         (c.OwnedAuction, (instance, (0, 1), (F(1), F(1, 2)))),
         (c.ContractTerm, (1, 0, F(1, 2), F(3), F(0))),
@@ -461,7 +460,7 @@ RECORD_SAMPLES = _record_samples()
 def _hashable(cls, values) -> bool:
     """Whether a record built from `values` hashes: when they all hash, or
     when the record keeps read-only copies of its mapping arguments."""
-    if cls in (coopetition.EquilibriumCertificate, coopetition.PositionOutcome):
+    if cls in (coopetition.EquilibriumResult, coopetition.PositionOutcome):
         return True
     try:
         hash(values)
@@ -472,7 +471,7 @@ def _hashable(cls, values) -> bool:
 
 def test_every_record_type_is_sampled():
     assert set(Record.__subclasses__()) == {cls for cls, _ in RECORD_SAMPLES}
-    assert len(RECORD_SAMPLES) == 14
+    assert len(RECORD_SAMPLES) == 12
 
 
 @pytest.mark.parametrize(
@@ -527,7 +526,7 @@ class TestInstanceScale:
     def test_one_scale_for_every_value(self):
         instance = self.sample()
         assert (instance._scale, instance._units, instance._totals) == (6, (2, 15, 0), (17, 15, 0))
-        assert [total_value(instance, j) for j in range(3)] == [F(17, 6), F(5, 2), F(0)]
+        assert [F(t, instance._scale) for t in instance._totals] == [F(17, 6), F(5, 2), F(0)]
 
     def test_the_scale_admits_any_one_literal(self):
         # The scale limit is ten times the literal limit, in digits.
@@ -573,10 +572,14 @@ class TestInstanceScale:
 
 def test_record_defaults_and_repr():
     assert coopetition.GridSpec(F(1)).budget == 10_000_000
-    event = coopetition.RoundEvent("zero")
-    assert (event.bidder, event.ad) == (None, None)
-    assert coopetition.RoundEvent("tight", ad=2) == coopetition.RoundEvent("tight", None, 2)
+    failed = coopetition.EquilibriumResult(failure="A could lower")
+    assert (failed.witnesses, failed.ok, bool(failed)) == (None, False, False)
+    passed = coopetition.EquilibriumResult({0: None})
+    assert (passed.failure, passed.ok, bool(passed)) == (None, True, True)
+    for both_or_neither in ((), ({0: None}, "A could lower")):
+        with pytest.raises(ValueError, match="^exactly one of witnesses and failure must be set$"):
+            coopetition.EquilibriumResult(*both_or_neither)
     assert repr(coopetition.GridSpec(F(1, 2))) == (
         "GridSpec(epsilon=Fraction(1, 2), budget=10000000)"
     )
-    assert repr(coopetition.Ad(0, frozenset({1}))) == "Ad(id=0, members=frozenset({1}))"
+    assert repr(coopetition.Ad(frozenset({1}))) == "Ad(members=frozenset({1}))"

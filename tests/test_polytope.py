@@ -37,7 +37,6 @@ from coopetition.model import exact_sum
 from coopetition.polytope import (
     CefConstraint,
     CefPolytope,
-    EquilibriumCertificate,
     EquilibriumResult,
     surplus_rows,
     vertex_rows,
@@ -335,22 +334,22 @@ class TestIsEquilibrium:
         polytope = build_polytope(triangle())
         verdict = is_equilibrium(polytope, tri_bids(1, 1, 0))
         assert verdict.ok
-        assert verdict.certificate.witnesses == {0: 2, 1: 1, 2: None}
+        assert verdict.witnesses == {0: 2, 1: 1, 2: None}
 
     def test_certificate_hashes_and_keeps_its_own_witnesses(self):
         verdict = is_equilibrium(build_polytope(triangle()), tri_bids(1, 1, 0))
         assert hash(verdict) == hash(is_equilibrium(build_polytope(triangle()), tri_bids(1, 1, 0)))
         source = {0: 2, 1: 1, 2: None}
-        certificate = EquilibriumCertificate(source)
-        assert hash(certificate) == hash(verdict.certificate) and certificate == verdict.certificate
+        built = EquilibriumResult(witnesses=source)
+        assert hash(built) == hash(verdict) and built == verdict
         source[0] = 1
         del source[2]
-        assert certificate.witnesses == {0: 2, 1: 1, 2: None}
+        assert built.witnesses == {0: 2, 1: 1, 2: None}
         with pytest.raises(TypeError, match="read-only"):
-            certificate.witnesses[0] = 1
+            built.witnesses[0] = 1
         with pytest.raises(TypeError, match="read-only"):
-            certificate.witnesses.update({0: 1})
-        assert certificate.witnesses == {0: 2, 1: 1, 2: None}
+            built.witnesses.update({0: 1})
+        assert built.witnesses == {0: 2, 1: 1, 2: None}
 
     def test_witnesses_are_the_first_tight_rows_lacking_each_member(self):
         # The member-set lookups against the tuple scan over tight rows, on
@@ -388,7 +387,7 @@ class TestIsEquilibrium:
                 assert verdict.failure.startswith(f"{instance.names[unpinned[0]]!r} bids ")
                 kinds.add("unpinned")
             else:
-                assert verdict.ok and verdict.certificate.witnesses == expected
+                assert verdict.ok and verdict.witnesses == expected
                 kinds.add("equilibrium")
         assert kinds == {"not IR or not CEF", "unpinned", "equilibrium"}
 
@@ -631,7 +630,7 @@ class TestRevenueRange:
 
         def reject_the_maximum(polytope, bids):
             if sum(bids[k] for k in polytope.members) == 2:
-                return EquilibriumResult(ok=False, certificate=None, failure="rejected")
+                return EquilibriumResult(failure="rejected")
             return check(polytope, bids)
 
         monkeypatch.setattr(polytope_module, "is_equilibrium", reject_the_maximum)
