@@ -33,6 +33,7 @@ from .model import (  # noqa: F401
     GridSpec,
     InstanceError,
     Record,
+    exact_scalars,
     format_scalar,
     instance_from_document,
     load_document,
@@ -62,16 +63,13 @@ class OwnedAuction(Record):
                 )
         if not slots:
             raise InstanceError("at least one slot is required")
-        previous = None
+        slots = exact_scalars(slots, "slots[{}]")
         for k, rate in enumerate(slots):
             if not 0 < rate <= 1:
                 raise InstanceError(f"slots[{k}]: click rate must be in (0, 1]")
-            if previous is not None and rate >= previous:
+            if k and rate >= slots[k - 1]:
                 raise InstanceError(f"slots[{k}]: click rates must strictly decrease")
-            previous = rate
-        object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "owners", owners)
-        object.__setattr__(self, "slots", slots)
+        self._set_fields(instance, owners, slots)
 
 
 class ContractTerm(Record):
@@ -87,28 +85,21 @@ class ContractTerm(Record):
     def __init__(
         self, supporter: int, ad: int, fraction: Fraction, cap: Fraction, subsidy: Fraction
     ) -> None:
+        fraction, cap = parse_scalar(fraction, "fraction"), parse_scalar(cap, "cap")
+        subsidy = parse_scalar(subsidy, "subsidy")
         if not 0 <= fraction <= 1:
             raise ValueError("fraction must be in [0, 1]")
         if cap < 0:
             raise ValueError("cap must be non-negative")
         if subsidy < 0:
             raise ValueError("subsidy must be non-negative")
-        object.__setattr__(self, "supporter", supporter)
-        object.__setattr__(self, "ad", ad)
-        object.__setattr__(self, "fraction", fraction)
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "subsidy", subsidy)
+        self._set_fields(supporter, ad, fraction, cap, subsidy)
 
     @classmethod
     def committed(cls, supporter: int, ad: int, amount: Fraction) -> "ContractTerm":
         """Pledge a flat amount: pay the whole price up to `amount` per click."""
-        return cls(
-            supporter=supporter,
-            ad=ad,
-            fraction=Fraction(1),
-            cap=Fraction(amount),
-            subsidy=Fraction(amount),
-        )
+        amount = parse_scalar(amount, "amount")
+        return cls(supporter=supporter, ad=ad, fraction=Fraction(1), cap=amount, subsidy=amount)
 
     def transfer(self, price: Fraction) -> Fraction:
         return min(self.fraction * price, self.cap)
@@ -132,9 +123,7 @@ class PositionOutcome(Record):
         prices: Mapping[int, Fraction],
         utilities: tuple[Fraction, ...],
     ) -> None:
-        object.__setattr__(self, "assignment", FrozenMap(assignment))
-        object.__setattr__(self, "prices", FrozenMap(prices))
-        object.__setattr__(self, "utilities", utilities)
+        self._set_fields(FrozenMap(assignment), FrozenMap(prices), utilities)
 
 
 def parse_owned_auction(text: str) -> OwnedAuction:
@@ -172,7 +161,7 @@ def position_vcg(owned: OwnedAuction, effective_bids: Sequence[Fraction]) -> Pos
         raise InstanceError(
             f"expected {instance.m} effective bids, got {len(effective_bids)}"
         )
-    bids = [Fraction(b) for b in effective_bids]
+    bids = exact_scalars(effective_bids, "effective_bids[{}]")
     order = sorted(range(instance.m), key=lambda j: (-bids[j], j))
     slot_count = len(owned.slots)
     assignment: dict[int, int] = {}

@@ -55,29 +55,11 @@ class LoweringRound(Record):
     fixed: tuple[int, ...]
     bids: BidProfile  # full profile after the round
 
-    def __init__(
-        self,
-        decrement: Fraction,
-        zeros: tuple[int, ...],
-        tight: tuple[int, ...],
-        fixed: tuple[int, ...],
-        bids: BidProfile,
-    ) -> None:
-        object.__setattr__(self, "decrement", decrement)
-        object.__setattr__(self, "zeros", zeros)
-        object.__setattr__(self, "tight", tight)
-        object.__setattr__(self, "fixed", fixed)
-        object.__setattr__(self, "bids", bids)
-
 
 class LoweringTrace(Record):
     __slots__ = ("winner", "rounds")
     winner: int
     rounds: tuple[LoweringRound, ...]
-
-    def __init__(self, winner: int, rounds: tuple[LoweringRound, ...]) -> None:
-        object.__setattr__(self, "winner", winner)
-        object.__setattr__(self, "rounds", rounds)
 
     def describe(self, instance: AuctionInstance) -> list[str]:
         lines = [f"winner: {instance.label(self.winner)}"]

@@ -13,10 +13,10 @@ in this package ever rounds. Instance files are JSON documents::
       "ads": [["A"], ["A", "E"]]
     }
 
-Values are strings so decimals survive exactly ("2.9" parses to 29/10).
-Fraction strings such as "1/3" are accepted too, and the serializer falls
-back to that form whenever a value has no terminating decimal. Plain JSON
-integers are allowed; floats are rejected because they are already inexact.
+Values are strings so decimals survive exactly ("2.9" parses to 29/10);
+"1/3" is accepted too, and the serializer falls back to that form whenever
+a value has no terminating decimal. Integers are allowed; floats, already
+inexact, and bools are rejected, in documents and library calls alike.
 
 Bid files share the value conventions and map advertiser names to bids::
 
@@ -49,14 +49,31 @@ class InternalError(RuntimeError):
 class Record:
     """Base of the package's immutable records.
 
-    A record lists its fields in `__slots__`, and its `__init__` checks its
-    arguments and sets each field once with `object.__setattr__`. Records of
-    one type compare and hash field by field and print as
-    `Name(field=value, ...)`; copy and pickle go through `__init__`, so its
-    checks run again; assignment and deletion raise AttributeError.
+    A record lists its fields in `__slots__`, and its constructor is
+    generated from them, one parameter per field in slot order, setting each
+    field once through its slot. A record with checks, defaults or
+    conversions writes its own `__init__`, which ends in one call to that
+    generated setter, `self._set_fields(...)`. Records of one type compare and
+    hash field by field and print as `Name(field=value, ...)`; copy and
+    pickle still go through `__init__`, so its checks run again; assignment
+    and deletion raise AttributeError.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        """Compile the setter of each type with fields of its own."""
+        super().__init_subclass__(**kwargs)
+        fields = cls.__dict__.get("__slots__")
+        if fields:
+            # Straight-line code: a loop over the fields costs twice as much.
+            scope = {f"_set_{name}": cls.__dict__[name].__set__ for name in fields}
+            body = "; ".join(f"_set_{name}(self, {name})" for name in fields)
+            exec(f"def __init__(self, {', '.join(fields)}):\n    {body}", scope)
+            init = cls._set_fields = scope["__init__"]
+            init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
+            if "__init__" not in cls.__dict__:
+                cls.__init__ = init
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -109,12 +126,12 @@ class GridSpec(Record):
     budget: int
 
     def __init__(self, epsilon: Fraction, budget: int = 10_000_000) -> None:
+        epsilon = parse_scalar(epsilon, "epsilon")
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if budget < 1:
             raise ValueError("budget must be at least 1")
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "budget", budget)
+        self._set_fields(epsilon, budget)
 
 
 class GridBudgetError(RuntimeError):
@@ -204,6 +221,15 @@ def parse_scalar(value: object, where: str = "value") -> Fraction:
     raise InstanceError(f"{where}: expected a string-encoded number, got {type(value).__name__}")
 
 
+def exact_scalars(xs: Iterable[object], place: str) -> tuple[Fraction, ...]:
+    """A caller's numbers as Fractions: each Fraction as it is, anything else
+    through `parse_scalar` at `place.format(position)`, so a float or a bool
+    is an InstanceError that says where."""
+    return tuple(
+        [x if type(x) is Fraction else parse_scalar(x, place.format(k)) for k, x in enumerate(xs)]
+    )
+
+
 @functools.lru_cache(maxsize=256)
 def _decimal_plan(denominator: int) -> tuple[int, int] | None:
     """(digits, 10**digits // denominator) when p/denominator has a decimal of
@@ -262,9 +288,6 @@ class Ad(Record):
     __slots__ = ("members",)
     members: frozenset[int]
 
-    def __init__(self, members: frozenset[int]) -> None:
-        object.__setattr__(self, "members", members)
-
 
 class _Scaled:
     """An instance's values on one integer scale, computed at construction.
@@ -305,6 +328,7 @@ class AuctionInstance(Record, _Scaled):
             raise InstanceError("advertiser names must be unique")
         if len(values) != len(names):
             raise InstanceError("one value per advertiser is required")
+        values = exact_scalars(values, "advertisers[{}].value")
         for k, value in enumerate(values):
             if value.numerator < 0:
                 raise InstanceError(f"advertisers[{k}].value: negative value {format_scalar(value)}")
@@ -329,15 +353,12 @@ class AuctionInstance(Record, _Scaled):
         for i, name in enumerate(names):
             if i not in covered:
                 raise InstanceError(f"advertiser {name!r} appears in no ad")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "ads", ads)
+        self._set_fields(names, values, ads)
         units = tuple([v.numerator * (scale // v.denominator) for v in values])
-        object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_units", units)
-        object.__setattr__(
-            self, "_totals", tuple([sum(map(units.__getitem__, ad.members)) for ad in ads])
-        )
+        totals = tuple([sum(map(units.__getitem__, ad.members)) for ad in ads])
+        _Scaled._scale.__set__(self, scale)
+        _Scaled._units.__set__(self, units)
+        _Scaled._totals.__set__(self, totals)
 
     @property
     def n(self) -> int:
@@ -472,12 +493,13 @@ def parse_bids(text: str, instance: AuctionInstance) -> BidProfile:
     return tuple(bids)
 
 
-def check_bids(instance: AuctionInstance, bids: Sequence[Fraction]) -> BidProfile:
+def check_bids(instance: AuctionInstance, bids: Sequence[object]) -> BidProfile:
+    """One Fraction per advertiser, read by `exact_scalars` at `bids[i]`."""
     if len(bids) != instance.n:
         raise InstanceError(
             f"bid profile has {len(bids)} entries, instance has {instance.n} advertisers"
         )
-    return tuple(b if isinstance(b, Fraction) else Fraction(b) for b in bids)
+    return exact_scalars(bids, "bids[{}]")
 
 
 def exact_sum(terms: Iterable[Fraction | int]) -> Fraction:
@@ -531,10 +553,7 @@ class Outcome(Record):
     ) -> None:
         if exact_sum(payments) != revenue:
             raise ValueError("revenue must equal the sum of payments")
-        object.__setattr__(self, "winner", winner)
-        object.__setattr__(self, "payments", payments)
-        object.__setattr__(self, "revenue", revenue)
-        object.__setattr__(self, "surpluses", surpluses)
+        self._set_fields(winner, payments, revenue, surpluses)
 
 
 def settle(instance: AuctionInstance, winner: int, bids: Sequence[Fraction]) -> Outcome:

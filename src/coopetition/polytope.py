@@ -52,6 +52,7 @@ from .model import (
     ZERO,
     Record,
     check_bids,
+    exact_scalars,
     exact_sum,
     format_scalar,
 )
@@ -70,11 +71,6 @@ class CefConstraint(Record):
     bidders: frozenset[int]
     room: int
 
-    def __init__(self, ad: int, bidders: frozenset[int], room: int) -> None:
-        object.__setattr__(self, "ad", ad)
-        object.__setattr__(self, "bidders", bidders)
-        object.__setattr__(self, "room", room)
-
 
 class CefPolytope(Record):
     """CEF + IR + non-negativity constraints over the winner's member bids.
@@ -89,13 +85,6 @@ class CefPolytope(Record):
     instance: AuctionInstance
     winner: int
     constraints: tuple[CefConstraint, ...]
-
-    def __init__(
-        self, instance: AuctionInstance, winner: int, constraints: tuple[CefConstraint, ...]
-    ) -> None:
-        object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "winner", winner)
-        object.__setattr__(self, "constraints", constraints)
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -122,8 +111,7 @@ class EquilibriumResult(Record):
     ) -> None:
         if (witnesses is None) == (failure is None):
             raise ValueError("exactly one of witnesses and failure must be set")
-        object.__setattr__(self, "witnesses", None if witnesses is None else FrozenMap(witnesses))
-        object.__setattr__(self, "failure", failure)
+        self._set_fields(None if witnesses is None else FrozenMap(witnesses), failure)
 
     @property
     def ok(self) -> bool:
@@ -205,15 +193,15 @@ def _row_slacks(polytope: CefPolytope, profile: BidProfile) -> tuple[int, dict, 
 def is_equilibrium(polytope: CefPolytope, bids: Sequence[Fraction]) -> EquilibriumResult:
     """Check the no-unilateral-lowering condition and produce a certificate.
 
-    Non-winner bids are canonicalized to their values first. Fails fast with
-    a reason when the profile is not IR or not CEF; otherwise every member
-    with a positive bid must be pinned by a tying rival ad that excludes it.
-    All of it runs over the members only, in the units of `_row_slacks`:
-    a non-member bids its value, so it is IR and pins no one.
+    Fails fast with a reason when the profile is not IR or not CEF;
+    otherwise every member with a positive bid must be pinned by a tying
+    rival ad that excludes it. All of it runs over the members' bids only, in
+    the units of `_row_slacks`: a non-member bids its value in this analysis,
+    so it is IR and pins no one, whatever its bid in `bids`.
     """
     instance = polytope.instance
     members = polytope.members
-    profile = canonical_bids(polytope, bids)
+    profile = check_bids(instance, bids)
     scale, surplus, slacks = _row_slacks(polytope, profile)
     caps = {k: instance._units[k] * (scale // instance._scale) for k in members}
     for k in members:
@@ -264,7 +252,7 @@ def sample_pareto_equilibrium(
         raise ValueError(
             f"expected {len(members)} weights (one per winning member), got {len(weights)}"
         )
-    weights = [Fraction(w) for w in weights]
+    weights = exact_scalars(weights, "weights[{}]")
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be strictly positive")
     caps = [polytope.instance._units[member] for member in members]

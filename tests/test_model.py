@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import copy
+import inspect
 import json
 import math
 import pickle
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -525,6 +527,72 @@ class TestRecordSemantics:
         record = cls(*args)
         for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
             assert type(clone) is cls and clone == record
+
+
+def test_constructor_parameters_are_the_slots():
+    for cls, _ in RECORD_SAMPLES:
+        assert tuple(inspect.signature(cls).parameters) == cls.__slots__, cls.__name__
+
+
+# The records whose constructor only stores its arguments: it is generated
+# from the slots and reports a missing argument as a hand-written one would.
+GENERATED = ("Ad", "CefConstraint", "CefPolytope", "LoweringRound", "LoweringTrace")
+
+
+@pytest.mark.parametrize(
+    "cls, args",
+    [
+        pytest.param(cls, args, id=cls.__name__)
+        for cls, args in RECORD_SAMPLES
+        if cls.__name__ in GENERATED
+    ],
+)
+def test_a_missing_argument_names_the_record(cls, args):
+    message = f"{cls.__name__}.__init__() missing 1 required positional argument: "
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}'{cls.__slots__[-1]}'$"):
+        cls(*args[:-1])
+    assert cls(*args) == cls(*args)
+
+
+def _number_entry_points():
+    """(id, call putting a caller's number at one position, that position)."""
+    c = coopetition
+    polytope = c.build_polytope(triangle())
+    owned = c.OwnedAuction(triangle(), (0, 3, 4), (F(1), F(1, 2)))
+    ads = (c.Ad(frozenset({0})), c.Ad(frozenset({1})))
+    return [
+        ("check_bids", lambda x: c.is_equilibrium(polytope, [F(1, 2), x, 0, 1, 1]), "bids[1]"),
+        ("weights", lambda x: c.sample_pareto_equilibrium(polytope, [1, x, 1]), "weights[1]"),
+        ("effective_bids", lambda x: c.position_vcg(owned, [1, x, F(1, 3)]), "effective_bids[1]"),
+        ("fraction", lambda x: c.ContractTerm(1, 0, x, F(3), F(0)), "fraction"),
+        ("cap", lambda x: c.ContractTerm(1, 0, F(1, 2), x, F(0)), "cap"),
+        ("subsidy", lambda x: c.ContractTerm(1, 0, F(1, 2), F(3), x), "subsidy"),
+        ("amount", lambda x: c.ContractTerm.committed(1, 0, x), "amount"),
+        ("epsilon", lambda x: c.GridSpec(x), "epsilon"),
+        ("value", lambda x: c.AuctionInstance(("A", "B"), (F(1), x), ads), "advertisers[1].value"),
+        ("slots", lambda x: c.OwnedAuction(triangle(), (0, 3, 4), (x, F(1, 4))), "slots[0]"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "call, where",
+    [pytest.param(call, where, id=name) for name, call, where in _number_entry_points()],
+)
+def test_entry_points_read_numbers_as_documents_do(call, where):
+    # A float is already inexact and a bool is no number: each is a located error.
+    for bad in (0.1, True):
+        with pytest.raises(InstanceError, match=f"^{re.escape(where)}: "):
+            call(bad)
+    # Ints, strings and Fractions read as the Fraction they denote.
+    for good in (1, "1/2", F(1, 2)):
+        assert repr(call(good)) == repr(call(parse_scalar(good)))
+
+
+def test_a_float_bid_is_not_read_through_its_binary_expansion():
+    polytope = coopetition.build_polytope(triangle())
+    with pytest.raises(InstanceError, match=r"^bids\[1\]: floats are inexact"):
+        coopetition.is_equilibrium(polytope, [F(1, 10), 0.9, 0, 1, 1])
+    assert coopetition.ContractTerm.committed(1, 1, "0.1").cap == F(1, 10)
 
 
 class TestInstanceScale:
