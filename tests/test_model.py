@@ -551,7 +551,6 @@ def test_a_missing_argument_names_the_record(cls, args):
     message = f"{cls.__name__}.__init__() missing 1 required positional argument: "
     with pytest.raises(TypeError, match=f"^{re.escape(message)}'{cls.__slots__[-1]}'$"):
         cls(*args[:-1])
-    assert cls(*args) == cls(*args)
 
 
 def _number_entry_points():
@@ -579,20 +578,14 @@ def _number_entry_points():
     [pytest.param(call, where, id=name) for name, call, where in _number_entry_points()],
 )
 def test_entry_points_read_numbers_as_documents_do(call, where):
-    # A float is already inexact and a bool is no number: each is a located error.
-    for bad in (0.1, True):
-        with pytest.raises(InstanceError, match=f"^{re.escape(where)}: "):
+    # A float is already inexact and a bool is no number: each is a located
+    # error, so 0.1 is never read as its binary expansion.
+    for bad, problem in ((0.1, "floats are inexact"), (True, "expected a number, got a boolean")):
+        with pytest.raises(InstanceError, match=f"^{re.escape(where)}: {problem}"):
             call(bad)
     # Ints, strings and Fractions read as the Fraction they denote.
     for good in (1, "1/2", F(1, 2)):
         assert repr(call(good)) == repr(call(parse_scalar(good)))
-
-
-def test_a_float_bid_is_not_read_through_its_binary_expansion():
-    polytope = coopetition.build_polytope(triangle())
-    with pytest.raises(InstanceError, match=r"^bids\[1\]: floats are inexact"):
-        coopetition.is_equilibrium(polytope, [F(1, 10), 0.9, 0, 1, 1])
-    assert coopetition.ContractTerm.committed(1, 1, "0.1").cap == F(1, 10)
 
 
 class TestInstanceScale:
