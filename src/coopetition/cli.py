@@ -47,6 +47,7 @@ from .model import (
     parse_bids,
     parse_instance,
     parse_scalar,
+    ratio_text,
     settle,
 )
 
@@ -126,7 +127,7 @@ def render_json(report: dict[str, Node]) -> str:
 
 def _write_json(node: Node, newline: str, chunks: list[str]) -> None:
     if isinstance(node, Fraction):
-        chunks.append(f'"{format_scalar(node)}"')
+        chunks.append(f'"{ratio_text(*node.as_integer_ratio())}"')
     elif isinstance(node, str):
         chunks.append(_quote(node))
     elif node is None:
@@ -142,24 +143,27 @@ def _write_json(node: Node, newline: str, chunks: list[str]) -> None:
             chunks.append("{}")
             return
         inner = newline + "  "
-        opening = "{" + inner
+        opening, separator = "{" + inner, "," + inner
         for key, value in node.items():
             if not isinstance(key, str):
                 raise TypeError(f"unrenderable report key: {key!r}")
-            chunks += (opening, _quote(key), ": ")
-            _write_json(value, inner, chunks)
-            opening = "," + inner
+            if isinstance(value, Fraction):  # the common leaf, written in place
+                chunks.append(f'{opening}{_quote(key)}: "{ratio_text(*value.as_integer_ratio())}"')
+            else:
+                chunks.append(f"{opening}{_quote(key)}: ")
+                _write_json(value, inner, chunks)
+            opening = separator
         chunks.append(newline + "}")
     elif isinstance(node, (list, tuple)):
         if not node:
             chunks.append("[]")
             return
         inner = newline + "  "
-        opening = "[" + inner
+        opening, separator = "[" + inner, "," + inner
         for value in node:
             chunks.append(opening)
             _write_json(value, inner, chunks)
-            opening = "," + inner
+            opening = separator
         chunks.append(newline + "]")
     else:
         raise TypeError(f"unrenderable report node: {node!r}")

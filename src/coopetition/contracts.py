@@ -58,9 +58,7 @@ class OwnedAuction(Record):
             raise InstanceError("one owner per ad is required")
         for j, owner in enumerate(owners):
             if owner not in instance.members(j):
-                raise InstanceError(
-                    f"ads[{j}]: owner {instance.names[owner]!r} is not a member"
-                )
+                raise InstanceError(f"ads[{j}]: owner {instance.names[owner]!r} is not a member")
         if not slots:
             raise InstanceError("at least one slot is required")
         slots = exact_scalars(slots, "slots[{}]")
@@ -141,9 +139,7 @@ def parse_owned_auction(text: str) -> OwnedAuction:
     slots_doc = doc.get("slots")
     if not isinstance(slots_doc, list) or not slots_doc:
         raise InstanceError("slots: expected a non-empty list of click rates")
-    slots = tuple(
-        parse_scalar(rate, where=f"slots[{k}]") for k, rate in enumerate(slots_doc)
-    )
+    slots = tuple(parse_scalar(rate, where=f"slots[{k}]") for k, rate in enumerate(slots_doc))
     return OwnedAuction(instance=instance, owners=tuple(owners), slots=slots)
 
 
@@ -158,9 +154,7 @@ def position_vcg(owned: OwnedAuction, effective_bids: Sequence[Fraction]) -> Pos
     """Rank ads by effective bid (ties to the lowest ad id) and price slots."""
     instance = owned.instance
     if len(effective_bids) != instance.m:
-        raise InstanceError(
-            f"expected {instance.m} effective bids, got {len(effective_bids)}"
-        )
+        raise InstanceError(f"expected {instance.m} effective bids, got {len(effective_bids)}")
     bids = exact_scalars(effective_bids, "effective_bids[{}]")
     order = sorted(range(instance.m), key=lambda j: (-bids[j], j))
     slot_count = len(owned.slots)
@@ -180,9 +174,7 @@ def position_vcg(owned: OwnedAuction, effective_bids: Sequence[Fraction]) -> Pos
         for i in instance.members(ad):
             utilities[i] += rate * instance.values[i]
         utilities[owned.owners[ad]] -= rate * price
-    return PositionOutcome(
-        assignment=assignment, prices=prices, utilities=tuple(utilities)
-    )
+    return PositionOutcome(assignment=assignment, prices=prices, utilities=tuple(utilities))
 
 
 def _validate_contracts(owned: OwnedAuction, contracts: Sequence[ContractTerm]) -> None:
@@ -250,9 +242,10 @@ def best_response_contract(
     sum of all values), one per ad the responder supports, maximizing the
     responder's expected utility. Ties break toward the lexicographically
     smallest subsidy vector; zero-level terms are omitted, so an empty
-    profile means staying out is a best response. A negative max_subsidy
-    leaves no level to search and raises ValueError.
+    profile means staying out is a best response. max_subsidy is read as a
+    document's numbers are; a negative one leaves no level and raises ValueError.
     """
+    max_subsidy = None if max_subsidy is None else parse_scalar(max_subsidy, "max_subsidy")
     if max_subsidy is not None and max_subsidy < 0:
         raise ValueError(f"max_subsidy must be non-negative, got {format_scalar(max_subsidy)}")
     instance = owned.instance

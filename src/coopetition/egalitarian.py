@@ -18,7 +18,8 @@ by as many of them as it holds. So ad totals are never re-summed.
 
 The resulting profile maximizes the sorted surplus vector lexicographically
 over the equilibrium set: the least-happy member is as happy as possible,
-then the next, and so on.
+then the next, and so on. The lowering starts from the instance's integer
+units; the trace is written from each scalar's ints (`display_scalar`).
 """
 
 from __future__ import annotations
@@ -62,15 +63,19 @@ class LoweringTrace(Record):
     rounds: tuple[LoweringRound, ...]
 
     def describe(self, instance: AuctionInstance) -> list[str]:
+        # A frozen member keeps its bid's Fraction: format only new objects.
         lines = [f"winner: {instance.label(self.winner)}"]
         members = sorted(instance.members(self.winner))
+        shown, texts = [None] * instance.n, [""] * instance.n
         for number, r in enumerate(self.rounds, start=1):
             events = [f"{instance.names[k]} reached 0" for k in r.zeros]
             events += [f"{instance.label(j)} went tight" for j in r.tight]
             fixed = ", ".join(instance.names[i] for i in r.fixed)
-            member_bids = ", ".join(
-                f"{instance.names[i]}={display_scalar(r.bids[i])}" for i in members
-            )
+            for i in members:
+                if r.bids[i] is not shown[i]:
+                    shown[i] = r.bids[i]
+                    texts[i] = f"{instance.names[i]}={display_scalar(r.bids[i])}"
+            member_bids = ", ".join([texts[i] for i in members])
             lines.append(
                 f"round {number}: lowered by {display_scalar(r.decrement)}; "
                 f"{'; '.join(events)}; fixed {fixed}; bids {member_bids}"

@@ -24,6 +24,9 @@ Bid files share the value conventions and map advertiser names to bids::
 
 Advertisers omitted from a bid file default to bidding their value, which is
 the standing threat level used throughout the equilibrium analysis.
+
+Plain values are read straight to reduced int pairs, from which an instance
+builds its integer scale once; report scalars are written from such pairs.
 """
 
 from __future__ import annotations
@@ -53,19 +56,22 @@ class Record:
     generated from them, one parameter per field in slot order, setting each
     field once through its slot. A record with checks, defaults or
     conversions writes its own `__init__`, which ends in one call to that
-    generated setter, `self._set_fields(...)`. Records of one type compare and
-    hash field by field and print as `Name(field=value, ...)`; copy and
-    pickle still go through `__init__`, so its checks run again; assignment
-    and deletion raise AttributeError.
+    generated setter, `self._set_fields(...)`. The class keeps the field
+    names as `_fields`, which a subclass with empty `__slots__` inherits.
+    Records of one type compare and hash field by field and print as
+    `Name(field=value, ...)`; copy and pickle still go through `__init__`,
+    so its checks run again; assignment and deletion raise AttributeError.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         """Compile the setter of each type with fields of its own."""
         super().__init_subclass__(**kwargs)
         fields = cls.__dict__.get("__slots__")
         if fields:
+            cls._fields = fields
             # Straight-line code: a loop over the fields costs twice as much.
             scope = {f"_set_{name}": cls.__dict__[name].__set__ for name in fields}
             body = "; ".join(f"_set_{name}(self, {name})" for name in fields)
@@ -76,7 +82,7 @@ class Record:
                 cls.__init__ = init
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -87,7 +93,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
@@ -165,17 +171,18 @@ def _check_literal_size(text: str, where: str) -> None:
         )
 
 
-def _common_denominator(scalars: Iterable[tuple[object, Fraction]], place: str, what: str) -> int:
-    """The lcm of the (key, scalar) pairs' denominators, one at a time; an
-    InstanceError at `place.format(key)` once it passes 43,000 digits."""
+def _common_denominator(denominators: Iterable[tuple[object, int]], place: str, what: str) -> int:
+    """The lcm of the (key, denominator) pairs' denominators, one at a time;
+    an InstanceError at `place.format(key)` once it passes 43,000 digits."""
     scale = 1
-    for key, x in scalars:
-        scale = math.lcm(scale, x.denominator)
-        if scale.bit_length() > _MAX_SCALE_BITS:
-            raise InstanceError(
-                f"{place.format(key)}: the {what}' common denominator has more "
-                f"than {10 * _MAX_DIGITS} digits"
-            )
+    for key, denominator in denominators:
+        if scale % denominator:
+            scale = math.lcm(scale, denominator)
+            if scale.bit_length() > _MAX_SCALE_BITS:
+                raise InstanceError(
+                    f"{place.format(key)}: the {what}' common denominator has more "
+                    f"than {10 * _MAX_DIGITS} digits"
+                )
     return scale
 
 
@@ -184,23 +191,36 @@ def _common_denominator(scalars: Iterable[tuple[object, Fraction]], place: str, 
 _PLAIN_LENGTH = 40
 
 
+def _plain_ratio(value: object) -> tuple[int, int] | None:
+    """A short string "123", "p/q" (q nonzero) or "12.5" of ASCII digits as
+    its reduced (numerator, denominator), read with int(); else None."""
+    if type(value) is str and len(value) <= _PLAIN_LENGTH and value.isascii():
+        if value.isdigit():
+            return int(value), 1
+        num, slash, den = value.partition("/")
+        whole, dot, decimals = value.partition(".")
+        if slash and num.isdigit() and den.isdigit() and int(den):
+            numerator, denominator = int(num), int(den)
+        elif dot and whole.isdigit() and decimals.isdigit():
+            numerator, denominator = int(whole + decimals), 10 ** len(decimals)
+        else:
+            return None
+        common = math.gcd(numerator, denominator)
+        return numerator // common, denominator // common
+    return None
+
+
 def parse_scalar(value: object, where: str = "value") -> Fraction:
     """Parse an exact scalar from a JSON value (string or integer).
 
-    A short string "123", "p/q" (q nonzero) or "12.5" of ASCII digits is
-    read with int(). Floats are rejected: by the time json has produced one,
-    exactness is already lost. String literals with more than 4300 digits or
-    an exponent beyond ±4300 are rejected before they are converted.
+    A plain literal is read by `_plain_ratio`. Floats are rejected: by the
+    time json has produced one, exactness is already lost. String literals
+    with more than 4300 digits or an exponent beyond ±4300 are rejected
+    before they are converted.
     """
-    if type(value) is str and len(value) <= _PLAIN_LENGTH and value.isascii():
-        if value.isdigit():
-            return Fraction(int(value))
-        num, slash, den = value.partition("/")
-        if slash and num.isdigit() and den.isdigit() and int(den):
-            return Fraction(int(num), int(den))
-        whole, dot, decimals = value.partition(".")
-        if dot and whole.isdigit() and decimals.isdigit():
-            return Fraction(int(whole + decimals), 10 ** len(decimals))
+    ratio = _plain_ratio(value)
+    if ratio is not None:
+        return Fraction(*ratio)
     if isinstance(value, bool):
         raise InstanceError(f"{where}: expected a number, got a boolean")
     if isinstance(value, Fraction):
@@ -215,9 +235,7 @@ def parse_scalar(value: object, where: str = "value") -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise InstanceError(f"{where}: not an exact number: {value!r}") from None
     if isinstance(value, float):
-        raise InstanceError(
-            f"{where}: floats are inexact, write the number as a string"
-        )
+        raise InstanceError(f"{where}: floats are inexact, write the number as a string")
     raise InstanceError(f"{where}: expected a string-encoded number, got {type(value).__name__}")
 
 
@@ -245,41 +263,39 @@ def _decimal_plan(denominator: int) -> tuple[int, int] | None:
     return digits, 10**digits // denominator
 
 
-def _terminating_decimal(x: Fraction) -> str | None:
-    """Exact decimal string for x, or None when the decimal does not terminate."""
-    numerator, denominator = x.numerator, x.denominator
-    if denominator == 1:
-        return str(numerator)
-    plan = _decimal_plan(denominator)
-    if plan is None:
-        return None
-    digits, factor = plan
-    text = str(abs(numerator) * factor).rjust(digits + 1, "0")
-    whole, frac = text[:-digits], text[-digits:].rstrip("0")
-    sign = "-" if numerator < 0 else ""
-    return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
+def ratio_text(numerator: int, denominator: int, approximate: bool = False) -> str:
+    """numerator/denominator, in lowest terms with denominator > 0, as a
+    terminating decimal if one exists, else "p/q", then with `approximate`
+    " (~x)", x the quotient to six digits, when it fits in a float. An
+    InstanceError when the numerator or the denominator is too long to print."""
+    try:
+        if denominator == 1:
+            return str(numerator)
+        plan = _decimal_plan(denominator)
+        if plan is None:
+            text = f"{numerator}/{denominator}"
+            try:
+                return f"{text} (~{numerator / denominator:.6g})" if approximate else text
+            except OverflowError:
+                return text
+        # In lowest terms, some digit after the point is not 0.
+        digits, factor = plan
+        text = str(abs(numerator) * factor).rjust(digits + 1, "0")
+        return f"{'-' if numerator < 0 else ''}{text[:-digits]}.{text[-digits:].rstrip('0')}"
+    except ValueError:
+        raise InstanceError(f"a number to print has more than {_MAX_DIGITS} digits") from None
 
 
 def format_scalar(x: Fraction) -> str:
     """Render exactly: terminating decimal if one exists, else "p/q"; an
     InstanceError when a numerator or denominator is too long to print."""
-    try:
-        decimal = _terminating_decimal(x)
-        return decimal if decimal is not None else f"{x.numerator}/{x.denominator}"
-    except ValueError:
-        raise InstanceError(f"a number to print has more than {_MAX_DIGITS} digits") from None
+    return ratio_text(*x.as_integer_ratio())
 
 
 def display_scalar(x: Fraction) -> str:
     """Human-facing rendering: adds an approximate decimal to fraction forms
     whose magnitude fits in a float."""
-    text = format_scalar(x)
-    if "/" not in text:
-        return text
-    try:
-        return f"{text} (~{float(x):.6g})"
-    except OverflowError:
-        return text
+    return ratio_text(*x.as_integer_ratio(), True)
 
 
 class Ad(Record):
@@ -309,9 +325,9 @@ class _Scaled:
 class AuctionInstance(Record, _Scaled):
     """Immutable auction instance: advertiser names, values, and ads.
 
-    Invariants enforced at construction: values are non-negative, member
-    sets are non-empty, pairwise distinct and reference declared advertisers,
-    and every advertiser appears in at least one ad.
+    Invariants: values are non-negative, member sets are non-empty, pairwise
+    distinct and reference declared advertisers, and every advertiser is in
+    an ad. `_set_checked` checks those that the document reader leaves open.
     """
 
     __slots__ = ("names", "values", "ads")
@@ -329,36 +345,40 @@ class AuctionInstance(Record, _Scaled):
         if len(values) != len(names):
             raise InstanceError("one value per advertiser is required")
         values = exact_scalars(values, "advertisers[{}].value")
-        for k, value in enumerate(values):
-            if value.numerator < 0:
-                raise InstanceError(f"advertisers[{k}].value: negative value {format_scalar(value)}")
-        scale = _common_denominator(enumerate(values), "advertisers[{}].value", "values")
         if not ads:
             raise InstanceError("at least one ad is required")
         indices = frozenset(range(len(names)))
-        seen: dict[frozenset[int], int] = {}
-        covered: set[int] = set()
         for position, ad in enumerate(ads):
             if not ad.members:
                 raise InstanceError(f"ads[{position}]: empty ad")
             if not ad.members <= indices:
                 bad = next(i for i in ad.members if i not in indices)
                 raise InstanceError(f"ads[{position}]: unknown advertiser index {bad}")
-            if ad.members in seen:
-                raise InstanceError(
-                    f"ads[{position}]: identical member set to ads[{seen[ad.members]}]"
-                )
-            seen[ad.members] = position
-            covered |= ad.members
-        for i, name in enumerate(names):
-            if i not in covered:
-                raise InstanceError(f"advertiser {name!r} appears in no ad")
+        self._set_checked(names, values, [value.as_integer_ratio() for value in values], ads)
+
+    def _set_checked(self, names: tuple, values: tuple, ratios: list, ads: tuple) -> None:
+        """Check that no value is negative, the scale has at most 43,000 digits,
+        no two ads share a member set and every advertiser is in an ad; then set
+        the fields, and the caches from the values' reduced int pairs, `ratios`."""
+        if min(ratios)[0] < 0:  # pairs compare numerator first
+            k = next(k for k, (numerator, _) in enumerate(ratios) if numerator < 0)
+            raise InstanceError(f"advertisers[{k}].value: negative value {format_scalar(values[k])}")
+        place = "advertisers[{}].value"
+        scale = _common_denominator(enumerate(d for _, d in ratios), place, "values")
+        seen: dict[frozenset[int], int] = {}
+        for position, ad in enumerate(ads):
+            first = seen.setdefault(ad.members, position)
+            if first != position:
+                raise InstanceError(f"ads[{position}]: identical member set to ads[{first}]")
+        covered = set().union(*seen)
+        if len(covered) < len(names):
+            name = next(name for i, name in enumerate(names) if i not in covered)
+            raise InstanceError(f"advertiser {name!r} appears in no ad")
         self._set_fields(names, values, ads)
-        units = tuple([v.numerator * (scale // v.denominator) for v in values])
-        totals = tuple([sum(map(units.__getitem__, ad.members)) for ad in ads])
+        units = tuple([numerator * (scale // denominator) for numerator, denominator in ratios])
         _Scaled._scale.__set__(self, scale)
         _Scaled._units.__set__(self, units)
-        _Scaled._totals.__set__(self, totals)
+        _Scaled._totals.__set__(self, tuple([sum([units[i] for i in ad.members]) for ad in ads]))
 
     @property
     def n(self) -> int:
@@ -416,16 +436,16 @@ def parse_instance(text: str) -> AuctionInstance:
 def instance_from_document(doc: object) -> AuctionInstance:
     """Validate a decoded instance document, reporting the failing location.
 
-    Checks here cover what the built instance cannot see: document shape,
-    types, names and repeated members; `AuctionInstance` checks the rest.
+    One pass reads each plain value straight to a reduced int pair (a
+    located `parse_scalar` reads any other), one looks each ad's members up;
+    the instance is built without re-checking names and indices made here.
     """
     if not isinstance(doc, dict):
         raise InstanceError("top level: expected an object")
     advertisers = doc.get("advertisers")
     if not isinstance(advertisers, list) or not advertisers:
         raise InstanceError("advertisers: expected a non-empty list")
-    names: list[str] = []
-    values: list[Fraction] = []
+    ratios: list[tuple[int, int]] = []
     index: dict[str, int] = {}
     for k, entry in enumerate(advertisers):
         if not isinstance(entry, dict) or "name" not in entry or "value" not in entry:
@@ -436,8 +456,9 @@ def instance_from_document(doc: object) -> AuctionInstance:
         if name in index:
             raise InstanceError(f"advertisers[{k}].name: duplicate advertiser {name!r}")
         index[name] = k
-        names.append(name)
-        values.append(parse_scalar(entry["value"], where=f"advertisers[{k}].value"))
+        value = entry["value"]
+        plain = _plain_ratio(value)
+        ratios.append(plain or parse_scalar(value, f"advertisers[{k}].value").as_integer_ratio())
     ads_doc = doc.get("ads")
     if not isinstance(ads_doc, list) or not ads_doc:
         raise InstanceError("ads: expected a non-empty list")
@@ -459,7 +480,10 @@ def instance_from_document(doc: object) -> AuctionInstance:
                     raise InstanceError(f"ads[{j}]: duplicate member {name!r}")
                 seen.add(name)
         ads.append(Ad(members))
-    return AuctionInstance(names=tuple(names), values=tuple(values), ads=tuple(ads))
+    instance = AuctionInstance.__new__(AuctionInstance)
+    values = tuple([Fraction(*ratio) for ratio in ratios])
+    instance._set_checked(tuple(index), values, ratios, tuple(ads))
+    return instance
 
 
 def serialize_instance(instance: AuctionInstance) -> str:
@@ -485,11 +509,14 @@ def parse_bids(text: str, instance: AuctionInstance) -> BidProfile:
         raise InstanceError('top level: expected {"bids": {name: amount}}')
     bids = list(instance.values)
     index = {name: i for i, name in enumerate(instance.names)}
+    denominators: list[tuple[str, int]] = []
     for name, amount in doc["bids"].items():
         if name not in index:
             raise InstanceError(f"bids: unknown advertiser {name!r}")
-        bids[index[name]] = parse_scalar(amount, where=f"bids[{name!r}]")
-    _common_denominator([(name, bids[index[name]]) for name in doc["bids"]], "bids[{!r}]", "bids")
+        ratio = _plain_ratio(amount) or parse_scalar(amount, f"bids[{name!r}]").as_integer_ratio()
+        bids[index[name]] = Fraction(*ratio)
+        denominators.append((name, ratio[1]))
+    _common_denominator(denominators, "bids[{!r}]", "bids")
     return tuple(bids)
 
 
@@ -512,12 +539,12 @@ def exact_sum(terms: Iterable[Fraction | int]) -> Fraction:
     """
     numerator, common = 0, 1
     for term in terms:
-        denominator = term.denominator
+        top, denominator = term.as_integer_ratio()
         if common % denominator:
             grown = math.lcm(common, denominator)
             numerator *= grown // common
             common = grown
-        numerator += term.numerator * (common // denominator)
+        numerator += top * (common // denominator)
     return Fraction(numerator, common)
 
 

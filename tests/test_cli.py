@@ -744,6 +744,18 @@ REPORT_TREES = st.recursive(
 )
 
 
+# Scalars with terminating decimals (denominators of 2s and 5s), without,
+# and with numerators past float range.
+SCALARS = st.builds(
+    F,
+    st.one_of(st.integers(-(10**20), 10**20), st.integers(10**308, 10**310)),
+    st.one_of(
+        st.builds(lambda a, b: 2**a * 5**b, st.integers(0, 40), st.integers(0, 40)),
+        st.integers(1, 10**6),
+    ),
+)
+
+
 @pytest.fixture
 def dumps_checked(monkeypatch):
     """Every report `main` renders as JSON is written by both `render_json`
@@ -787,6 +799,19 @@ class TestJson:
     @given(st.dictionaries(AWKWARD, REPORT_TREES, max_size=5))
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_matches_json_dumps_on_report_trees(self, report):
+        assert render_json(report) == render_json_by_dumps(report)
+
+    @given(
+        st.dictionaries(
+            AWKWARD,
+            st.one_of(SCALARS, st.lists(SCALARS, max_size=3), st.dictionaries(AWKWARD, SCALARS)),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_scalars_of_every_form_match_json_dumps(self, report):
+        # Leaves written in place (a dict's scalars and strings) and those
+        # written by the recursion (a list's) take the same formatter.
         assert render_json(report) == render_json_by_dumps(report)
 
     def test_empty_containers_and_nesting(self):

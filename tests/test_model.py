@@ -37,6 +37,7 @@ from coopetition.model import (
     Record,
     exact_sum,
     instance_from_document,
+    ratio_text,
 )
 from helpers import (
     F,
@@ -280,6 +281,61 @@ class TestDecimalPlans:
         assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
 
 
+def _display_by_float(x: Fraction) -> str:
+    """`display_scalar` as it reads a Fraction: the exact form, and for a
+    "p/q" form float(x) to six digits, when x fits in a float."""
+    text = format_scalar_by_loops(x)
+    if "/" not in text:
+        return text
+    try:
+        return f"{text} (~{float(x):.6g})"
+    except OverflowError:
+        return text
+
+
+# Denominators of 2s and 5s only (a terminating decimal), of other primes,
+# and past float range; numerators small, negative and past float range.
+_RATIO_DENOMINATORS = st.one_of(
+    st.builds(lambda twos, fives: 2**twos * 5**fives, st.integers(0, 70), st.integers(0, 40)),
+    st.integers(1, 10**12),
+    st.builds(lambda exponent, r: 10**exponent + r, st.integers(300, 400), st.integers(1, 99)),
+)
+_RATIO_NUMERATORS = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.builds(
+        lambda sign, exponent, r: sign * (10**exponent + r),
+        st.sampled_from((1, -1)), st.integers(300, 400), st.integers(0, 99),
+    ),
+)
+
+
+class TestRatioText:
+    """Every report scalar is formatted from its ints by `ratio_text`; the
+    loops of `tests/helpers` and float(x) are the references."""
+
+    @given(_RATIO_NUMERATORS, _RATIO_DENOMINATORS)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_format_and_display(self, numerator, denominator):
+        x = F(numerator, denominator)
+        n, d = x.numerator, x.denominator
+        exact = _printed(format_scalar_by_loops, x)
+        assert _printed(lambda _: ratio_text(n, d), x) == exact == _printed(format_scalar, x)
+        shown = _printed(_display_by_float, x)
+        assert _printed(lambda _: ratio_text(n, d, True), x) == shown == _printed(display_scalar, x)
+
+    def test_past_float_range_the_approximation_is_dropped(self):
+        big = 10**400 + 1
+        assert ratio_text(big, 3, True) == ratio_text(big, 3) == f"{big}/3"
+        assert ratio_text(-big, 7, True) == f"{-big}/7"
+        assert ratio_text(1, big, True) == f"1/{big} (~0)"
+        assert ratio_text(2**1023 * 3, 7, True) == f"{2**1023 * 3}/7 (~3.8522e+307)"
+
+    def test_the_print_limit_is_an_instance_error(self):
+        for n, d in ((10**4300, 3), (1, 10**4300 + 1), (1, 2**14_300), (10**4300 + 1, 2**10)):
+            with pytest.raises(InstanceError, match="^a number to print has more than 4300 digits$"):
+                ratio_text(n, d, True)
+
+
 class TestParseInstance:
     def test_good_document(self):
         instance = parse_instance(GOOD_DOC)
@@ -320,6 +376,88 @@ class TestParseInstance:
     def test_build_rejects_unknown_member(self):
         with pytest.raises(InstanceError, match=r"ads\[0\]: unknown advertiser 'Q'"):
             make_instance({"A": 1}, [["Q"]])
+
+
+# Plain literals that are not in lowest terms or carry leading zeros.
+UNREDUCED = ["2/4", "0.50", "007", "10/20", "0/5", "0.0", "000/3", "12.500"]
+
+
+class TestOnePassReader:
+    """`instance_from_document` and `parse_bids` read plain literals to
+    reduced ints in one pass and build the instance without re-checking what
+    that pass settled; the results and every error stay as they were."""
+
+    @pytest.mark.parametrize("text", UNREDUCED)
+    def test_unreduced_plain_literals_read_as_the_reference_reads_them(self, text):
+        expected = parse_scalar_by_fraction(text)
+        doc = {"advertisers": [{"name": "A", "value": text}, {"name": "B", "value": "1"}],
+               "ads": [["A"], ["B"]]}
+        instance = instance_from_document(doc)
+        assert instance.values[0] == expected == parse_scalar(text)
+        assert F(instance._units[0], instance._scale) == expected
+        assert instance._scale == expected.denominator
+        assert parse_bids(json.dumps({"bids": {"A": text}}), instance)[0] == expected
+
+    @pytest.mark.parametrize("members", [3, 17, 32, 40, 48])
+    def test_wide_documents_build_the_instance_the_constructor_builds(self, members):
+        rng = random.Random(members)
+        source = rival_family(rng, members, rivals_per_member=2)
+        # Each value written in one of its equal forms, plain or not.
+        advertisers = []
+        for name, value in zip(source.names, source.values):
+            n, d = value.numerator, value.denominator
+            forms = [format_scalar(value), f"{n}/{d}", f"{3 * n}/{3 * d}", f"+{n}/{d}"]
+            forms += [n, f"{n}.000"] if d == 1 else []
+            advertisers.append({"name": name, "value": rng.choice(forms)})
+        ads = [[source.names[i] for i in sorted(ad.members)] for ad in source.ads]
+        for ad in ads:
+            rng.shuffle(ad)
+        instance = instance_from_document({"advertisers": advertisers, "ads": ads})
+        built = AuctionInstance(source.names, tuple(map(F, source.values)), source.ads)
+        assert instance == built == source
+        assert (instance._scale, instance._units, instance._totals) == (
+            built._scale, built._units, built._totals,
+        )
+        assert [F(t, instance._scale) for t in instance._totals] == [
+            sum((source.values[i] for i in ad.members), F(0)) for ad in source.ads
+        ]
+
+    @pytest.mark.parametrize(
+        "values, ads, message",
+        [
+            (["-1", "1"], [["A0", "A1", "Q"]], "ads[0]: unknown advertiser 'Q'"),
+            (["1", "-1", "x"], [["A0", "A1", "A2"]], "advertisers[2].value: not an exact number: 'x'"),
+            (["1", "-2"], [["A0"], ["A1"], ["A0"]], "advertisers[1].value: negative value -2"),
+            ([-3, 2], [["A0", "A1"]], "advertisers[0].value: negative value -3"),
+            (["1", "2", "3"], [["A0"], ["A0"]], "ads[1]: identical member set to ads[0]"),
+            (["1", "2"], [["A0"], ["A1"], ["A1"], ["A0"]], "ads[2]: identical member set to ads[1]"),
+            (["1"], [["A0"], ["A0"], []], "ads[2]: expected a non-empty list of advertiser names"),
+            (["1", "2", "3"], [["A0"], ["A2"]], "advertiser 'A1' appears in no ad"),
+        ],
+        ids=["member-first", "value-first", "negative-first", "int-negative", "twin-first",
+             "first-twin", "shape-first", "coverage"],
+    )
+    def test_each_check_runs_once_in_the_constructors_order(self, values, ads, message):
+        # The document's own checks come first, then the constructor's:
+        # negative values, the scale, repeated member sets, coverage.
+        doc = {"advertisers": [{"name": f"A{i}", "value": v} for i, v in enumerate(values)],
+               "ads": ads}
+        with pytest.raises(InstanceError) as caught:
+            instance_from_document(doc)
+        assert str(caught.value) == message
+
+    def test_the_scale_limit_comes_after_every_value_is_read(self):
+        huge = [f"1/{10**4000 + 2 * i + 1}" for i in range(12)]
+        for extra, message in (
+            ("x", "advertisers[12].value: not an exact number: 'x'"),
+            ("-1", "advertisers[12].value: negative value -1"),
+            ("1", "advertisers[10].value: the values' common denominator has more than 43000 digits"),
+        ):
+            doc = {"advertisers": [{"name": f"A{i}", "value": v} for i, v in enumerate(huge + [extra])],
+                   "ads": [[f"A{i}"] for i in range(13)]}
+            with pytest.raises(InstanceError) as caught:
+                instance_from_document(doc)
+            assert str(caught.value) == message
 
 
 class TestParseBids:
@@ -458,6 +596,17 @@ def _record_samples():
 
 RECORD_SAMPLES = _record_samples()
 
+# A subclass that declares no fields of its own inherits its parent's; it
+# is defined here, at module level, so that pickle can find it by name.
+SlotlessConstraint = type("SlotlessConstraint", (coopetition.CefConstraint,), {"__slots__": ()})
+
+
+def _field_names(cls) -> tuple[str, ...]:
+    """The fields of a record type: the `__slots__` of the nearest class in
+    its MRO that lists any."""
+    return next(k.__slots__ for k in cls.__mro__ if k.__dict__.get("__slots__"))
+
+
 # The certificate and the round events are fields of the records above now:
 # a passing verdict's `witnesses` and a round's `zeros` and `tight`. These
 # samples keep their record semantics under the names they once had.
@@ -487,13 +636,14 @@ def test_every_record_type_is_sampled():
 @pytest.mark.parametrize(
     "cls, args",
     [pytest.param(cls, args, id=cls.__name__) for cls, args in RECORD_SAMPLES]
-    + [pytest.param(cls, args, id=name) for name, cls, args in FOLDED_SAMPLES],
+    + [pytest.param(cls, args, id=name) for name, cls, args in FOLDED_SAMPLES]
+    + [pytest.param(SlotlessConstraint, (1, frozenset({0}), 2), id="SlotlessConstraint")],
 )
 class TestRecordSemantics:
     def test_keyword_and_positional_construction(self, cls, args):
         record = cls(*args)
-        assert record == cls(**dict(zip(cls.__slots__, args)))
-        assert tuple(getattr(record, name) for name in cls.__slots__) == args
+        assert record == cls(**dict(zip(_field_names(cls), args)))
+        assert tuple(getattr(record, name) for name in _field_names(cls)) == args
         assert not hasattr(record, "__dict__")
 
     def test_equality_within_one_type_only(self, cls, args):
@@ -510,7 +660,7 @@ class TestRecordSemantics:
 
     def test_assignment_and_deletion_raise(self, cls, args):
         record = cls(*args)
-        for name in cls.__slots__:
+        for name in _field_names(cls):
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
             with pytest.raises(AttributeError):
@@ -520,7 +670,7 @@ class TestRecordSemantics:
         assert record == cls(*args)
 
     def test_repr_names_every_field(self, cls, args):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(cls.__slots__, args))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(_field_names(cls), args))
         assert repr(cls(*args)) == f"{cls.__name__}({fields})"
 
     def test_copy_and_pickle_round_trip(self, cls, args):
@@ -532,6 +682,15 @@ class TestRecordSemantics:
 def test_constructor_parameters_are_the_slots():
     for cls, _ in RECORD_SAMPLES:
         assert tuple(inspect.signature(cls).parameters) == cls.__slots__, cls.__name__
+
+
+def test_a_subclass_without_slots_of_its_own_keeps_its_fields():
+    record = SlotlessConstraint(1, frozenset({0}), 2)
+    assert repr(record) == "SlotlessConstraint(ad=1, bidders=frozenset({0}), room=2)"
+    other = SlotlessConstraint(2, frozenset({1}), 5)
+    assert record != other and hash(record) != hash(other)
+    assert hash(record) == hash((1, frozenset({0}), 2))
+    assert pickle.loads(pickle.dumps(record)) == record
 
 
 # The records whose constructor only stores its arguments: it is generated
@@ -570,6 +729,11 @@ def _number_entry_points():
         ("epsilon", lambda x: c.GridSpec(x), "epsilon"),
         ("value", lambda x: c.AuctionInstance(("A", "B"), (F(1), x), ads), "advertisers[1].value"),
         ("slots", lambda x: c.OwnedAuction(triangle(), (0, 3, 4), (x, F(1, 4))), "slots[0]"),
+        (
+            "max_subsidy",
+            lambda x: c.best_response_contract(owned, 1, (), c.GridSpec(F(1, 2)), max_subsidy=x),
+            "max_subsidy",
+        ),
     ]
 
 
