@@ -29,6 +29,7 @@ import argparse
 import functools
 import importlib
 import io
+import math
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -356,11 +357,16 @@ def cmd_polytope(args: argparse.Namespace) -> dict[str, Node]:
         weights = _parse_weights(args.weights, len(members))
     bids = sample_pareto_equilibrium(polytope, weights)
     outcome = settle(instance, polytope.winner, bids)
-    constraints = [
-        f"{' + '.join(instance.names[i] for i in sorted(row.bidders))}"
-        f" >= {format_scalar(polytope.rhs(row))}  (vs {instance.label(row.ad)})"
-        for row in polytope.constraints
-    ]
+    names, units, scale = instance.names, instance._units, instance._scale
+    constraints = []
+    for row in polytope.constraints:
+        # The bid-form rhs of `CefPolytope.rhs`, reduced once.
+        rhs = sum([units[i] for i in row.bidders]) - row.room
+        common = math.gcd(rhs, scale)
+        constraints.append(
+            f"{' + '.join([names[i] for i in sorted(row.bidders)])} >= "
+            f"{ratio_text(rhs // common, scale // common)}  (vs {instance.label(row.ad)})"
+        )
     return {
         "command": "polytope",
         "winner": instance.label(polytope.winner),

@@ -29,11 +29,13 @@ feasible, which lets the LP start from the slack basis in a single phase.
 Each `CefConstraint` holds its row once in this form, the room an int in
 the instance's units, and the checks, the LPs (`surplus_rows`, each member
 capped at its value) and the egalitarian lowering all read it there;
-`CefPolytope.rhs` gives the bid form for reports. The LPs are the frontier
+`CefPolytope.rhs` gives the bid form for messages. The LPs are the frontier
 sample, the revenue minimum, and the revenue maximum, the best of one
 lexicographic LP per irredundant cover of the members by tight rows
-(`revenue_range`). `enumerate_vertices` lists the vertices by one square
-solve per subset of rows; it is the reference the maximum is tested against.
+(`revenue_range`). Each answers in ints over its determinant, and they stay
+ints until a bid or a revenue is returned. `enumerate_vertices` lists the
+vertices by one square solve per subset of rows; it is the reference the
+maximum is tested against.
 """
 
 from __future__ import annotations
@@ -260,8 +262,8 @@ def sample_pareto_equilibrium(
     # with w scaled to ints: one positive factor leaves every pivot the same.
     scale = math.lcm(*(w.denominator for w in weights))
     costs = [-w.numerator * (scale // w.denominator) for w in weights]
-    _, surplus = solve_min(costs, le=surplus_rows(polytope), upper=caps)
-    return _verified_bids(polytope, surplus, "optimizer left the equilibrium set")
+    det, _, surplus = solve_min(costs, le=surplus_rows(polytope), upper=caps)
+    return _verified_bids(polytope, det, surplus, "optimizer left the equilibrium set")
 
 
 def surplus_rows(polytope: CefPolytope) -> list[tuple[tuple[int, ...], int]]:
@@ -271,11 +273,13 @@ def surplus_rows(polytope: CefPolytope) -> list[tuple[tuple[int, ...], int]]:
     return [(tuple([int(k in c.bidders) for k in members]), c.room) for c in polytope.constraints]
 
 
-def _verified_bids(polytope: CefPolytope, surplus: Sequence[Fraction], failure: str) -> BidProfile:
-    """The bids value - y for LP surpluses y in units, checked by `is_equilibrium`."""
-    bids = list(polytope.instance.values)
+def _verified_bids(polytope: CefPolytope, det: int, surplus: list[int], failure: str) -> BidProfile:
+    """Bids value - y / det, each y / det an LP surplus in units, checked by `is_equilibrium`."""
+    instance = polytope.instance
+    bids = list(instance.values)
     for member, y in zip(polytope.members, surplus):
-        bids[member] -= y / polytope.instance._scale
+        if y:
+            bids[member] = Fraction(instance._units[member] * det - y, det * instance._scale)
     verdict = is_equilibrium(polytope, bids)
     if not verdict.ok:
         raise InternalError(f"{failure}: {verdict.failure}")
@@ -354,7 +358,9 @@ _COVER_BUDGET = 100_000
 def revenue_range(polytope: CefPolytope) -> tuple[Fraction, Fraction]:
     """Smallest and largest winner revenue over the equilibrium set.
 
-    The minimum comes from the exact LP with unit weights.
+    The minimum comes from the exact LP with unit weights over the rows the
+    covers read. Each LP answers in ints over its determinant det, so its
+    revenue is (total * det - sum of y) / det and two are compared in ints.
 
     The maximum comes from a cover search. For a set R of envy-free rows
     with rhs > 0, let F_R be the points of the polytope where every row of
@@ -377,27 +383,28 @@ def revenue_range(polytope: CefPolytope) -> tuple[Fraction, Fraction]:
     members outside R. It reaches the sum of R's rooms plus the values
     outside R exactly when F_R is non-empty. Stage 2 minimizes the sum of
     y, the revenue given up, over that optimal face, which is F_R. The
-    maximizer is re-verified with `is_equilibrium`.
+    minimizer and the maximizer are re-verified with `is_equilibrium`.
 
     Raises RuntimeError when the search needs more than `_COVER_BUDGET`
     cover LPs.
     """
     instance = polytope.instance
     members = polytope.members
-    cheapest = sample_pareto_equilibrium(polytope, [Fraction(1)] * len(members))
-    low = exact_sum(cheapest[i] for i in members)
     units = instance._units
     caps = [units[k] for k in members]
     total = sum(caps)
     rows = surplus_rows(polytope)
+    det, _, surplus = solve_min([-1] * len(members), le=rows, upper=caps)
+    _verified_bids(polytope, det, surplus, "optimizer left the equilibrium set")
+    low, low_det = total * det - sum(surplus), det
     # The rows with rhs > 0, their bidders' value past their room.
     positive = [c for c in polytope.constraints if c.room < sum([units[k] for k in c.bidders])]
     position = {k: p for p, k in enumerate(members)}
     masks = [sum([1 << position[k] for k in c.bidders]) for c in positive]
-    high, argmax, solved = low * instance._scale, None, 0
+    high, high_det, argmax, solved = low, low_det, None, 0
 
     def solve(cover: list[int]) -> None:
-        nonlocal high, argmax, solved
+        nonlocal high, high_det, argmax, solved
         if solved == _COVER_BUDGET:
             raise RuntimeError(
                 f"the revenue maximum needs more cover LPs than its budget: "
@@ -406,12 +413,12 @@ def revenue_range(polytope: CefPolytope) -> tuple[Fraction, Fraction]:
         solved += 1
         counts = [sum([masks[i] >> p & 1 for i in cover]) for p in range(len(members))]
         reach = sum([positive[i].room for i in cover] + [c for c, n in zip(caps, counts) if not n])
-        value, surplus = solve_min(
+        det, value, surplus = solve_min(
             [-(count or 1) for count in counts], le=rows, upper=caps, then=[1] * len(members)
         )
-        revenue = total - exact_sum(surplus)
-        if value == -reach and revenue > high:
-            high, argmax = revenue, surplus
+        revenue = total * det - sum(surplus)
+        if value == -reach * det and revenue * high_det > high * det:
+            high, high_det, argmax = revenue, det, surplus
 
     def extend(cover: list[int], union: int, own: list[int], start: int) -> None:
         # own[k]: the members that only row cover[k] covers, none empty.
@@ -424,5 +431,5 @@ def revenue_range(polytope: CefPolytope) -> tuple[Fraction, Fraction]:
     extend([], 0, [], 0)
     if argmax is not None:
         failure = "the cover search and is_equilibrium disagree at the revenue maximum"
-        _verified_bids(polytope, argmax, failure)
-    return low, high / instance._scale
+        _verified_bids(polytope, high_det, argmax, failure)
+    return Fraction(low, low_det * instance._scale), Fraction(high, high_det * instance._scale)

@@ -7,7 +7,8 @@ phase. The tableau is condensed (Tucker: one row per basic variable, one
 column per nonbasic one); a variable at its cap is complemented, x -> u - x,
 so the caps need no rows (Dantzig 1955); and the entries are integers over
 one common denominator, each pivot dividing exactly by the previous one
-(`_eliminate`; Edmonds 1967, Bareiss 1968). Every comparison is exact.
+(`_eliminate`; Edmonds 1967, Bareiss 1968), and so is the optimum it
+returns. Every comparison is exact.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def solve_min(
     le: Sequence[Row],
     upper: Sequence[int],
     then: Sequence[int] | None = None,
-) -> tuple[Fraction, list[Fraction]]:
+) -> tuple[int, int, list[int]]:
     """Minimize costs . x subject to the rows a.x <= rhs and 0 <= x <= upper.
 
     le is a sequence of (coefficients, rhs) with every rhs >= 0; upper holds
@@ -51,8 +52,9 @@ def solve_min(
     minimized next over the optimal face of costs . x, as in the
     lexicographic simplex (Isermann 1982): after the first optimum only a
     column whose reduced cost in costs is zero may enter, so costs . x keeps
-    its optimal value. Returns (optimal value of costs . x, optimal x).
-    Raises ValueError on a negative rhs or cap.
+    its optimal value. Returns ints over the final determinant det >= 1:
+    (det, value, x) with costs . x == value, for the optimum x / det of
+    value / det. Raises ValueError on a negative rhs or cap.
     """
     n, m = len(costs), len(le)
     if len(upper) != n:
@@ -136,10 +138,8 @@ def solve_min(
     solution = []
     for j in range(n):
         x = tableau[row_of[j]][n] if j in row_of else 0
-        if complemented[j]:
-            x = caps[j] * det - x
-        solution.append(Fraction(x, det))
-    return Fraction(tableau[m][n], det), solution
+        solution.append(caps[j] * det - x if complemented[j] else x)
+    return det, tableau[m][n], solution
 
 
 def solve_square_system(

@@ -163,6 +163,34 @@ def bruteforce_vertices(polytope, determinants: set[int] | None = None):
     return sorted(found)
 
 
+def pairwise_rows() -> AuctionInstance:
+    """Three winning members worth 4 against three rivals worth 6, each
+    lacking two of them: the envy-free rows A+B, B+C, A+C >= 6."""
+    return make_instance(
+        {"A": 4, "B": 4, "C": 4, "X": 6, "Y": 6, "Z": 6},
+        [["A", "B", "C"], ["C", "X"], ["A", "Y"], ["B", "Z"]],
+    )
+
+
+def recorded_lps(monkeypatch, polytope):
+    """Record each LP `polytope_module` solves for `polytope` as (staged, det,
+    revenue): whether it had a second objective, its final determinant and
+    the winner revenue its surpluses give."""
+    instance, members = polytope.instance, polytope.members
+    total = sum(instance._units[k] for k in members)
+    calls = []
+    solve = polytope_module.solve_min
+
+    def recorded(costs, le, upper, then=None):
+        det, value, surplus = solve(costs, le=le, upper=upper, then=then)
+        revenue = F(total * det - sum(surplus), det * instance._scale)
+        calls.append((then is not None, det, revenue))
+        return det, value, surplus
+
+    monkeypatch.setattr(polytope_module, "solve_min", recorded)
+    return calls
+
+
 def bruteforce_max_revenue(polytope):
     """Largest member-bid total over the polytope vertices (one square solve
     per subset of rows) that pass `is_equilibrium`."""
@@ -557,11 +585,7 @@ class TestVertices:
         # The envy-free rows A+B, B+C, A+C >= 6 meet only at (3, 3, 3), where
         # their square system has determinant 2 and each bid is more than
         # half of its value 4.
-        instance = make_instance(
-            {"A": 4, "B": 4, "C": 4, "X": 6, "Y": 6, "Z": 6},
-            [["A", "B", "C"], ["C", "X"], ["A", "Y"], ["B", "Z"]],
-        )
-        polytope = build_polytope(instance)
+        polytope = build_polytope(pairwise_rows())
         assert (F(3), F(3), F(3)) in enumerate_vertices(polytope)
         assert revenue_range(polytope)[1] == bruteforce_max_revenue(polytope)
 
@@ -621,6 +645,39 @@ class TestRevenueRange:
         polytope = build_polytope(instance)
         assume(combinations_to_solve(polytope) <= 5000)
         assert revenue_range(polytope)[1] == bruteforce_max_revenue(polytope)
+
+    def test_range_behind_a_non_unit_determinant(self, monkeypatch):
+        # The minimum (3, 3, 3) is where the three rows meet, so its LP ends
+        # at determinant 2: a revenue read off the numerators alone, or a
+        # numerator set against a determinant of 1, would be off by a factor.
+        polytope = build_polytope(pairwise_rows())
+        calls = recorded_lps(monkeypatch, polytope)
+        assert revenue_range(polytope) == (F(9), F(10))
+        assert calls[0] == (False, 2, F(9))
+
+    def test_maximum_behind_a_non_unit_determinant(self, monkeypatch):
+        # Draw 1167 of `rival_family(random.Random(5), randint(3, 8),
+        # rivals_per_member=2)`: the one cover LP that reaches the maximum
+        # ends at determinant 2, so a stage-1 test that leaves the
+        # determinant out of the reach drops the maximizing cover.
+        values = {
+            "W0": "21/2", "W1": 11, "W2": 7, "W3": "17/4", "W4": 11, "W5": "26/3",
+            "R0": "2629/240", "R1": "3479/240", "R2": "322/15", "R3": "42/5",
+            "R4": "247/20", "R5": "131/40", "R6": "175/16", "R7": "629/15",
+            "R8": "8177/240", "R9": "927/40", "R10": "131/20", "R11": "171/8",
+        }
+        ads = [
+            ["W0", "W1", "W2", "W3", "W4", "W5"], ["R0", "W0", "W1", "W4"], ["R1", "W1"],
+            ["R2", "W0", "W2", "W3"], ["R3", "W1", "W2", "W3", "W4", "W5"], ["R4", "W2", "W3"],
+            ["R5", "W4", "W5"], ["R6", "W5"], ["R7"], ["R8"], ["R9", "W1", "W2", "W5"],
+            ["R10", "W1", "W5"], ["R11", "W1", "W3", "W5"],
+        ]
+        polytope = build_polytope(make_instance(values, ads))
+        calls = recorded_lps(monkeypatch, polytope)
+        high = F(20183, 480)
+        assert revenue_range(polytope) == (F(629, 15), high)
+        assert {det for staged, det, revenue in calls if staged and revenue == high} == {2}
+        assert abs(float(high) - milp_max_revenue(polytope)) <= 1e-6 * float(high)
 
     def test_maximizer_is_reverified(self, monkeypatch):
         # The triangle's maximum (2) lies above its LP minimum (1), so the
@@ -686,6 +743,14 @@ def unit_row_polytopes():
     rng = random.Random(4)
     for _ in range(200):
         yield build_polytope(rival_family(rng, rng.randint(8, 12), rivals_per_member=2))
+
+
+def test_minimum_is_the_unit_weight_sample():
+    # revenue_range and sample_pareto_equilibrium pose the same unit-weight
+    # LP, each through its own entry point.
+    for polytope in unit_row_polytopes():
+        bids = sample_pareto_equilibrium(polytope, [F(1)] * len(polytope.members))
+        assert revenue_range(polytope)[0] == sum(bids[k] for k in polytope.members)
 
 
 class TestRowsInUnits:

@@ -15,10 +15,28 @@ from helpers import solve_min_by_fractions
 F = Fraction
 
 
+def solved(costs, le, upper, then=None):
+    """solve_min's answer as (value, x) in Fractions, after `in_fractions`
+    checks its integer contract."""
+    return in_fractions(costs, upper, solve_min(costs, le=le, upper=upper, then=then))
+
+
+def in_fractions(costs, upper, answer):
+    """(det, value, x) as (value / det, x / det), after checking that all are
+    ints, that det >= 1, that each x numerator lies within [0, cap * det] and
+    that the value numerator is exactly costs . x."""
+    det, value, x = answer
+    assert all(type(number) is int for number in (det, value, *x))
+    assert det >= 1
+    assert all(0 <= xi <= cap * det for xi, cap in zip(x, upper))
+    assert value == sum(c * xi for c, xi in zip(costs, x))
+    return F(value, det), [F(xi, det) for xi in x]
+
+
 def test_simple_minimum():
     # min -x - y  s.t.  x + y <= 3, x <= 2, y <= 2, x - 2y <= 0; the last row
     # is tight at the start, a degenerate vertex. The caps never bind.
-    value, x = solve_min(
+    value, x = solved(
         [-1, -1],
         le=[([1, 1], 3), ([1, 0], 2), ([0, 1], 2), ([1, -2], 0)],
         upper=[10, 10],
@@ -32,7 +50,7 @@ def test_simple_minimum():
 def test_weighted_objective_picks_the_cheap_coordinate():
     # min -x - 3y  s.t.  x + y <= 1, x <= 1, y <= 1: all of the budget goes to
     # y. The caps never bind.
-    value, x = solve_min(
+    value, x = solved(
         [-1, -3], le=[([1, 1], 1), ([1, 0], 1), ([0, 1], 1)], upper=[5, 5]
     )
     assert value == -3
@@ -50,7 +68,7 @@ def test_beale_cycling_example_terminates():
         ([25, -4500, -1, 150], 0),
         ([0, 0, 1, 0], 1),
     ]
-    value, x = solve_min(costs, le=le, upper=[10] * 4)
+    value, x = solved(costs, le=le, upper=[10] * 4)
     assert value == -5
     assert x == [F(1, 25), 0, 1, 0]
 
@@ -77,7 +95,7 @@ def test_ratio_test_ties_go_to_the_lowest_label(monkeypatch):
         ([25, -4500, -1, 150], 0),
         ([0, 0, 1, 0], 1),
     ]
-    assert solve_min(costs, le=le, upper=[10] * 4) == (-5, [F(1, 25), 0, 1, 0])
+    assert solved(costs, le=le, upper=[10] * 4) == (-5, [F(1, 25), 0, 1, 0])
     assert pivots == [
         (0, (25, -6000, -4, 900, 0)),
         (1, (-25, 37500, 75, -18750, 0)),
@@ -106,7 +124,7 @@ def test_bound_flip_without_a_pivot(monkeypatch):
         return eliminate(*args)
 
     monkeypatch.setattr(simplex, "_eliminate", recording)
-    value, x = solve_min([-1, -1], le=[([1, 1], 10)], upper=[2, 3])
+    value, x = solved([-1, -1], le=[([1, 1], 10)], upper=[2, 3])
     assert value == -5
     assert x == [2, 3]
     assert pivots == []
@@ -118,12 +136,12 @@ def test_basic_variable_leaves_at_its_bound():
     # lifts x to its cap at y = 2, so x leaves the basis at its cap. The
     # optimum is (3, 7); with caps that never bind it is (11/2, 9/2).
     le = [([1, -1], 1), ([1, 1], 10)]
-    assert solve_min([-2, -1], le=le, upper=[3, 10]) == (-13, [3, 7])
-    assert solve_min([-2, -1], le=le, upper=[10, 10]) == (F(-31, 2), [F(11, 2), F(9, 2)])
+    assert solved([-2, -1], le=le, upper=[3, 10]) == (-13, [3, 7])
+    assert solved([-2, -1], le=le, upper=[10, 10]) == (F(-31, 2), [F(11, 2), F(9, 2)])
 
 
 def test_zero_bound_fixes_the_variable():
-    value, x = solve_min([-1, -1], le=[([1, 1], 4)], upper=[0, 10])
+    value, x = solved([-1, -1], le=[([1, 1], 4)], upper=[0, 10])
     assert (value, x) == (-4, [0, 4])
 
 
@@ -172,7 +190,7 @@ def test_cross_check_against_scipy():
         )
         assert result.success
         # The unit rows hold every variable at 8 or less, so the caps never bind.
-        value, x = solve_min(costs, le=le, upper=[9] * nvars)
+        value, x = solved(costs, le=le, upper=[9] * nvars)
         assert abs(float(value) - result.fun) <= 1e-8 * (1 + abs(result.fun))
         assert all(xi >= 0 for xi in x)
         assert all(sum(a * xi for a, xi in zip(row, x)) <= b for row, b in le)
@@ -221,12 +239,26 @@ def test_bounds_match_cap_rows_and_scipy():
             method="highs",
         )
         assert result.success
-        value, x = solve_min(costs, le=le, upper=upper)
+        value, x = solved(costs, le=le, upper=upper)
         assert abs(float(value) - result.fun) <= 1e-8 * (1 + abs(result.fun))
         assert all(0 <= xi <= u for xi, u in zip(x, upper))
         assert all(sum(a * xi for a, xi in zip(row, x)) <= b for row, b in le)
         assert sum(c * xi for c, xi in zip(costs, x)) == value
-        assert solve_min(costs, le=le + cap_rows, upper=[9] * nvars)[0] == value
+        assert solved(costs, le=le + cap_rows, upper=[9] * nvars)[0] == value
+
+
+def test_integer_contract_beyond_unit_determinants():
+    # The seeded shapes, with and without a second objective, end at
+    # determinants other than 1, where a numerator read as a value would be
+    # off by that factor.
+    rng = random.Random(12)
+    determinants = set()
+    for costs, le, upper in int_shapes():
+        for then in (None, [rng.randint(-5, 5) for _ in costs]):
+            answer = solve_min(costs, le=le, upper=upper, then=then)
+            in_fractions(costs, upper, answer)
+            determinants.add(answer[0])
+    assert max(determinants) > 1
 
 
 def test_second_objective_picks_an_endpoint_of_the_optimal_edge():
@@ -235,9 +267,9 @@ def test_second_objective_picks_an_endpoint_of_the_optimal_edge():
     # objective picks the endpoint where it is smaller, and the slack, whose
     # reduced cost in the first objective is nonzero, never enters.
     le = [([1, 1], 1)]
-    assert solve_min([-1, -1], le=le, upper=[1, 1]) == (-1, [1, 0])
+    assert solved([-1, -1], le=le, upper=[1, 1]) == (-1, [1, 0])
     for then, endpoint in (([2, 1], [0, 1]), ([1, 2], [1, 0])):
-        assert solve_min([-1, -1], le=le, upper=[1, 1], then=then) == (-1, endpoint)
+        assert solved([-1, -1], le=le, upper=[1, 1], then=then) == (-1, endpoint)
     with pytest.raises(ValueError, match="expected 2 costs in then"):
         solve_min([-1, -1], le=le, upper=[1, 1], then=[1])
 
@@ -267,8 +299,8 @@ def test_second_objective_matches_two_stage_scipy():
             method="highs",
         )
         assert second.success
-        value, x = solve_min(costs, le=le, upper=upper, then=then)
-        first_only = solve_min(costs, le=le, upper=upper)
+        value, x = solved(costs, le=le, upper=upper, then=then)
+        first_only = solved(costs, le=le, upper=upper)
         assert value == first_only[0]
         moved += sum(c * a for c, a in zip(then, first_only[1])) != sum(
             c * xi for c, xi in zip(then, x)
@@ -301,6 +333,6 @@ def test_matches_the_rational_solver_it_narrowed():
         ]
         upper = [rng.choice((0, rng.randint(1, 12), rng.randint(1, 12))) for _ in range(nvars)]
         for then in (None, [rng.randint(-6, 6) for _ in range(nvars)]):
-            assert solve_min(costs, le=le, upper=upper, then=then) == solve_min_by_fractions(
+            assert solved(costs, le=le, upper=upper, then=then) == solve_min_by_fractions(
                 costs, le=le, upper=upper, then=then
             )
