@@ -283,6 +283,8 @@ def cmd_solve(args: argparse.Namespace) -> dict[str, Node]:
 
 
 def cmd_verify(args: argparse.Namespace) -> dict[str, Node]:
+    if args.path == args.bids == "-":
+        raise CliError("PATH and BIDS both name stdin (-), which can be read only once")
     _bind("polytope")
     instance = _load_instance(args.path)
     bids = parse_bids(_read_text(args.bids), instance)
@@ -466,6 +468,8 @@ def _outcome_node(owned: OwnedAuction, outcome) -> dict[str, Node]:
 
 
 def cmd_contracts(args: argparse.Namespace) -> dict[str, Node]:
+    if args.path == args.contracts == "-":
+        raise CliError("PATH and --contracts both name stdin (-), which can be read only once")
     _bind("contracts")
     owned = parse_owned_auction(_read_text(args.path))
     instance = owned.instance

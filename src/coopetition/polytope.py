@@ -33,16 +33,13 @@ capped at its value) and the egalitarian lowering all read it there;
 sample, the revenue minimum, and the revenue maximum, the best of one
 lexicographic LP per irredundant cover of the members by tight rows
 (`revenue_range`). Each answers in ints over its determinant, and they stay
-ints until a bid or a revenue is returned. `enumerate_vertices` lists the
-vertices by one square solve per subset of rows; it is the reference the
-maximum is tested against.
+ints until a bid or a revenue is returned.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
 from typing import Mapping, Sequence
 
 from .mechanisms import efficient_winner
@@ -51,16 +48,16 @@ from .model import (
     BidProfile,
     FrozenMap,
     InternalError,
-    ZERO,
     Record,
     check_bids,
     exact_scalars,
-    exact_sum,
     format_scalar,
 )
-from .simplex import solve_min, solve_square_system
+from .simplex import solve_min
 
-ONE = Fraction(1)
+# benchmarks/spans.py wraps these names in its traced run, so they stay bound,
+# to None, until it drops those wraps.
+enumerate_vertices = solve_square_system = None
 
 
 class CefConstraint(Record):
@@ -93,8 +90,8 @@ class CefPolytope(Record):
         return tuple(sorted(self.instance.members(self.winner)))
 
     def rhs(self, row: CefConstraint) -> Fraction:
-        """The row in bid form, sum of bids over its bidders >= rhs: their
-        value less the room, the rival's value outside the winner if built."""
+        """The row in bid form, sum of bids over its bidders >= rhs, for messages:
+        their value less the room, the rival's value outside the winner if built."""
         units = self.instance._units
         return Fraction(sum([units[i] for i in row.bidders]) - row.room, self.instance._scale)
 
@@ -284,71 +281,6 @@ def _verified_bids(polytope: CefPolytope, det: int, surplus: list[int], failure:
     if not verdict.ok:
         raise InternalError(f"{failure}: {verdict.failure}")
     return tuple(bids)
-
-
-def vertex_rows(polytope: CefPolytope) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-    """The rows a vertex can be tight on, as (coefficients, rhs) in member order.
-
-    Envy-free rows with rhs 0 are implied generators (tight only when each
-    of their coordinates is zero) and are skipped. Every member contributes
-    its lower bound 0 and, when its value is positive, its cap. Duplicates
-    are dropped; the order is otherwise fixed.
-    """
-    members = polytope.members
-    rows = [
-        (tuple(ONE if k in c.bidders else ZERO for k in members), rhs)
-        for c in polytope.constraints
-        if (rhs := polytope.rhs(c)) != 0
-    ]
-    for p, member in enumerate(members):
-        unit = tuple(ONE if q == p else ZERO for q in range(len(members)))
-        rows.append((unit, Fraction(0)))
-        upper = polytope.instance.values[member]
-        if upper != 0:
-            rows.append((unit, upper))
-    return list(dict.fromkeys(rows))
-
-
-def in_polytope(polytope: CefPolytope, point: Sequence[Fraction]) -> bool:
-    """Whether member bids (in member order) are IR and satisfy every envy-free row."""
-    members = polytope.members
-    values = polytope.instance.values
-    if any(x < 0 or x > values[member] for x, member in zip(point, members)):
-        return False
-    bids = dict(zip(members, point))
-    return all(
-        exact_sum(bids[i] for i in c.bidders) >= polytope.rhs(c) for c in polytope.constraints
-    )
-
-
-_COMBINATION_BUDGET = 500_000
-
-
-def enumerate_vertices(polytope: CefPolytope) -> list[tuple[Fraction, ...]]:
-    """All vertices of the polytope, as member-bid vectors in member order, sorted.
-
-    A vertex is a point of the polytope at which d linearly independent rows
-    of `vertex_rows` are tight (d = number of members). Every d-subset is
-    solved as an exact square system and kept when its solution is IR and
-    meets every envy-free row.
-
-    Raises RuntimeError when there are more than `_COMBINATION_BUDGET`
-    d-subsets, before solving any.
-    """
-    rows = vertex_rows(polytope)
-    dimension = len(polytope.members)
-    total = math.comb(len(rows), dimension)
-    if total > _COMBINATION_BUDGET:
-        raise RuntimeError(
-            f"vertex enumeration needs {total} constraint combinations, "
-            f"budget is {_COMBINATION_BUDGET}"
-        )
-    found: set[tuple[Fraction, ...]] = set()
-    for chosen in combinations(rows, dimension):
-        solution = solve_square_system([a for a, _ in chosen], [rhs for _, rhs in chosen])
-        if solution is not None and in_polytope(polytope, solution):
-            found.add(tuple(solution))
-    return sorted(found)
 
 
 # Cover LPs `revenue_range` may solve for one maximum.

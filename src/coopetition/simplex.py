@@ -13,7 +13,6 @@ returns. Every comparison is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import index
 from typing import Sequence
 
@@ -140,27 +139,3 @@ def solve_min(
         x = tableau[row_of[j]][n] if j in row_of else 0
         solution.append(caps[j] * det - x if complemented[j] else x)
     return det, tableau[m][n], solution
-
-
-def solve_square_system(
-    matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """Solve a square exact linear system; None when singular."""
-    size = len(rhs)
-    work = [list(row) + [rhs[r]] for r, row in enumerate(matrix)]
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if work[r][col] != 0), None)
-        if pivot_row is None:
-            return None
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col][col]
-        if pivot != 1:
-            work[col] = [entry / pivot for entry in work[col]]
-        for r in range(size):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [
-                    entry - factor * p if p else entry
-                    for entry, p in zip(work[r], work[col])
-                ]
-    return [work[r][size] for r in range(size)]

@@ -473,7 +473,7 @@ from coopetition import cli
 # contracts and oracle import no other package module, and egalitarian
 # imports polytope, so each module is first loaded by its own read here.
 record = {}
-for name in ("position_vcg", "vcg_bruteforce", "enumerate_vertices", "LoweringTrace"):
+for name in ("position_vcg", "vcg_bruteforce", "revenue_range", "LoweringTrace"):
     home = "coopetition." + coopetition._HOME[name]
     loaded_before = home in sys.modules
     record[name] = [
@@ -500,7 +500,7 @@ def test_reading_any_exported_name_binds_its_module():
     assert json.loads(result.stdout) == {
         "position_vcg": [False, True, True],
         "vcg_bruteforce": [False, True, True],
-        "enumerate_vertices": [False, True, True],
+        "revenue_range": [False, True, True],
         "LoweringTrace": [False, True, True],
         "serialize_instance": True,
         "first_price_clear": True,
@@ -601,6 +601,27 @@ class TestJsonLevelErrors:
         prefix = "contract file is not valid JSON: " if kind == "contracts" else "not valid JSON: "
         assert message.startswith(prefix) and detail in message
         assert "set_int_max_str_digits" not in message
+
+
+class TestStdinNamedTwice:
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize(
+        "argv, document, names",
+        [
+            (["verify", "-", "-"], TRIANGLE, "PATH and BIDS"),
+            (["contracts", "-", "--contracts", "-"], OWNED, "PATH and --contracts"),
+        ],
+    )
+    def test_refused_before_reading(self, capsys, monkeypatch, argv, document, names, fmt):
+        # The second read of stdin would find it empty and report a JSON
+        # error that names neither argument.
+        stdin = io.StringIO(document)
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, [*argv, "--format", fmt])
+        assert code == 1 and out == ""
+        expected = f"{names} both name stdin (-), which can be read only once"
+        assert_error_report(err, fmt, expected)
+        assert stdin.tell() == 0
 
 
 class TestExitStatus:

@@ -21,7 +21,6 @@ from coopetition import (
     AuctionInstance,
     build_polytope,
     canonical_bids,
-    enumerate_vertices,
     first_cef_violation,
     first_ir_violation,
     is_cef,
@@ -39,7 +38,6 @@ from coopetition.polytope import (
     CefPolytope,
     EquilibriumResult,
     surplus_rows,
-    vertex_rows,
 )
 from helpers import (
     F,
@@ -84,7 +82,14 @@ def instances(draw, max_n: int) -> AuctionInstance:
 
 
 def combinations_to_solve(polytope) -> int:
-    return math.comb(len(vertex_rows(polytope)), len(polytope.members))
+    """The d-subsets of the distinct rows a vertex can be tight on, d the
+    number of members: the envy-free rows with rhs other than 0 (a row with
+    rhs 0 is tight only where all its bidders bid 0) and each member's
+    bounds, 0 and its value."""
+    members, values = polytope.members, polytope.instance.values
+    rows = {(c.bidders, rhs) for c in polytope.constraints if (rhs := polytope.rhs(c)) != 0}
+    rows |= {(frozenset([k]), bound) for k in members for bound in (F(0), values[k])}
+    return math.comb(len(rows), len(members))
 
 
 def small_polytopes(seed: int, count: int, make=random_instance):
@@ -125,12 +130,11 @@ def bruteforce_vertices(polytope, determinants: set[int] | None = None):
     """Polytope vertices by Cramer's rule on every d-subset of the rows that
     define the polytope, kept when `is_ir` and `is_cef` accept them.
 
-    Independent of `enumerate_vertices`: every envy-free row is a candidate
-    (rhs 0 too), the rows are rebuilt from the rival ads (`rows_by_sums`)
-    with the bounds added here, the square systems are solved by
-    integer determinants, and membership is the IR and CEF tests. The
-    magnitude of each non-singular system's determinant is added to
-    `determinants` when it is given.
+    Independent of the LPs: every envy-free row is a candidate (rhs 0 too),
+    the rows are rebuilt from the rival ads (`rows_by_sums`) with the bounds
+    added here, the square systems are solved by integer determinants, and
+    membership is the IR and CEF tests. The magnitude of each non-singular
+    system's determinant is added to `determinants` when it is given.
     """
     members = polytope.members
     values = polytope.instance.values
@@ -191,12 +195,13 @@ def recorded_lps(monkeypatch, polytope):
     return calls
 
 
-def bruteforce_max_revenue(polytope):
-    """Largest member-bid total over the polytope vertices (one square solve
-    per subset of rows) that pass `is_equilibrium`."""
+def bruteforce_max_revenue(polytope, determinants: set[int] | None = None):
+    """Largest member-bid total over the vertices of `bruteforce_vertices`
+    (Cramer's rule on each subset of rows) that pass `is_equilibrium`;
+    `determinants` is passed through."""
     members = polytope.members
     revenues = []
-    for vertex in enumerate_vertices(polytope):
+    for vertex in bruteforce_vertices(polytope, determinants):
         bids = list(polytope.instance.values)
         for member, bid in zip(members, vertex):
             bids[member] = bid
@@ -571,48 +576,13 @@ class TestSamplePareto:
 
 
 class TestVertices:
-    def test_triangle_vertices(self):
-        polytope = build_polytope(triangle())
-        assert enumerate_vertices(polytope) == [
-            (F(0), F(0), F(1)),
-            (F(0), F(1), F(1)),
-            (F(1), F(0), F(1)),
-            (F(1), F(1), F(0)),
-            (F(1), F(1), F(1)),
-        ]
-
     def test_vertex_behind_a_non_unit_pivot(self):
         # The envy-free rows A+B, B+C, A+C >= 6 meet only at (3, 3, 3), where
         # their square system has determinant 2 and each bid is more than
         # half of its value 4.
         polytope = build_polytope(pairwise_rows())
-        assert (F(3), F(3), F(3)) in enumerate_vertices(polytope)
+        assert (F(3), F(3), F(3)) in bruteforce_vertices(polytope)
         assert revenue_range(polytope)[1] == bruteforce_max_revenue(polytope)
-
-    def test_budget_guard(self, monkeypatch):
-        polytope = build_polytope(triangle())
-        monkeypatch.setattr(polytope_module, "_COMBINATION_BUDGET", 1)
-        with pytest.raises(RuntimeError, match="budget is 1"):
-            enumerate_vertices(polytope)
-
-    def test_matches_bruteforce_on_the_acceptance_family(self):
-        for polytope in small_polytopes(0, 100):
-            assert enumerate_vertices(polytope) == bruteforce_vertices(polytope)
-
-    def test_matches_bruteforce_with_prime_denominators(self):
-        # Record the determinants of the square systems, so that the test
-        # shows it met some other than +-1.
-        determinants: set[int] = set()
-        large_scales = 0
-        for polytope in itertools.chain(
-            small_polytopes(1, 40, partial(random_instance, value_pool=PRIME_DENOMINATOR_VALUES)),
-            small_polytopes(2, 40, prime_rival_family),
-        ):
-            assert enumerate_vertices(polytope) == bruteforce_vertices(polytope, determinants)
-            scale = math.lcm(*(rhs.denominator for _, rhs in vertex_rows(polytope)))
-            large_scales += scale >= 7 * 11 * 13
-        assert large_scales >= 20
-        assert max(determinants) > 1
 
 
 class TestRevenueRange:
@@ -633,11 +603,24 @@ class TestRevenueRange:
             assert revenue_range(polytope)[1] == bruteforce_max_revenue(polytope)
 
     def test_maximum_matches_bruteforce_with_prime_denominators(self):
+        # Record the determinants of the square systems and the lcm of the
+        # rows' denominators, so that the test shows it met determinants
+        # other than +-1 and large scales.
+        determinants: set[int] = set()
+        large_scales = 0
         for polytope in itertools.chain(
             small_polytopes(1, 40, partial(random_instance, value_pool=PRIME_DENOMINATOR_VALUES)),
             small_polytopes(2, 40, prime_rival_family),
         ):
-            assert revenue_range(polytope)[1] == bruteforce_max_revenue(polytope)
+            assert revenue_range(polytope)[1] == bruteforce_max_revenue(polytope, determinants)
+            values = polytope.instance.values
+            scale = math.lcm(
+                *(polytope.rhs(c).denominator for c in polytope.constraints),
+                *(values[k].denominator for k in polytope.members),
+            )
+            large_scales += scale >= 7 * 11 * 13
+        assert large_scales >= 20
+        assert max(determinants) > 1
 
     @given(instances(max_n=6))
     @settings(max_examples=100, deadline=None)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from coopetition import simplex
-from coopetition.simplex import solve_min, solve_square_system
+from coopetition.simplex import solve_min
 from helpers import solve_min_by_fractions
 
 F = Fraction
@@ -195,16 +195,6 @@ def test_cross_check_against_scipy():
         assert all(xi >= 0 for xi in x)
         assert all(sum(a * xi for a, xi in zip(row, x)) <= b for row, b in le)
         assert sum(c * xi for c, xi in zip(costs, x)) == value
-
-
-def test_square_system_solution():
-    matrix = [[F(2), F(1)], [F(1), F(-1)]]
-    assert solve_square_system(matrix, [F(4), F(-1)]) == [F(1), F(2)]
-
-
-def test_square_system_singular():
-    matrix = [[F(1), F(1)], [F(2), F(2)]]
-    assert solve_square_system(matrix, [F(1), F(3)]) is None
 
 
 def int_shapes(seed=20240817, count=60):
