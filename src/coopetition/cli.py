@@ -49,7 +49,7 @@ from .model import (
     parse_instance,
     parse_scalar,
     ratio_text,
-    settle,
+    total_bid,
 )
 
 # Modules a command binds into this module on first use (`_bind`), with the
@@ -358,7 +358,6 @@ def cmd_polytope(args: argparse.Namespace) -> dict[str, Node]:
     else:
         weights = _parse_weights(args.weights, len(members))
     bids = sample_pareto_equilibrium(polytope, weights)
-    outcome = settle(instance, polytope.winner, bids)
     names, units, scale = instance.names, instance._units, instance._scale
     constraints = []
     for row in polytope.constraints:
@@ -376,7 +375,7 @@ def cmd_polytope(args: argparse.Namespace) -> dict[str, Node]:
         "weights": {instance.names[i]: w for i, w in zip(members, weights)},
         "constraints": constraints,
         "bids": _named(instance, bids),
-        "revenue": outcome.revenue,
+        "revenue": total_bid(instance, bids, polytope.winner),
     }
 
 
@@ -583,12 +582,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="STEP or STEP:MAX grid for the responder's subsidy search (default: 1)",
     )
     p_contracts.set_defaults(func=cmd_contracts)
+    parser.commands = sub.choices  # each command's subparser, for `main`
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A command's subparser reads the rest, as in the full parse, which runs
+    # only without a command or with words left over, to report the error.
+    subparser = parser.commands.get(argv[0]) if argv else None
+    if subparser is not None:
+        args, extras = subparser.parse_known_args(argv[1:])
+        args.command = argv[0]
+    if subparser is None or extras:
+        args = parser.parse_args(argv)
     try:
         text = render(args.func(args), args.format)
     except InternalError as exc:

@@ -71,7 +71,12 @@ class CefConstraint(Record):
     room: int
 
 
-class CefPolytope(Record):
+class _Sorted:
+    # A cache, not a field: equality, hashing, repr and pickle never see it.
+    __slots__ = ("_members",)
+
+
+class CefPolytope(Record, _Sorted):
     """CEF + IR + non-negativity constraints over the winner's member bids.
 
     The rows are those `build_polytope` makes: one per rival ad lacking a
@@ -87,7 +92,10 @@ class CefPolytope(Record):
 
     @property
     def members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.instance.members(self.winner)))
+        """The winner's members, sorted on the first read and kept in `_Sorted`."""
+        if not hasattr(self, "_members"):
+            _Sorted._members.__set__(self, tuple(sorted(self.instance.members(self.winner))))
+        return self._members
 
     def rhs(self, row: CefConstraint) -> Fraction:
         """The row in bid form, sum of bids over its bidders >= rhs, for messages:
@@ -266,8 +274,8 @@ def sample_pareto_equilibrium(
 def surplus_rows(polytope: CefPolytope) -> list[tuple[tuple[int, ...], int]]:
     """Each envy-free row as (0/1 coefficients in member order, room): the
     row's bidders and room, read off the polytope's own rows."""
-    members = polytope.members
-    return [(tuple([int(k in c.bidders) for k in members]), c.room) for c in polytope.constraints]
+    members, rows = polytope.members, polytope.constraints
+    return [(tuple([1 if k in c.bidders else 0 for k in members]), c.room) for c in rows]
 
 
 def _verified_bids(polytope: CefPolytope, det: int, surplus: list[int], failure: str) -> BidProfile:

@@ -30,8 +30,6 @@ def _eliminate(
     identity; Bareiss 1968).
     """
     factor = row[pivot]
-    if factor == 0:
-        return row if det == previous else [det * entry // previous for entry in row]
     if previous == 1:
         return [det * entry - factor * p for entry, p in zip(row, pivot_row)]
     return [(det * entry - factor * p) // previous for entry, p in zip(row, pivot_row)]
@@ -51,9 +49,11 @@ def solve_min(
     minimized next over the optimal face of costs . x, as in the
     lexicographic simplex (Isermann 1982): after the first optimum only a
     column whose reduced cost in costs is zero may enter, so costs . x keeps
-    its optimal value. Returns ints over the final determinant det >= 1:
-    (det, value, x) with costs . x == value, for the optimum x / det of
-    value / det. Raises ValueError on a negative rhs or cap.
+    its optimal value. Bland's rule picks the entering column and breaks
+    ratio-test ties; a pivot that keeps det rewrites (`_eliminate`) only the
+    rows with a nonzero entry in that column. Returns ints over the final
+    determinant det >= 1: (det, value, x) with costs . x == value, for the
+    optimum x / det of value / det. Raises ValueError on a negative rhs or cap.
     """
     n, m = len(costs), len(le)
     if len(upper) != n:
@@ -80,39 +80,40 @@ def solve_min(
     while True:
         # Bland: the lowest label that lowers the objective; a cap of 0 fixes
         # it, and in the second stage so does a nonzero first reduced cost.
-        objective = tableau[stage]
-        entering = [
-            j
-            for j, label in enumerate(nonbasic)
-            if objective[j] > 0 and caps[label] != 0 and (stage == m or tableau[m][j] == 0)
-        ]
-        if not entering:
+        objective, first = tableau[stage], tableau[m]
+        e, label = -1, n + m
+        for j, candidate in enumerate(nonbasic):
+            if objective[j] > 0 and candidate < label and caps[candidate] != 0:
+                if stage == m or first[j] == 0:
+                    e, label = j, candidate
+        if e < 0:
             if stage + 1 == len(tableau):
                 break
             stage += 1
             continue
-        e = min(entering, key=nonbasic.__getitem__)
         # Ratio test, ties to the lowest label: a basic variable falling to
         # zero or rising to its cap, against the entering variable's own cap.
-        leaving, best = None, (0, 1)
+        # The best ratio so far is num / den.
+        leaving, num, den = None, 0, 1
         for r in range(m):
-            coeff, rhs, cap = tableau[r][e], tableau[r][n], caps[basic[r]]
+            row = tableau[r]
+            coeff = row[e]
             if coeff > 0:
-                ratio = (rhs, coeff)
-            elif coeff < 0 and cap is not None:
-                ratio = (cap * det - rhs, -coeff)
+                top, bottom = row[n], coeff
+            elif coeff < 0 and caps[basic[r]] is not None:
+                top, bottom = caps[basic[r]] * det - row[n], -coeff
             else:
                 continue
-            order = ratio[0] * best[1] - best[0] * ratio[1]
+            order = top * den - num * bottom
             if leaving is None or order < 0 or (order == 0 and basic[r] < basic[leaving]):
-                leaving, best = r, ratio
-        cap = caps[nonbasic[e]]
-        if cap is not None and (leaving is None or cap * best[1] <= best[0]):
+                leaving, num, den = r, top, bottom
+        cap = caps[label]
+        if cap is not None and (leaving is None or cap * den <= num):
             # Bound flip: the entering variable is complemented, no pivot.
             for row in tableau:
                 row[n] -= row[e] * cap
                 row[e] = -row[e]
-            complemented[nonbasic[e]] ^= True
+            complemented[label] ^= True
             continue
         # leaving is None only for an entering variable, whose cap the flip
         # above takes: every variable is capped, and a slack is a function of
@@ -125,12 +126,12 @@ def solve_min(
         pivot_row = tableau[leaving]
         pivot = pivot_row[e]
         for r, row in enumerate(tableau):
-            if r != leaving:
-                factor = row[e]
-                tableau[r] = _eliminate(row, pivot_row, e, pivot, det)
-                tableau[r][e] = -factor
+            factor = row[e]
+            if (factor or pivot != det) and r != leaving:
+                row = tableau[r] = _eliminate(row, pivot_row, e, pivot, det)
+                row[e] = -factor
         pivot_row[e] = det
-        basic[leaving], nonbasic[e] = nonbasic[e], basic[leaving]
+        basic[leaving], nonbasic[e] = label, basic[leaving]
         det = pivot
 
     row_of = {label: r for r, label in enumerate(basic)}

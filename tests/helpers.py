@@ -8,6 +8,7 @@ import math
 import random
 import string
 from fractions import Fraction
+from operator import index
 from typing import Sequence
 
 from coopetition import (
@@ -382,6 +383,103 @@ def solve_min_by_fractions(
             x = caps[j] * det - x
         solution.append(Fraction(x, det * scale))
     return Fraction(tableau[m][n], det * cost_scales[0] * scale), solution
+
+
+def solve_min_by_every_row(
+    costs: Sequence[int],
+    le: Sequence[tuple[Sequence[int], int]],
+    upper: Sequence[int],
+    then: Sequence[int] | None = None,
+) -> tuple[int, int, list[int]]:
+    """`simplex.solve_min` as it rewrote every row at every pivot: Bland's
+    entering column by `min` over a list, the ratio test on tuples, and
+    `_eliminate` called on each row, a row with 0 in the entering column
+    included. The reference for `solve_min`, which must return the same
+    (det, value, x) by the same pivots."""
+    n, m = len(costs), len(le)
+    if len(upper) != n:
+        raise ValueError(f"expected {n} upper bounds, got {len(upper)}")
+    objectives = [costs] if then is None else [costs, then]
+    if len(objectives[-1]) != n:
+        raise ValueError(f"expected {n} costs in then, got {len(objectives[-1])}")
+    for r, (_, rhs) in enumerate(le):
+        if rhs < 0:
+            raise ValueError(f"le[{r}]: negative right-hand side {rhs}; x = 0 must be feasible")
+    for j, u in enumerate(upper):
+        if u < 0:
+            raise ValueError(f"upper[{j}]: negative bound {u}; x = 0 must be feasible")
+    # Row r reads basic[r] = (rhs - sum of entry * column variable) / det;
+    # rows m.. are the objectives in stage order, and the last column is the
+    # rhs. `index` admits ints only: `_eliminate` divides with //.
+    tableau = [[*map(index, coeffs), index(rhs)] for coeffs, rhs in le]
+    tableau += [[-index(c) for c in objective] + [0] for objective in objectives]
+    # Labels 0..n-1 are the variables, n.. the slacks, which have no cap.
+    caps = [*map(index, upper)] + [None] * m
+    complemented = [False] * (n + m)
+    basic, nonbasic = list(range(n, n + m)), list(range(n))
+    det, stage = 1, m
+    while True:
+        # Bland: the lowest label that lowers the objective; a cap of 0 fixes
+        # it, and in the second stage so does a nonzero first reduced cost.
+        objective = tableau[stage]
+        entering = [
+            j
+            for j, label in enumerate(nonbasic)
+            if objective[j] > 0 and caps[label] != 0 and (stage == m or tableau[m][j] == 0)
+        ]
+        if not entering:
+            if stage + 1 == len(tableau):
+                break
+            stage += 1
+            continue
+        e = min(entering, key=nonbasic.__getitem__)
+        # Ratio test, ties to the lowest label: a basic variable falling to
+        # zero or rising to its cap, against the entering variable's own cap.
+        leaving, best = None, (0, 1)
+        for r in range(m):
+            coeff, rhs, cap = tableau[r][e], tableau[r][n], caps[basic[r]]
+            if coeff > 0:
+                ratio = (rhs, coeff)
+            elif coeff < 0 and cap is not None:
+                ratio = (cap * det - rhs, -coeff)
+            else:
+                continue
+            order = ratio[0] * best[1] - best[0] * ratio[1]
+            if leaving is None or order < 0 or (order == 0 and basic[r] < basic[leaving]):
+                leaving, best = r, ratio
+        cap = caps[nonbasic[e]]
+        if cap is not None and (leaving is None or cap * best[1] <= best[0]):
+            # Bound flip: the entering variable is complemented, no pivot.
+            for row in tableau:
+                row[n] -= row[e] * cap
+                row[e] = -row[e]
+            complemented[nonbasic[e]] ^= True
+            continue
+        # leaving is None only for an entering variable, whose cap the flip
+        # above takes: every variable is capped, and a slack is a function of
+        # them, so an entering slack always meets a limiting basic row.
+        if tableau[leaving][e] < 0:
+            # A basic variable rising to its cap leaves complemented.
+            row = tableau[leaving]
+            tableau[leaving] = [-a for a in row[:n]] + [caps[basic[leaving]] * det - row[n]]
+            complemented[basic[leaving]] ^= True
+        pivot_row = tableau[leaving]
+        pivot = pivot_row[e]
+        for r, row in enumerate(tableau):
+            if r != leaving:
+                factor = row[e]
+                tableau[r] = _eliminate(row, pivot_row, e, pivot, det)
+                tableau[r][e] = -factor
+        pivot_row[e] = det
+        basic[leaving], nonbasic[e] = nonbasic[e], basic[leaving]
+        det = pivot
+
+    row_of = {label: r for r, label in enumerate(basic)}
+    solution = []
+    for j in range(n):
+        x = tableau[row_of[j]][n] if j in row_of else 0
+        solution.append(caps[j] * det - x if complemented[j] else x)
+    return det, tableau[m][n], solution
 
 
 def bottleneck_failure(instance: AuctionInstance, bids: BidProfile) -> str | None:

@@ -557,6 +557,68 @@ class TestCachedParser:
         assert run(capsys, argv) == before
 
 
+class TestSubparserDispatch:
+    """`main` hands argv[1:] straight to the named command's subparser, and
+    runs the full two-level parse only when argv names no command or the
+    subparser leaves words over. On every argv, the exit status, stdout and
+    stderr are those of the full parse alone."""
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exit:
+            code = exit.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_same_as_the_full_parse(self, capsys, monkeypatch, triangle_path):
+        path = triangle_path
+        corpus = [
+            [],
+            ["-h"],
+            ["--help"],
+            ["solve", "-h"],
+            ["solve", path, "vcg", "-h"],
+            ["bogus", path],
+            ["sol", path, "vcg"],
+            ["solve", path, "fast"],
+            ["solve"],
+            ["verify", path],
+            ["oracle", path],
+            ["oracle", path, "--epsilon", "1/2", "--budget", "many"],
+            ["contracts", path, "--subsidy-grid"],
+            ["polytope", path, "--form", "json"],
+            ["polytope", path, "--format=json"],
+            ["polytope", path, "--weights", "1,1,3", "--trace", "--format", "csv"],
+            ["polytope", path, "--format", "xml"],
+            ["solve", "--", path, "vcg"],
+            ["solve", path, "vcg", "--"],
+            ["solve", path, "--", "vcg", "--format", "json"],
+            ["--format", "json", "solve", path, "vcg"],
+            ["solve", path, "vcg", "--bogus"],
+            ["solve", path, "vcg", "-x"],
+            ["compare", path, "extra"],
+            ["compare", "--trace", path, "--format", "json"],
+            ["verify", path, "missing.json", "--format", "json"],
+            ["solve", path, "vcg", "solve"],
+        ]
+        dispatched = [self.outcome(capsys, argv) for argv in corpus]
+        # With no command known to `main`, every argv takes the full parse.
+        monkeypatch.setattr(build_parser(), "commands", {})
+        assert [self.outcome(capsys, argv) for argv in corpus] == dispatched
+        codes = {code for code, _, _ in dispatched}
+        assert codes == {0, 1, 2}
+
+    def test_a_command_skips_the_full_parse(self, capsys, monkeypatch, triangle_path):
+        def full_parse(argv):
+            raise AssertionError(f"full parse of {argv}")
+
+        monkeypatch.setattr(build_parser(), "parse_args", full_parse)
+        code, out, _ = self.outcome(capsys, ["polytope", triangle_path, "--format", "json"])
+        assert code == 0 and json.loads(out)["command"] == "polytope"
+
+
 def _parse_error(err, fmt):
     if fmt == "json":
         return json.loads(err)["error"]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import pickle
 import random
 import string
 import subprocess
@@ -297,6 +298,20 @@ class TestBuildPolytope:
         rows = [(c.ad, c.bidders, c.room, polytope.rhs(c)) for c in polytope.constraints]
         assert rows == [(1, {1, 2}, 1, F(1)), (2, {0, 2}, 1, F(1))]
         assert polytope.members == (0, 1, 2)
+
+    def test_members_are_sorted_once_and_stay_out_of_the_record(self):
+        # The sorted members are kept from the first read; the record's
+        # equality, hash, repr and pickle see only its three fields, read or
+        # not, and a polytope built by hand sorts its members alike.
+        built = build_polytope(rival_family(random.Random(4), 12))
+        by_hand = CefPolytope(built.instance, built.winner, built.constraints)
+        unread = (repr(by_hand), hash(by_hand), pickle.dumps(by_hand))
+        assert built.members is built.members
+        assert built.members == tuple(sorted(built.instance.members(built.winner)))
+        assert by_hand.members == built.members and by_hand == built
+        assert (repr(by_hand), hash(by_hand), pickle.dumps(by_hand)) == unread
+        clone = pickle.loads(pickle.dumps(built))
+        assert clone == built and clone.members == built.members
 
     def test_two_ad_row(self):
         polytope = build_polytope(ab_e())

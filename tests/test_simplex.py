@@ -1,5 +1,6 @@
 """Exact LP solver: known optima, degeneracy, caps, int-only input, and
-cross-checks against scipy and the general rational solver it narrowed."""
+cross-checks against scipy, the general rational solver it narrowed and the
+kernel that rewrote every row at every pivot."""
 
 from __future__ import annotations
 
@@ -8,9 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from coopetition import simplex
+import helpers
+from coopetition import build_polytope, simplex
+from coopetition.polytope import surplus_rows
 from coopetition.simplex import solve_min
-from helpers import solve_min_by_fractions
+from helpers import prime_family, rival_family, solve_min_by_every_row, solve_min_by_fractions
 
 F = Fraction
 
@@ -326,3 +329,57 @@ def test_matches_the_rational_solver_it_narrowed():
             assert solved(costs, le=le, upper=upper, then=then) == solve_min_by_fractions(
                 costs, le=le, upper=upper, then=then
             )
+
+
+def test_same_pivots_as_the_kernel_that_rewrote_every_row(monkeypatch):
+    # Beyond the acceptance sizes: LPs over the CEF rows of winners of 16 to
+    # 24 members with 1 or 2 rivals each (up to 48 rows), with unit and
+    # random weights, alone and with a second objective. `solve_min`, which
+    # leaves a row with 0 in the entering column as it is, returns the
+    # (det, value, x) of the kernel that rewrote every row, by the same
+    # pivots: each recorded once through `_eliminate`, as (entering column,
+    # pivot row, new det, previous det). `rival_family` rooms are positive
+    # and seldom equal, so its ratio tests do not tie; in `prime_family` with
+    # ties, about a third of the rivals tie the winner (one of which may win
+    # the tie and so have the smaller winner), and their rows of room 0 tie
+    # at ratio 0, where Bland's rule picks the lowest label.
+    eliminate = simplex._eliminate
+    pivots = {"new": [], "old": []}
+    calls = dict.fromkeys(pivots, 0)
+
+    def recorder(kernel):
+        def recording(row, pivot_row, column, det, previous):
+            pivot = (column, tuple(pivot_row), det, previous)
+            if not pivots[kernel] or pivots[kernel][-1] != pivot:
+                pivots[kernel].append(pivot)
+            calls[kernel] += 1
+            return eliminate(row, pivot_row, column, det, previous)
+
+        return recording
+
+    monkeypatch.setattr(simplex, "_eliminate", recorder("new"))
+    monkeypatch.setattr(helpers, "_eliminate", recorder("old"))
+    rng = random.Random(26)
+    pivoted = 0
+    for members, rivals in [(16, 1), (20, 1), (24, 1), (16, 2), (20, 2), (24, 2)]:
+        for instance in (
+            rival_family(rng, members, rivals_per_member=rivals),
+            rival_family(rng, members, rivals_per_member=rivals),
+            prime_family(rng, members, members * rivals, ties=True),
+        ):
+            polytope = build_polytope(instance)
+            rows = surplus_rows(polytope)
+            caps = [instance._units[k] for k in polytope.members]
+            n = len(caps)
+            for costs in ([-1] * n, [-rng.randint(1, 9) for _ in range(n)]):
+                for then in (None, [1] * n, [rng.randint(-3, 3) for _ in range(n)]):
+                    pivots["new"].clear()
+                    pivots["old"].clear()
+                    answer = solve_min(costs, le=rows, upper=caps, then=then)
+                    assert answer == solve_min_by_every_row(costs, le=rows, upper=caps, then=then)
+                    assert pivots["new"] == pivots["old"]
+                    pivoted += bool(pivots["new"])
+    # Nearly all of the 108 LPs pivot, and rows with 0 in the entering
+    # column were left alone.
+    assert pivoted >= 100
+    assert calls["new"] < calls["old"]
