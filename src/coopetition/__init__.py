@@ -22,9 +22,7 @@ _EXPORTS = {
         "best_response_contract", "evaluate_contracts", "parse_owned_auction",
         "position_vcg", "serialize_owned_auction",
     ),
-    "egalitarian": (
-        "LoweringRound", "LoweringTrace", "egalitarian_solve", "verify_egalitarian",
-    ),
+    "egalitarian": ("LoweringRound", "LoweringTrace", "egalitarian_solve"),
     "mechanisms": (
         "efficient_winner", "first_price_clear", "revenue_lower_bound", "vcg",
         "welfare_ties",
@@ -35,7 +33,9 @@ _EXPORTS = {
         "display_scalar", "format_scalar", "parse_bids", "parse_instance",
         "parse_scalar", "serialize_instance", "settle", "total_bid",
     ),
-    "oracle": ("enumerate_equilibria_grid", "lexmax_surplus_grid", "vcg_bruteforce"),
+    "oracle": (
+        "enumerate_equilibria_grid", "lexmax_surplus_grid", "vcg_bruteforce", "verify_egalitarian",
+    ),
     "polytope": (
         "CefConstraint", "CefPolytope", "EquilibriumResult", "build_polytope",
         "canonical_bids", "first_cef_violation", "first_ir_violation", "is_cef",

@@ -18,31 +18,30 @@ by as many of them as it holds. So ad totals are never re-summed.
 
 The resulting profile maximizes the sorted surplus vector lexicographically
 over the equilibrium set: the least-happy member is as happy as possible,
-then the next, and so on. The lowering starts from the instance's integer
-units; the trace is written from each scalar's ints (`display_scalar`).
+then the next, and so on, as `oracle.verify_egalitarian` checks. The lowering
+starts from integer units; the trace is written from each scalar's ints.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
 
-# benchmarks/spans.py counts calls through this name in its traced run, so it
-# stays bound although the lowering takes its winner from `build_polytope`.
+# benchmarks/spans.py counts or wraps these three names here, so they stay
+# bound, the last to None, although the lowering calls none of them.
 from .mechanisms import efficient_winner  # noqa: F401
 from .model import (
     AuctionInstance,
     BidProfile,
-    GridSpec,
     InternalError,
     Outcome,
     Record,
     display_scalar,
     settle,
 )
-from .oracle import enumerate_equilibria_grid
-from .polytope import build_polytope, is_equilibrium
+from .polytope import build_polytope, is_equilibrium  # noqa: F401
+
+enumerate_equilibria_grid = None
 
 
 class LoweringRound(Record):
@@ -170,33 +169,3 @@ def egalitarian_solve(
     trace = LoweringTrace(winner=winner, rounds=tuple(rounds))
     return profile, outcome, trace
 
-
-def verify_egalitarian(
-    instance: AuctionInstance, bids: Sequence[Fraction], grid: GridSpec
-) -> bool:
-    """Brute-force check that no grid equilibrium is lexicographically happier.
-
-    Surplus vectors are sorted ascending and compared with tolerance
-    grid.epsilon: entries within epsilon count as equal. Returns False when
-    the bids are not an equilibrium at all.
-    """
-    polytope = build_polytope(instance)
-    if not is_equilibrium(polytope, bids).ok:
-        return False
-    candidate = sorted(settle(instance, polytope.winner, tuple(bids)).surpluses)
-    values = instance.values
-    for rival_bids in enumerate_equilibria_grid(instance, grid):
-        # Grid losers bid their values, so their surplus is 0, as in `settle`.
-        rival = sorted(v - b for v, b in zip(values, rival_bids))
-        if _lex_greater(rival, candidate, grid.epsilon):
-            return False
-    return True
-
-
-def _lex_greater(a: Sequence[Fraction], b: Sequence[Fraction], eps: Fraction) -> bool:
-    for x, y in zip(a, b):
-        if x > y + eps:
-            return True
-        if x < y - eps:
-            return False
-    return False

@@ -4,7 +4,8 @@ Everything here re-derives results from first principles so it can sit on
 the other side of a disagreement: grid enumeration finds every bid vector on
 an epsilon lattice where the winner stays ahead and every positive bidder is
 within epsilon of being undercut; the truthful-payment check searches each
-member's breakpoint value directly instead of using the closed form.
+member's breakpoint value directly instead of using the closed form; the
+egalitarian verdict checks bottleneck rows and the grid, not the lowering.
 
 Grids are evaluated exactly, in plain Python integers. Bids, values and
 epsilon are rescaled by a common denominator to integers, so tolerance
@@ -25,12 +26,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
 # GridSpec and GridBudgetError live in model, so that contracts can use them
 # without loading this module; they stay importable from here.
 from .model import (
     AuctionInstance, BidProfile, GridBudgetError, GridSpec, InternalError, Outcome, settle,
 )
+from .polytope import build_polytope, canonical_bids, is_equilibrium
 
 
 def _winner(instance: AuctionInstance) -> tuple[int, list[Fraction]]:
@@ -173,6 +176,34 @@ def lexmax_surplus_grid(instance: AuctionInstance, grid: GridSpec) -> BidProfile
             f"no equilibrium on the grid at resolution {grid.epsilon}; refine epsilon"
         )
     return best
+
+
+def verify_egalitarian(
+    instance: AuctionInstance, bids: Sequence[Fraction], grid: GridSpec
+) -> bool:
+    """Exact check that `bids` is the egalitarian equilibrium: an equilibrium in
+    which each positive member has a bottleneck, a tight envy-free row where no
+    member's surplus value - bid is larger (max-min fairness, Bertsekas &
+    Gallager, §6.5.2), and no exact grid equilibrium has a larger sorted surplus."""
+    polytope = build_polytope(instance)
+    if not is_equilibrium(polytope, bids).ok:
+        return False
+    bids = canonical_bids(polytope, bids)
+    surplus = [v - b for v, b in zip(instance.values, bids)]
+    bottlenecked = set()
+    for c in polytope.constraints:
+        if sum([bids[k] for k in c.bidders]) == polytope.rhs(c):
+            top = max([surplus[k] for k in c.bidders])
+            bottlenecked.update(k for k in c.bidders if surplus[k] == top)
+    if any(bids[k] and k not in bottlenecked for k in polytope.members):
+        return False
+    # Grid losers bid their values, so their surplus is 0, as the candidate's.
+    candidate = sorted(surplus)
+    for point in enumerate_equilibria_grid(instance, grid):
+        happier = sorted([v - b for v, b in zip(instance.values, point)]) > candidate
+        if happier and is_equilibrium(polytope, point).ok:
+            return False
+    return True
 
 
 def vcg_bruteforce(instance: AuctionInstance) -> Outcome:

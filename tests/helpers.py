@@ -21,10 +21,8 @@ from coopetition import (
     LoweringRound,
     LoweringTrace,
     Outcome,
-    build_polytope,
     efficient_winner,
     enumerate_equilibria_grid,
-    is_equilibrium,
     settle,
     total_bid,
 )
@@ -605,10 +603,9 @@ def enumerate_equilibria_grid_numpy(instance: AuctionInstance, grid: GridSpec) -
     return profiles
 
 
-# The two grid comparisons as they were before they compared sorted
-# surpluses directly: `lexmax_surplus_grid` with a per-profile membership
-# scan, and `verify_egalitarian` with one `settle` Outcome per grid point.
-# Bodies kept as they were; both must agree with the package.
+# `lexmax_surplus_grid` as it was before it compared sorted surpluses
+# directly, with a per-profile membership scan. Body kept as it was; it must
+# agree with the package.
 
 
 def _winner(instance: AuctionInstance) -> tuple[int, list[Fraction]]:
@@ -644,36 +641,6 @@ def lexmax_surplus_grid_by_scan(instance: AuctionInstance, grid: GridSpec) -> Bi
             f"no equilibrium on the grid at resolution {grid.epsilon}; refine epsilon"
         )
     return best[1]
-
-
-def verify_egalitarian_by_outcomes(
-    instance: AuctionInstance, bids: Sequence[Fraction], grid: GridSpec
-) -> bool:
-    """Brute-force check that no grid equilibrium is lexicographically happier.
-
-    Surplus vectors are sorted ascending and compared with tolerance
-    grid.epsilon: entries within epsilon count as equal. Returns False when
-    the bids are not an equilibrium at all.
-    """
-    polytope = build_polytope(instance)
-    if not is_equilibrium(polytope, bids).ok:
-        return False
-    candidate = settle(instance, polytope.winner, tuple(bids)).surpluses
-    candidate_sorted = sorted(candidate)
-    for rival_bids in enumerate_equilibria_grid(instance, grid):
-        rival = sorted(settle(instance, polytope.winner, rival_bids).surpluses)
-        if _lex_greater(rival, candidate_sorted, grid.epsilon):
-            return False
-    return True
-
-
-def _lex_greater(a: Sequence[Fraction], b: Sequence[Fraction], eps: Fraction) -> bool:
-    for x, y in zip(a, b):
-        if x > y + eps:
-            return True
-        if x < y - eps:
-            return False
-    return False
 
 
 def _json_scalar(node: object) -> str:

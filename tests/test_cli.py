@@ -329,7 +329,7 @@ def _package_env():
 # `cli`, which imports only `model` and `mechanisms`.
 COLD_BASE = {"coopetition", "coopetition.cli", "coopetition.model", "coopetition.mechanisms"}
 LP = {"coopetition.polytope", "coopetition.simplex"}
-LOWERING = LP | {"coopetition.egalitarian", "coopetition.oracle"}
+LOWERING = LP | {"coopetition.egalitarian"}
 
 # `python -m coopetition ARGV` through runpy, as `-m` runs it, then the exit
 # status and the package modules left in sys.modules, on stderr, with numpy,
@@ -379,7 +379,7 @@ def test_importing_the_cli_leaves_numpy_unloaded():
         ("verify", LP),
         ("compare", LOWERING),
         ("polytope", LP),
-        ("oracle", LOWERING),
+        ("oracle", LOWERING | {"coopetition.oracle"}),
         ("contracts", {"coopetition.contracts"}),
     ],
 )
@@ -413,7 +413,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path, command, loads):
 WRAP_PROBE = """
 import json, sys
 from collections import Counter
-from coopetition import cli, egalitarian
+from coopetition import cli, oracle
 
 calls = Counter()
 
@@ -427,7 +427,7 @@ def counted(name, original):
 
 
 # Set without reading it first, so before its module is bound on `cli`.
-cli.verify_egalitarian = counted("verify_egalitarian", egalitarian.verify_egalitarian)
+cli.verify_egalitarian = counted("verify_egalitarian", oracle.verify_egalitarian)
 for name in ("revenue_range", "egalitarian_solve", "enumerate_equilibria_grid",
              "evaluate_contracts"):
     setattr(cli, name, counted(name, getattr(cli, name)))
@@ -470,10 +470,11 @@ import json, sys
 import coopetition
 from coopetition import cli
 
-# contracts and oracle import no other package module, and egalitarian
-# imports polytope, so each module is first loaded by its own read here.
+# contracts imports no other package module, and egalitarian and oracle
+# import polytope, which is read before them, so each module is first loaded
+# by its own read here.
 record = {}
-for name in ("position_vcg", "vcg_bruteforce", "revenue_range", "LoweringTrace"):
+for name in ("position_vcg", "revenue_range", "vcg_bruteforce", "LoweringTrace"):
     home = "coopetition." + coopetition._HOME[name]
     loaded_before = home in sys.modules
     record[name] = [
@@ -1001,6 +1002,29 @@ class TestOracle:
         assert "equilibrium_count: 2" in out
         assert "vcg_agrees: true" in out
         assert "egalitarian_matches_grid: true" in out
+
+    @pytest.mark.parametrize(
+        "fmt, line",
+        [
+            ("json", '  "egalitarian_matches_grid": true'),
+            ("csv", "egalitarian_matches_grid,true"),
+            ("table", "egalitarian_matches_grid: true"),
+        ],
+    )
+    def test_egalitarian_verdict_has_no_tolerance_false_alarm(self, capsys, tmp_path, fmt, line):
+        # The egalitarian sorted surplus is (0, 0, 7/12, 7/12, 7/12) and the
+        # grid's own lexmax at 1/8 is (0, 0, 1/2, 5/8, 5/8): within epsilon in
+        # each entry, and exactly lower.
+        path = tmp_path / "cold-5.json"
+        path.write_text(
+            '{"advertisers": [{"name": "A", "value": "3/2"}, {"name": "B", "value": "3/4"},'
+            ' {"name": "C", "value": "1/4"}, {"name": "D", "value": "3/2"},'
+            ' {"name": "E", "value": "5/4"}], "ads": [["C"], ["A", "C"], ["B", "D", "E"]]}'
+        )
+        code, out, _ = run(capsys, ["oracle", str(path), "--epsilon", "1/8", "--format", fmt])
+        assert code == 0
+        assert line in out.splitlines()
+        assert "11/12" in out and "1/6" in out and "2/3" in out
 
     def test_budget_error_is_surfaced_verbatim(self, capsys, tmp_path):
         path = tmp_path / "big.json"

@@ -1,4 +1,5 @@
-"""Brute-force grid oracles: enumeration, lexmax selection, VCG breakpoints."""
+"""Brute-force grid oracles: enumeration, lexmax selection, the egalitarian
+verdict, VCG breakpoints."""
 
 from __future__ import annotations
 
@@ -13,15 +14,19 @@ from coopetition import (
     GridBudgetError,
     GridSpec,
     build_polytope,
+    egalitarian_solve,
     enumerate_equilibria_grid,
     is_equilibrium,
     lexmax_surplus_grid,
+    sample_pareto_equilibrium,
     vcg,
     vcg_bruteforce,
+    verify_egalitarian,
 )
 from helpers import (
     F,
     ab_e,
+    bottleneck_failure,
     criterion_7_instances,
     enumerate_equilibria_grid_numpy,
     four_ones,
@@ -252,6 +257,72 @@ class TestLexmaxAgainstTheScan:
                 assert self.lexmax(lexmax_surplus_grid, instance, grid) == expected
                 empty += isinstance(expected, str)
         assert 0 < empty < 100
+
+
+def sorted_surplus(instance, bids):
+    return sorted(v - b for v, b in zip(instance.values, bids))
+
+
+def happier_exact_grid_equilibrium(instance, bids, grid) -> bool:
+    """Whether the best sorted surplus over the grid points that are exact
+    equilibria beats the candidate's, compared as lists."""
+    polytope = build_polytope(instance)
+    exact = [p for p in enumerate_equilibria_grid(instance, grid) if is_equilibrium(polytope, p).ok]
+    best = max((sorted_surplus(instance, p) for p in exact), default=None)
+    return best is not None and best > sorted_surplus(instance, bids)
+
+
+def unit_minimum(instance):
+    polytope = build_polytope(instance)
+    return sample_pareto_equilibrium(polytope, [F(1)] * len(polytope.members))
+
+
+class TestEgalitarianVerdict:
+    """`verify_egalitarian` is exact: it reads true on the egalitarian
+    equilibrium and false on any other profile."""
+
+    def test_against_the_bottleneck_certificate_and_an_exact_grid_scan(self):
+        # Candidates: the egalitarian bids, the unit-weight LP minimum and the
+        # first and last grid equilibria, most of which are not the lexmax.
+        verdicts = []
+        for instance in (*criterion_7_instances(), hundreds()):
+            bids, _, _ = egalitarian_solve(instance)
+            for eps in (F(1, 8), F(1, 2), F(1)):
+                grid = GridSpec(epsilon=eps)
+                equilibria = enumerate_equilibria_grid(instance, grid)
+                for candidate in (bids, unit_minimum(instance), *equilibria[:1], *equilibria[-1:]):
+                    expected = bottleneck_failure(instance, candidate) is None
+                    expected = expected and not happier_exact_grid_equilibrium(
+                        instance, candidate, grid
+                    )
+                    verdict = verify_egalitarian(instance, candidate, grid)
+                    assert verdict == expected
+                    verdicts.append(verdict)
+                assert verify_egalitarian(instance, bids, grid)
+        assert verdicts.count(True) >= 2000 and verdicts.count(False) >= 200
+
+    def test_no_false_alarm_and_every_wrong_candidate_rejected(self):
+        # The unit-weight LP minimum is a wrong candidate where its sorted
+        # surplus differs from the egalitarian one. On 10 of these pairs a
+        # grid point ties the egalitarian sorted surplus within epsilon on an
+        # early entry while lying below it, then passes it by more later.
+        rng = random.Random(702024)
+        pairs = wrong = 0
+        for _ in range(300):
+            instance = random_instance(rng, max_n=6, max_m=5)
+            bids, _, _ = egalitarian_solve(instance)
+            minimum = unit_minimum(instance)
+            for eps in (F(1, 4), F(1, 8)):
+                grid = GridSpec(epsilon=eps, budget=200_000)
+                try:
+                    assert verify_egalitarian(instance, bids, grid)
+                except GridBudgetError:
+                    continue
+                pairs += 1
+                if sorted_surplus(instance, minimum) != sorted_surplus(instance, bids):
+                    wrong += 1
+                    assert not verify_egalitarian(instance, minimum, grid)
+        assert (pairs, wrong) == (289, 35)
 
 
 class TestVcgBruteforce:
