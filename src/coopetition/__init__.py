@@ -38,8 +38,8 @@ _EXPORTS = {
     ),
     "polytope": (
         "CefConstraint", "CefPolytope", "EquilibriumResult", "build_polytope",
-        "canonical_bids", "first_cef_violation", "first_ir_violation", "is_cef",
-        "is_equilibrium", "is_ir", "revenue_range", "sample_pareto_equilibrium",
+        "canonical_bids", "is_cef", "is_equilibrium", "is_ir", "revenue_range",
+        "sample_pareto_equilibrium",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

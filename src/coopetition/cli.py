@@ -92,6 +92,8 @@ def _read_text(path: str) -> str:
     replaced by a stream without `buffer` (a StringIO) is read as text."""
     try:
         if path == "-":
+            if sys.stdin is None:
+                raise CliError("cannot read -: stdin is closed")
             stdin = getattr(sys.stdin, "buffer", None)
             if stdin is None:
                 return sys.stdin.read()
@@ -314,24 +316,24 @@ def cmd_compare(args: argparse.Namespace) -> dict[str, Node]:
     _bind("egalitarian", "polytope")
     instance = _load_instance(args.path)
     vcg_result = vcg(instance)
-    bids, outcome, trace = egalitarian_solve(instance)
+    _, outcome, trace = egalitarian_solve(instance)
+    vcg_revenue, egalitarian_revenue = vcg_result.revenue, outcome.revenue
     low, high = revenue_range(build_polytope(instance))
-    lower = revenue_lower_bound(instance)
     report: dict[str, Node] = {
         "command": "compare",
         "winner": instance.label(vcg_result.winner),
-        "vcg_revenue": vcg_result.revenue,
-        "egalitarian_revenue": outcome.revenue,
-        "revenue_lower_bound": lower,
+        "vcg_revenue": vcg_revenue,
+        "egalitarian_revenue": egalitarian_revenue,
+        "revenue_lower_bound": revenue_lower_bound(instance),
         "revenue_min": low,
         "revenue_max": high,
     }
     notes = [
         "egalitarian revenue >= vcg revenue"
-        if outcome.revenue >= vcg_result.revenue
+        if egalitarian_revenue >= vcg_revenue
         else "egalitarian revenue < vcg revenue",
         "equilibrium revenue floor >= vcg revenue"
-        if low >= vcg_result.revenue
+        if low >= vcg_revenue
         else "equilibrium revenue floor < vcg revenue",
     ]
     report["notes"] = notes + _tie_notes(instance)

@@ -19,7 +19,7 @@ by as many of them as it holds. So ad totals are never re-summed.
 The resulting profile maximizes the sorted surplus vector lexicographically
 over the equilibrium set: the least-happy member is as happy as possible,
 then the next, and so on, as `oracle.verify_egalitarian` checks. The lowering
-starts from integer units; the trace is written from each scalar's ints.
+runs in integer units and builds a member's bid Fraction once, as it freezes.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .model import (
     Outcome,
     Record,
     display_scalar,
+    ratio_text,
     settle,
 )
 from .polytope import build_polytope, is_equilibrium  # noqa: F401
@@ -46,14 +47,14 @@ enumerate_equilibria_grid = None
 
 class LoweringRound(Record):
     """One round: its decrement, the members whose bids reached 0 (sorted), the
-    rival ads that went tight (in ad order), the members it froze, the bids."""
+    rival ads that went tight (in ad order) and the members it froze (sorted).
+    It holds no bids: each member not frozen before it moved by the decrement."""
 
-    __slots__ = ("decrement", "zeros", "tight", "fixed", "bids")
+    __slots__ = ("decrement", "zeros", "tight", "fixed")
     decrement: Fraction
     zeros: tuple[int, ...]
     tight: tuple[int, ...]
     fixed: tuple[int, ...]
-    bids: BidProfile  # full profile after the round
 
 
 class LoweringTrace(Record):
@@ -62,18 +63,27 @@ class LoweringTrace(Record):
     rounds: tuple[LoweringRound, ...]
 
     def describe(self, instance: AuctionInstance) -> list[str]:
-        # A frozen member keeps its bid's Fraction: format only new objects.
+        # The decrements so far are lowered/below; a member still moving bids
+        # units/scale less that, and a frozen member keeps its last text.
         lines = [f"winner: {instance.label(self.winner)}"]
+        names, units, scale = instance.names, instance._units, instance._scale
         members = sorted(instance.members(self.winner))
-        shown, texts = [None] * instance.n, [""] * instance.n
+        moving, texts = set(members), [""] * instance.n
+        lowered, below = 0, 1
         for number, r in enumerate(self.rounds, start=1):
-            events = [f"{instance.names[k]} reached 0" for k in r.zeros]
+            events = [f"{names[k]} reached 0" for k in r.zeros]
             events += [f"{instance.label(j)} went tight" for j in r.tight]
-            fixed = ", ".join(instance.names[i] for i in r.fixed)
-            for i in members:
-                if r.bids[i] is not shown[i]:
-                    shown[i] = r.bids[i]
-                    texts[i] = f"{instance.names[i]}={display_scalar(r.bids[i])}"
+            fixed = ", ".join(names[i] for i in r.fixed)
+            top, bottom = r.decrement.as_integer_ratio()
+            lowered, below = lowered * bottom + top * below, below * bottom
+            common = math.gcd(lowered, below)
+            lowered, below = lowered // common, below // common
+            taken, whole = lowered * scale, scale * below
+            for i in moving:
+                bid = units[i] * below - taken
+                common = math.gcd(bid, whole)
+                texts[i] = f"{names[i]}={ratio_text(bid // common, whole // common, True)}"
+            moving.difference_update(r.fixed)
             member_bids = ", ".join([texts[i] for i in members])
             lines.append(
                 f"round {number}: lowered by {display_scalar(r.decrement)}; "
@@ -95,7 +105,7 @@ def egalitarian_solve(
     Member bids and slacks are ints over one running denominator, which
     starts at the instance's scale and grows by moving/gcd(slack, moving)
     only when a step slack/moving does not divide. Fractions are built for
-    the rounds and the result only.
+    the decrements and, once per member as it freezes, for the bids.
     """
     polytope = build_polytope(instance)
     winner, members = polytope.winner, polytope.members
@@ -133,7 +143,6 @@ def egalitarian_solve(
         zeros = []
         for k in unfixed:
             scaled[k] -= step
-            bids[k] = Fraction(scaled[k], denominator)
             if not scaled[k]:
                 zeros.append(k)
         zeros.sort()
@@ -149,6 +158,8 @@ def egalitarian_solve(
         if not frozen:
             raise InternalError("a lowering round must fix at least one member")
         unfixed -= frozen
+        for k in frozen:
+            bids[k] = Fraction(scaled[k], denominator)
         for r in active:
             moving[r] -= len(frozen & lacks[r])
         active = [r for r in active if moving[r]]
@@ -158,7 +169,6 @@ def egalitarian_solve(
                 zeros=tuple(zeros),
                 tight=tuple(tight),
                 fixed=tuple(sorted(frozen)),
-                bids=tuple(bids),
             )
         )
 

@@ -561,26 +561,19 @@ class Outcome(Record):
     """A cleared auction: who won, who pays what, and who keeps what.
 
     Surpluses are value minus payment for members of the winning ad and zero
-    for everyone else; revenue is the sum of payments, and only winning
-    members ever pay.
+    for everyone else; only winning members ever pay. The revenue is read
+    off the payments, not stored beside them.
     """
 
-    __slots__ = ("winner", "payments", "revenue", "surpluses")
+    __slots__ = ("winner", "payments", "surpluses")
     winner: int
     payments: tuple[Fraction, ...]
-    revenue: Fraction
     surpluses: tuple[Fraction, ...]
 
-    def __init__(
-        self,
-        winner: int,
-        payments: tuple[Fraction, ...],
-        revenue: Fraction,
-        surpluses: tuple[Fraction, ...],
-    ) -> None:
-        if exact_sum(payments) != revenue:
-            raise ValueError("revenue must equal the sum of payments")
-        self._set_fields(winner, payments, revenue, surpluses)
+    @property
+    def revenue(self) -> Fraction:
+        """The exact sum of the payments."""
+        return exact_sum(self.payments)
 
 
 def settle(instance: AuctionInstance, winner: int, bids: Sequence[Fraction]) -> Outcome:
@@ -588,9 +581,7 @@ def settle(instance: AuctionInstance, winner: int, bids: Sequence[Fraction]) -> 
     payments = [ZERO] * instance.n
     surpluses = [ZERO] * instance.n
     values = instance.values
-    members = instance.ads[winner].members
-    for i in members:
+    for i in instance.ads[winner].members:
         bid = payments[i] = bids[i]
         surpluses[i] = values[i] - bid if bid else values[i]
-    revenue = exact_sum(bids[i] for i in members)
-    return Outcome(winner, tuple(payments), revenue, tuple(surpluses))
+    return Outcome(winner, tuple(payments), tuple(surpluses))

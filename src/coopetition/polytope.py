@@ -161,24 +161,13 @@ def canonical_bids(polytope: CefPolytope, bids: Sequence[Fraction]) -> BidProfil
 
 def is_ir(instance: AuctionInstance, bids: Sequence[Fraction]) -> bool:
     """Every bid within [0, value]."""
-    return first_ir_violation(instance, bids) is None
-
-
-def first_ir_violation(instance: AuctionInstance, bids: Sequence[Fraction]) -> int | None:
-    profile = check_bids(instance, bids)
-    return next((i for i, v in enumerate(instance.values) if not 0 <= profile[i] <= v), None)
+    return all(0 <= bid <= v for bid, v in zip(check_bids(instance, bids), instance.values))
 
 
 def is_cef(polytope: CefPolytope, bids: Sequence[Fraction]) -> bool:
     """Every envy-free row satisfied (non-winner bids are irrelevant here)."""
-    return first_cef_violation(polytope, bids) is None
-
-
-def first_cef_violation(
-    polytope: CefPolytope, bids: Sequence[Fraction]
-) -> CefConstraint | None:
     _, _, slacks = _row_slacks(polytope, check_bids(polytope.instance, bids))
-    return next((c for c, slack in zip(polytope.constraints, slacks) if slack < 0), None)
+    return min(slacks, default=0) >= 0
 
 
 def _row_slacks(polytope: CefPolytope, profile: BidProfile) -> tuple[int, dict, list[int]]:

@@ -164,16 +164,19 @@ def prime_family(
 
 def egalitarian_by_rounds(
     instance: AuctionInstance,
-) -> tuple[BidProfile, Outcome, LoweringTrace]:
+) -> tuple[BidProfile, Outcome, LoweringTrace, list[BidProfile]]:
     """The uniform lowering as a round loop that re-sums every ad total each
     round: the reference for `egalitarian_solve`, which keeps running slacks
-    instead and must return the same bids, outcome and trace."""
+    instead and must return the same bids, outcome and trace. The fourth
+    item is the full Fraction profile after each round, which the trace
+    itself does not hold (see `round_profiles`)."""
     winner = efficient_winner(instance)
     members = sorted(instance.members(winner))
     bids = list(instance.values)
     unfixed = set(members)
     rivals = [j for j in range(instance.m) if j != winner]
     rounds: list[LoweringRound] = []
+    profiles: list[BidProfile] = []
 
     while unfixed:
         winner_total = total_bid(instance, bids, winner)
@@ -212,9 +215,9 @@ def egalitarian_by_rounds(
                 zeros=tuple(zeros),
                 tight=tuple(tight),
                 fixed=tuple(sorted(frozen)),
-                bids=tuple(bids),
             )
         )
+        profiles.append(tuple(bids))
         if any(total_bid(instance, bids, j) > winner_total for j in rivals):
             raise RuntimeError("lowering must preserve the winner")
 
@@ -223,7 +226,23 @@ def egalitarian_by_rounds(
     profile = tuple(bids)
     outcome = settle(instance, winner, profile)
     trace = LoweringTrace(winner=winner, rounds=tuple(rounds))
-    return profile, outcome, trace
+    return profile, outcome, trace, profiles
+
+
+def round_profiles(instance: AuctionInstance, trace: LoweringTrace) -> list[BidProfile]:
+    """The full bid profile after each round of a lowering trace, replayed
+    from its rounds: every winning member still unfrozen when a round starts
+    lowers its bid by the round's decrement, then the round's `fixed`
+    members freeze. Everyone else keeps bidding their value."""
+    bids = list(instance.values)
+    moving = set(instance.members(trace.winner))
+    profiles = []
+    for r in trace.rounds:
+        for k in moving:
+            bids[k] -= r.decrement
+        moving -= set(r.fixed)
+        profiles.append(tuple(bids))
+    return profiles
 
 
 def rows_by_sums(polytope: CefPolytope) -> list[tuple[frozenset[int], Fraction]]:

@@ -40,7 +40,7 @@ from coopetition import (
     vcg,
     vcg_bruteforce,
 )
-from helpers import F, ab_e, four_ones, hundreds, random_instance, triangle
+from helpers import F, ab_e, four_ones, hundreds, random_instance, round_profiles, triangle
 
 PROPERTY_SEED = 602024
 ORACLE_SEED = 702024
@@ -293,10 +293,10 @@ def test_criterion_10_termination_and_winner_preservation(property_runs):
         if len(run.trace.rounds) > len(members):
             failures.append((run.instance, "too many rounds"))
             continue
-        for r in run.trace.rounds:
-            winner_total = total_bid(run.instance, r.bids, run.outcome.winner)
+        for profile in round_profiles(run.instance, run.trace):
+            winner_total = total_bid(run.instance, profile, run.outcome.winner)
             if any(
-                total_bid(run.instance, r.bids, j) > winner_total
+                total_bid(run.instance, profile, j) > winner_total
                 for j in range(run.instance.m)
             ):
                 failures.append((run.instance, "rival overtook"))

@@ -175,6 +175,15 @@ class TestSolve:
         expected = "cannot read -: not UTF-8 text (invalid start byte at byte 0)"
         assert_error_report(err, fmt, expected)
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_closed_stdin_is_an_error_report(self, capsys, monkeypatch, triangle_path, fmt):
+        # With fd 0 closed at start-up the interpreter sets sys.stdin to None.
+        monkeypatch.setattr("sys.stdin", None)
+        for argv in (["solve", "-", "vcg"], ["verify", triangle_path, "-"]):
+            code, out, err = run(capsys, [*argv, "--format", fmt])
+            assert code == 1 and out == ""
+            assert_error_report(err, fmt, "cannot read -: stdin is closed")
+
     def test_stdin_reads_like_a_file(self, capsys, monkeypatch, tmp_path):
         # Carriage returns are translated as for a file, so a JSON error
         # points at the same place either way.
@@ -527,6 +536,16 @@ def test_non_utf8_bytes_on_a_real_stdin_under_the_c_locale():
     assert json.loads(result.stderr) == {
         "error": "cannot read -: not UTF-8 text (invalid start byte at byte 0)"
     }
+
+
+def test_a_closed_stdin_under_a_real_interpreter():
+    # The shell closes fd 0 before it starts the interpreter.
+    script = 'exec "$0" -m coopetition solve - vcg --format json 0<&-'
+    result = subprocess.run(
+        ["sh", "-c", script, sys.executable], env=_package_env(), capture_output=True, timeout=60
+    )
+    assert (result.returncode, result.stdout) == (1, b"")
+    assert json.loads(result.stderr) == {"error": "cannot read -: stdin is closed"}
 
 
 class TestCachedParser:

@@ -7,7 +7,15 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopetition import GridSpec, build_polytope, egalitarian_solve, is_equilibrium, total_bid
+from coopetition import egalitarian as egalitarian_module
+from coopetition import (
+    GridSpec,
+    build_polytope,
+    display_scalar,
+    egalitarian_solve,
+    is_equilibrium,
+    total_bid,
+)
 from coopetition.oracle import verify_egalitarian
 from helpers import (
     F,
@@ -21,6 +29,7 @@ from helpers import (
     prime_family,
     random_instance,
     rival_family,
+    round_profiles,
     single_ad,
     triangle,
 )
@@ -94,10 +103,13 @@ class TestTrace:
         assert "bids A=1.5, B=1.5" in lines[1]
 
     def test_rounds_record_full_profiles(self):
-        instance = hundreds()
+        # A round holds its decrement and the members it froze; replaying
+        # them gives the full profile, non-members at their values.
+        instance = make_instance({"A": 10, "B": 1, "E": 3}, [["A", "B"], ["E"]])
         _, _, trace = egalitarian_solve(instance)
-        final = trace.rounds[-1].bids
-        assert final == (F("49.5"), F("49.5"), F(99))
+        assert round_profiles(instance, trace) == [(F(9), F(0), F(3)), (F(3), F(0), F(3))]
+        _, _, trace = egalitarian_solve(hundreds())
+        assert round_profiles(hundreds(), trace)[-1] == (F("49.5"), F("49.5"), F(99))
 
 
 class TestAgainstTheGrid:
@@ -128,10 +140,20 @@ class TestInvariants:
         assert is_equilibrium(polytope, bids).ok
         members = instance.members(polytope.winner)
         assert len(trace.rounds) <= len(members)
-        for r in trace.rounds:
-            winner_total = total_bid(instance, r.bids, polytope.winner)
+        for profile in round_profiles(instance, trace):
+            winner_total = total_bid(instance, profile, polytope.winner)
             for j in range(instance.m):
-                assert total_bid(instance, r.bids, j) <= winner_total
+                assert total_bid(instance, profile, j) <= winner_total
+
+
+def assert_matches_the_round_loop(instance):
+    """The solve's bids, outcome and trace are the round loop's, and its
+    trace replays to the round loop's profile after every round."""
+    result = egalitarian_solve(instance)
+    *reference, profiles = egalitarian_by_rounds(instance)
+    assert result == tuple(reference)
+    assert round_profiles(instance, result[2]) == profiles
+    return result
 
 
 class TestAgainstTheRoundLoop:
@@ -139,17 +161,16 @@ class TestAgainstTheRoundLoop:
 
     def test_golden_and_criterion_7_instances(self):
         for instance in (*golden_instances(), *criterion_7_instances()):
-            assert egalitarian_solve(instance) == egalitarian_by_rounds(instance)
+            assert_matches_the_round_loop(instance)
 
     def test_random_instances(self):
         rng = random.Random(31)
         for _ in range(300):
-            instance = random_instance(rng, max_n=10, max_m=8)
-            assert egalitarian_solve(instance) == egalitarian_by_rounds(instance)
+            assert_matches_the_round_loop(random_instance(rng, max_n=10, max_m=8))
 
     def test_wide_slice(self):
         for instance in wide_slice():
-            assert egalitarian_solve(instance) == egalitarian_by_rounds(instance)
+            assert_matches_the_round_loop(instance)
 
 
 def prime_families(base: int):
@@ -169,8 +190,7 @@ class TestIntegerLowering:
     def check(self, base: int) -> None:
         grown = 0
         for instance in prime_families(base):
-            result = egalitarian_solve(instance)
-            assert result == egalitarian_by_rounds(instance)
+            result = assert_matches_the_round_loop(instance)
             # A decrement whose denominator does not divide the instance's
             # scale was taken after the running denominator grew.
             grown += any(instance._scale % r.decrement.denominator for r in result[2].rounds)
@@ -181,6 +201,57 @@ class TestIntegerLowering:
 
     def test_values_near_2_to_the_70(self):
         self.check(2**70)
+
+    def test_one_bid_fraction_per_member(self, monkeypatch):
+        # The lowering builds a Fraction per round, its decrement, and one
+        # per winning member, its bid as it freezes.
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return F(*args)
+
+        monkeypatch.setattr(egalitarian_module, "Fraction", counted)
+        for instance in wide_slice():
+            built.clear()
+            _, _, trace = egalitarian_solve(instance)
+            assert len(built) == len(trace.rounds) + len(instance.members(trace.winner))
+
+
+def assert_trace_shows_the_replayed_profiles(instance):
+    """Each round's `bids ...` text is the replayed profile after it, shown
+    as `display_scalar` shows it, and the last one is the solve's bids."""
+    bids, _, trace = egalitarian_solve(instance)
+    profiles = round_profiles(instance, trace)
+    lines = trace.describe(instance)
+    assert len(lines) == len(profiles) + 1
+    members = sorted(instance.members(trace.winner))
+    for line, profile in zip(lines[1:], profiles):
+        shown = ", ".join(f"{instance.names[k]}={display_scalar(profile[k])}" for k in members)
+        assert line.endswith(f"; bids {shown}")
+    assert profiles[-1] == bids
+
+
+class TestTraceText:
+    """The trace formats each round's bids from ints; they read as the
+    Fraction profiles its rounds replay to."""
+
+    def test_random_instances(self):
+        rng = random.Random(32)
+        for _ in range(300):
+            assert_trace_shows_the_replayed_profiles(random_instance(rng, max_n=10, max_m=8))
+
+    def test_prime_denominators(self):
+        for instance in prime_families(0):
+            assert_trace_shows_the_replayed_profiles(instance)
+
+    def test_wide_slice(self):
+        for instance in wide_slice():
+            assert_trace_shows_the_replayed_profiles(instance)
+
+    def test_values_near_2_to_the_70(self):
+        for instance in prime_families(2**70):
+            assert_trace_shows_the_replayed_profiles(instance)
 
 
 class TestLexmaxCertificate:
