@@ -28,8 +28,8 @@ _EXPORTS = {
         "welfare_ties",
     ),
     "model": (
-        "Ad", "AuctionInstance", "BidProfile", "GridBudgetError", "GridSpec",
-        "InstanceError", "InternalError", "Outcome", "Scalar", "check_bids",
+        "Ad", "AuctionInstance", "BidProfile", "BudgetError", "GridBudgetError",
+        "GridSpec", "InstanceError", "InternalError", "Outcome", "Scalar", "check_bids",
         "display_scalar", "format_scalar", "parse_bids", "parse_instance",
         "parse_scalar", "serialize_instance", "settle", "total_bid",
     ),

@@ -14,9 +14,9 @@ PATH is an instance file or "-" for stdin. Global flags: --format
 Reports keep scalars exact: JSON and CSV emit terminating decimals or "p/q"
 strings that re-parse to the same rational; the table format additionally
 shows a float approximation when the decimal does not terminate. The exit
-status is 0 for a report and 1 for an error report; a broken invariant of
-the package is reported as an "internal error: ..." error report with exit
-status 3, and argparse exits 2 on a usage error.
+status is 0 for a report, 1 for an `InstanceError` (bad input or a limit
+reached) and 2 for argparse's usage errors. Any other exception is a bug of
+the package, reported as "internal error: Type: ..." with exit status 3.
 
 Contract files hold {"contracts": [...]} where each term is either
 {"supporter": name, "ad": index, "amount": x} (a committed pledge) or the
@@ -82,10 +82,6 @@ def __getattr__(name: str):
 Node = Any  # Fraction | bool | int | str | list[Node] | dict[str, Node]
 
 
-class CliError(Exception):
-    pass
-
-
 def _read_text(path: str) -> str:
     """A file's text, or stdin's for "-". Stdin's bytes are decoded as a file
     is, strict UTF-8 with universal newlines, whatever the locale; a stdin
@@ -93,7 +89,7 @@ def _read_text(path: str) -> str:
     try:
         if path == "-":
             if sys.stdin is None:
-                raise CliError("cannot read -: stdin is closed")
+                raise InstanceError("cannot read -: stdin is closed")
             stdin = getattr(sys.stdin, "buffer", None)
             if stdin is None:
                 return sys.stdin.read()
@@ -101,9 +97,9 @@ def _read_text(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise InstanceError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise CliError(
+        raise InstanceError(
             f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from exc
 
@@ -286,7 +282,7 @@ def cmd_solve(args: argparse.Namespace) -> dict[str, Node]:
 
 def cmd_verify(args: argparse.Namespace) -> dict[str, Node]:
     if args.path == args.bids == "-":
-        raise CliError("PATH and BIDS both name stdin (-), which can be read only once")
+        raise InstanceError("PATH and BIDS both name stdin (-), which can be read only once")
     _bind("polytope")
     instance = _load_instance(args.path)
     bids = parse_bids(_read_text(args.bids), instance)
@@ -345,7 +341,7 @@ def cmd_compare(args: argparse.Namespace) -> dict[str, Node]:
 def _parse_weights(text: str, count: int) -> list[Fraction]:
     parts = [part.strip() for part in text.split(",")]
     if len(parts) != count:
-        raise CliError(f"--weights expects {count} comma-separated values")
+        raise InstanceError(f"--weights expects {count} comma-separated values")
     weights = [parse_scalar(part, where=f"weights[{k}]") for k, part in enumerate(parts)]
     return weights
 
@@ -413,21 +409,21 @@ def _parse_contract_terms(text: str, owned: OwnedAuction) -> list[ContractTerm]:
     try:
         doc = load_document(text)
     except InstanceError as exc:
-        raise CliError(f"contract file is {exc}") from None
+        raise InstanceError(f"contract file is {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("contracts"), list):
-        raise CliError('contract file must hold {"contracts": [...]}')
+        raise InstanceError('contract file must hold {"contracts": [...]}')
     terms = []
     for k, entry in enumerate(doc["contracts"]):
         where = f"contracts[{k}]"
         if not isinstance(entry, dict):
-            raise CliError(f"{where}: expected an object")
+            raise InstanceError(f"{where}: expected an object")
         name = entry.get("supporter")
         if not isinstance(name, str) or name not in instance.names:
-            raise CliError(f"{where}: unknown supporter {name!r}")
+            raise InstanceError(f"{where}: unknown supporter {name!r}")
         supporter = instance.index(name)
         ad = entry.get("ad")
         if not isinstance(ad, int) or isinstance(ad, bool) or not 0 <= ad < instance.m:
-            raise CliError(f"{where}: ad must be an index in [0, {instance.m})")
+            raise InstanceError(f"{where}: ad must be an index in [0, {instance.m})")
         committed = "amount" in entry
         fields = ("amount",) if committed else ("fraction", "cap", "subsidy")
         scalars = {name: parse_scalar(entry.get(name), where=f"{where}.{name}") for name in fields}
@@ -436,11 +432,11 @@ def _parse_contract_terms(text: str, owned: OwnedAuction) -> list[ContractTerm]:
                 term = ContractTerm.committed(supporter, ad, scalars["amount"])
             else:
                 term = ContractTerm(supporter=supporter, ad=ad, **scalars)
-        except ValueError as exc:
+        except InstanceError as exc:
             # A term's checks open with the field they reject ("cap must be
             # non-negative"); a committed amount is both the cap and the subsidy.
             field, _, problem = str(exc).partition(" ")
-            raise CliError(f"{where}.{'amount' if committed else field}: {problem}") from None
+            raise InstanceError(f"{where}.{'amount' if committed else field}: {problem}") from None
         terms.append(term)
     return terms
 
@@ -470,7 +466,7 @@ def _outcome_node(owned: OwnedAuction, outcome) -> dict[str, Node]:
 
 def cmd_contracts(args: argparse.Namespace) -> dict[str, Node]:
     if args.path == args.contracts == "-":
-        raise CliError("PATH and --contracts both name stdin (-), which can be read only once")
+        raise InstanceError("PATH and --contracts both name stdin (-), which can be read only once")
     _bind("contracts")
     owned = parse_owned_auction(_read_text(args.path))
     instance = owned.instance
@@ -490,15 +486,19 @@ def cmd_contracts(args: argparse.Namespace) -> dict[str, Node]:
     }
     if args.responder is not None:
         if args.responder not in instance.names:
-            raise CliError(f"--responder: unknown advertiser {args.responder!r}")
+            raise InstanceError(f"--responder: unknown advertiser {args.responder!r}")
         responder = instance.index(args.responder)
         step_text, _, max_text = args.subsidy_grid.partition(":")
         step = parse_scalar(step_text, where="--subsidy-grid step")
-        ceiling = (
-            parse_scalar(max_text, where="--subsidy-grid max") if max_text else None
-        )
-        grid = GridSpec(epsilon=step)
-        best = best_response_contract(owned, responder, terms, grid, max_subsidy=ceiling)
+        ceiling = parse_scalar(max_text, where="--subsidy-grid max") if max_text else None
+        # The library's own checks would name its parameters, not these options.
+        if step <= 0:
+            raise InstanceError("--subsidy-grid step: must be positive")
+        if ceiling is not None and ceiling < 0:
+            raise InstanceError(f"--subsidy-grid max: must be non-negative, got {max_text}")
+        if any(term.supporter == responder for term in terms):
+            raise InstanceError("--responder: must not be the supporter of a --contracts term")
+        best = best_response_contract(owned, responder, terms, GridSpec(step), max_subsidy=ceiling)
         report["responder"] = args.responder
         report["best_response"] = [_term_node(owned, term) for term in best]
         outcome = evaluate_contracts(owned, tuple(terms) + best)
@@ -601,12 +601,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     try:
         text = render(args.func(args), args.format)
-    except InternalError as exc:
-        sys.stderr.write(render({"error": f"internal error: {exc}"}, args.format))
-        return 3
-    except (CliError, InstanceError, RuntimeError, ValueError) as exc:
+    except InstanceError as exc:
         sys.stderr.write(render({"error": str(exc)}, args.format))
         return 1
+    except Exception as exc:  # not the input's fault: a bug, reported without a traceback
+        kind = "" if isinstance(exc, InternalError) else f"{type(exc).__name__}: "
+        message = f"internal error: {kind}{exc}".removesuffix(": ")
+        sys.stderr.write(render({"error": message}, args.format))
+        return 3
     sys.stdout.write(text)
     return 0
 

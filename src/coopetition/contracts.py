@@ -86,11 +86,11 @@ class ContractTerm(Record):
         fraction, cap = parse_scalar(fraction, "fraction"), parse_scalar(cap, "cap")
         subsidy = parse_scalar(subsidy, "subsidy")
         if not 0 <= fraction <= 1:
-            raise ValueError("fraction must be in [0, 1]")
+            raise InstanceError("fraction must be in [0, 1]")
         if cap < 0:
-            raise ValueError("cap must be non-negative")
+            raise InstanceError("cap must be non-negative")
         if subsidy < 0:
-            raise ValueError("subsidy must be non-negative")
+            raise InstanceError("subsidy must be non-negative")
         self._set_fields(supporter, ad, fraction, cap, subsidy)
 
     @classmethod
@@ -243,15 +243,15 @@ def best_response_contract(
     responder's expected utility. Ties break toward the lexicographically
     smallest subsidy vector; zero-level terms are omitted, so an empty
     profile means staying out is a best response. max_subsidy is read as a
-    document's numbers are; a negative one leaves no level and raises ValueError.
+    document's numbers are; a negative one leaves no level and raises InstanceError.
     """
     max_subsidy = None if max_subsidy is None else parse_scalar(max_subsidy, "max_subsidy")
     if max_subsidy is not None and max_subsidy < 0:
-        raise ValueError(f"max_subsidy must be non-negative, got {format_scalar(max_subsidy)}")
+        raise InstanceError(f"max_subsidy must be non-negative, got {format_scalar(max_subsidy)}")
     instance = owned.instance
     for term in others:
         if term.supporter == responder:
-            raise ValueError("others must not contain terms from the responder")
+            raise InstanceError("others must not contain terms from the responder")
     supported = [
         j
         for j in range(instance.m)

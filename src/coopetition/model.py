@@ -49,6 +49,10 @@ class InternalError(RuntimeError):
     """An invariant of the package itself broke: a bug, not bad input."""
 
 
+class BudgetError(InstanceError, RuntimeError):
+    """A valid request that a limit stops: raise the limit or ask for less."""
+
+
 class Record:
     """Base of the package's immutable records.
 
@@ -134,13 +138,13 @@ class GridSpec(Record):
     def __init__(self, epsilon: Fraction, budget: int = 10_000_000) -> None:
         epsilon = parse_scalar(epsilon, "epsilon")
         if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+            raise InstanceError("epsilon must be positive")
         if budget < 1:
-            raise ValueError("budget must be at least 1")
+            raise InstanceError("budget must be at least 1")
         self._set_fields(epsilon, budget)
 
 
-class GridBudgetError(RuntimeError):
+class GridBudgetError(BudgetError):
     """The requested sweep is larger than the configured budget."""
 
     def __init__(self, points: int, budget: int) -> None:

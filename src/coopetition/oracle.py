@@ -31,7 +31,8 @@ from typing import Sequence
 # GridSpec and GridBudgetError live in model, so that contracts can use them
 # without loading this module; they stay importable from here.
 from .model import (
-    AuctionInstance, BidProfile, GridBudgetError, GridSpec, InternalError, Outcome, settle,
+    AuctionInstance, BidProfile, BudgetError, GridBudgetError, GridSpec, InternalError,
+    Outcome, settle,
 )
 from .polytope import build_polytope, canonical_bids, is_equilibrium
 
@@ -162,8 +163,8 @@ def lexmax_surplus_grid(instance: AuctionInstance, grid: GridSpec) -> BidProfile
     """The grid equilibrium whose ascending surplus vector is lex-maximal.
 
     Ties break toward the lexicographically smallest bid vector. Losers bid
-    their values, so their surplus is 0. Raises when the lattice holds no
-    equilibrium at all (refine epsilon in that case).
+    their values, so their surplus is 0. Raises BudgetError when the lattice
+    holds no equilibrium at all (refine epsilon in that case).
     """
     values = instance.values
     best = max(
@@ -172,7 +173,7 @@ def lexmax_surplus_grid(instance: AuctionInstance, grid: GridSpec) -> BidProfile
         default=None,
     )
     if best is None:
-        raise RuntimeError(
+        raise BudgetError(
             f"no equilibrium on the grid at resolution {grid.epsilon}; refine epsilon"
         )
     return best

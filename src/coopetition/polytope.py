@@ -46,7 +46,9 @@ from .mechanisms import efficient_winner
 from .model import (
     AuctionInstance,
     BidProfile,
+    BudgetError,
     FrozenMap,
+    InstanceError,
     InternalError,
     Record,
     check_bids,
@@ -117,7 +119,7 @@ class EquilibriumResult(Record):
         self, witnesses: Mapping[int, int | None] | None = None, failure: str | None = None
     ) -> None:
         if (witnesses is None) == (failure is None):
-            raise ValueError("exactly one of witnesses and failure must be set")
+            raise InternalError("exactly one of witnesses and failure must be set")
         self._set_fields(None if witnesses is None else FrozenMap(witnesses), failure)
 
     @property
@@ -245,12 +247,12 @@ def sample_pareto_equilibrium(
     """
     members = polytope.members
     if len(weights) != len(members):
-        raise ValueError(
+        raise InstanceError(
             f"expected {len(members)} weights (one per winning member), got {len(weights)}"
         )
     weights = exact_scalars(weights, "weights[{}]")
     if any(w <= 0 for w in weights):
-        raise ValueError("weights must be strictly positive")
+        raise InstanceError("weights must be strictly positive")
     caps = [polytope.instance._units[member] for member in members]
     # Minimizing w . bid is maximizing w . y over the packing rows, y <= value,
     # with w scaled to ints: one positive factor leaves every pivot the same.
@@ -314,8 +316,8 @@ def revenue_range(polytope: CefPolytope) -> tuple[Fraction, Fraction]:
     y, the revenue given up, over that optimal face, which is F_R. The
     minimizer and the maximizer are re-verified with `is_equilibrium`.
 
-    Raises RuntimeError when the search needs more than `_COVER_BUDGET`
-    cover LPs.
+    Raises BudgetError, also a RuntimeError, when the search needs more
+    than `_COVER_BUDGET` cover LPs.
     """
     instance = polytope.instance
     members = polytope.members
@@ -335,7 +337,7 @@ def revenue_range(polytope: CefPolytope) -> tuple[Fraction, Fraction]:
     def solve(cover: list[int]) -> None:
         nonlocal high, high_det, argmax, solved
         if solved == _COVER_BUDGET:
-            raise RuntimeError(
+            raise BudgetError(
                 f"the revenue maximum needs more cover LPs than its budget: "
                 f"{solved} solved of {_COVER_BUDGET}"
             )

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coopetition
-from coopetition import cli, parse_scalar, serialize_instance
+from coopetition import InternalError, cli, parse_scalar, serialize_instance
 from coopetition.cli import build_parser, main, render_json
 from coopetition.polytope import EquilibriumResult
 from helpers import F, random_instance, render_json_by_dumps, rival_family
@@ -728,6 +728,37 @@ class TestExitStatus:
         assert message.startswith("internal error: the cover search and is_equilibrium")
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("layer, mechanism", [("vcg", "vcg"), ("revenue_range", "bounds")])
+    @pytest.mark.parametrize(
+        "error, detail",
+        [
+            pytest.param(ValueError("max() arg"), "ValueError: max() arg", id="value"),
+            pytest.param(RuntimeError("lost"), "RuntimeError: lost", id="runtime"),
+            pytest.param(RecursionError("too deep"), "RecursionError: too deep", id="recursion"),
+            pytest.param(KeyError("x"), "KeyError: 'x'", id="key"),
+            pytest.param(ZeroDivisionError("by zero"), "ZeroDivisionError: by zero", id="zero"),
+            pytest.param(AssertionError(), "AssertionError", id="assertion"),
+            pytest.param(InternalError("a broken invariant"), "a broken invariant", id="internal"),
+        ],
+    )
+    def test_any_other_exception_exits_3(
+        self, capsys, triangle_path, monkeypatch, layer, mechanism, error, detail, fmt
+    ):
+        # Only an InstanceError is the input's fault. A builtin raised inside
+        # a layer is a bug, whatever its type, and is reported as one: by its
+        # type and message, except InternalError, whose message says it all.
+        # `vcg` is bound when `cli` is imported and `revenue_range` on first
+        # use; both are patched where the commands read them.
+        def broken(*args):
+            raise error.with_traceback(None)
+
+        monkeypatch.setattr(cli, layer, broken)
+        code, out, err = run(capsys, ["solve", triangle_path, mechanism, "--format", fmt])
+        assert code == 3 and out == ""
+        assert "Traceback" not in err
+        assert_error_report(err, fmt, f"internal error: {detail}")
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_budget_error_exits_1(self, capsys, triangle_path, monkeypatch, fmt):
         monkeypatch.setattr(coopetition.polytope, "_COVER_BUDGET", 2)
         code, out, err = run(capsys, ["compare", triangle_path, "--format", fmt])
@@ -1112,9 +1143,32 @@ class TestContracts:
         )
         assert code == 1 and out == ""
         assert "Traceback" not in err
-        assert "max_subsidy must be non-negative" in err
-        if fmt == "json":
-            assert json.loads(err)["error"].startswith("max_subsidy")
+        assert_error_report(err, fmt, "--subsidy-grid max: must be non-negative, got -5")
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize(
+        "options, expected",
+        [
+            (["--subsidy-grid", "0"], "--subsidy-grid step: must be positive"),
+            (["--subsidy-grid=-1/2:3"], "--subsidy-grid step: must be positive"),
+            (
+                ["--contracts", "TERMS"],
+                "--responder: must not be the supporter of a --contracts term",
+            ),
+        ],
+    )
+    def test_option_errors_name_the_option(self, capsys, tmp_path, options, expected, fmt):
+        # The library's checks name its parameters (epsilon, others); the
+        # report names the option the user typed.
+        path = tmp_path / "owned.json"
+        path.write_text(OWNED)
+        terms = tmp_path / "terms.json"
+        terms.write_text('{"contracts": [{"supporter": "M", "ad": 0, "amount": "8"}]}')
+        options = [str(terms) if option == "TERMS" else option for option in options]
+        argv = ["contracts", str(path), "--responder", "M", *options, "--format", fmt]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert_error_report(err, fmt, expected)
 
     def test_fixed_terms_from_a_file(self, capsys, tmp_path):
         path = tmp_path / "owned.json"

@@ -811,7 +811,10 @@ def test_record_defaults_and_repr():
     passed = coopetition.EquilibriumResult({0: None})
     assert (passed.failure, passed.ok, bool(passed)) == (None, True, True)
     for both_or_neither in ((), ({0: None}, "A could lower")):
-        with pytest.raises(ValueError, match="^exactly one of witnesses and failure must be set$"):
+        # A caller's slip, and never reachable from a document: a bug, not bad input.
+        with pytest.raises(
+            coopetition.InternalError, match="^exactly one of witnesses and failure must be set$"
+        ):
             coopetition.EquilibriumResult(*both_or_neither)
     assert repr(coopetition.GridSpec(F(1, 2))) == (
         "GridSpec(epsilon=Fraction(1, 2), budget=10000000)"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
@@ -24,6 +25,31 @@ def test_grid_types_are_reexported_unchanged():
 
     assert oracle.GridSpec is model.GridSpec is coopetition.GridSpec
     assert oracle.GridBudgetError is model.GridBudgetError is coopetition.GridBudgetError
+
+
+def test_limit_errors_are_user_errors_and_runtime_errors():
+    # The CLI reads an InstanceError as the input's fault (exit 1); a library
+    # caller that catches RuntimeError around a budgeted search still works.
+    assert issubclass(coopetition.GridBudgetError, coopetition.BudgetError)
+    assert issubclass(coopetition.BudgetError, coopetition.InstanceError)
+    assert issubclass(coopetition.BudgetError, RuntimeError)
+    assert not issubclass(coopetition.InternalError, coopetition.InstanceError)
+
+
+def test_no_builtin_value_or_runtime_error_is_raised_outside_simplex():
+    # A builtin says nothing about whose fault an error is: input errors
+    # raise InstanceError (or BudgetError), broken invariants InternalError.
+    # Only simplex keeps ValueError for shapes its callers build themselves.
+    raised = []
+    for path in sorted(Path(coopetition.__file__).parent.glob("*.py")):
+        if path.name == "simplex.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in ("ValueError", "RuntimeError"):
+                    raised.append(f"{path.name}:{node.lineno}")
+    assert raised == []
 
 
 def test_star_import_binds_every_public_name():
