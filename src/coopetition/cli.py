@@ -467,6 +467,8 @@ def _outcome_node(owned: OwnedAuction, outcome) -> dict[str, Node]:
 def cmd_contracts(args: argparse.Namespace) -> dict[str, Node]:
     if args.path == args.contracts == "-":
         raise InstanceError("PATH and --contracts both name stdin (-), which can be read only once")
+    if args.subsidy_grid is not None and args.responder is None:
+        raise InstanceError("--subsidy-grid: needs --responder")
     _bind("contracts")
     owned = parse_owned_auction(_read_text(args.path))
     instance = owned.instance
@@ -488,7 +490,8 @@ def cmd_contracts(args: argparse.Namespace) -> dict[str, Node]:
         if args.responder not in instance.names:
             raise InstanceError(f"--responder: unknown advertiser {args.responder!r}")
         responder = instance.index(args.responder)
-        step_text, _, max_text = args.subsidy_grid.partition(":")
+        grid_text = "1" if args.subsidy_grid is None else args.subsidy_grid
+        step_text, _, max_text = grid_text.partition(":")
         step = parse_scalar(step_text, where="--subsidy-grid step")
         ceiling = parse_scalar(max_text, where="--subsidy-grid max") if max_text else None
         # The library's own checks would name its parameters, not these options.
@@ -501,10 +504,8 @@ def cmd_contracts(args: argparse.Namespace) -> dict[str, Node]:
         best = best_response_contract(owned, responder, terms, GridSpec(step), max_subsidy=ceiling)
         report["responder"] = args.responder
         report["best_response"] = [_term_node(owned, term) for term in best]
-        outcome = evaluate_contracts(owned, tuple(terms) + best)
-    else:
-        outcome = evaluate_contracts(owned, terms)
-    report["outcome"] = _outcome_node(owned, outcome)
+        terms = [*terms, *best]
+    report["outcome"] = _outcome_node(owned, evaluate_contracts(owned, terms))
     return report
 
 
@@ -580,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_contracts.add_argument(
         "--subsidy-grid",
-        default="1",
+        default=None,
         help="STEP or STEP:MAX grid for the responder's subsidy search (default: 1)",
     )
     p_contracts.set_defaults(func=cmd_contracts)

@@ -8,18 +8,20 @@ to the owner's truthful bid before the auction runs. Terms are committed
 first, then the auction clears; the settlement transfer per click is
 min(fraction * price, cap), never more than the cap.
 
-The auction itself is a standard position auction with ad-independent click
-rates: ads are ranked by effective bid, slot k's per-click price is
-
-    sum over lower ranks r of bid_r * (rate_{r-1} - rate_r),  divided by rate_k
-
-with the rate treated as zero below the last slot. An advertiser appearing
-in several assigned ads collects value at the sum of those click rates.
+The auction is a position auction with ad-independent click rates r_k, zero
+below the last slot: ads rank by effective bid, and slot k's rate times its
+per-click price is displaced_k, the sum over lower ranks l of bid_l *
+(r_{l-1} - r_l). A member of several shown ads collects value at the sum of
+their rates. One kernel clears in integer units, bids over L and rates over
+R, so displaced_k is an int over L*R and no price is divided out. The best
+response reads only the responder's utility off it, one int per vector; it
+builds no record per vector and counts the vectors against the budget first.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
@@ -150,31 +152,43 @@ def serialize_owned_auction(owned: OwnedAuction) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _slot_rates(owned: OwnedAuction) -> tuple[int, list[int]]:
+    """R, the lcm of the slot rates' denominators, and the rates over R."""
+    rscale = math.lcm(*[rate.denominator for rate in owned.slots])
+    return rscale, [int(rate * rscale) for rate in owned.slots]
+
+
+def _clear(bids: Sequence[int], rates: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The clearing kernel: the shown ads by rank (ties to the lowest ad id)
+    and each one's displaced_k, for int bids over L and rates over R."""
+    order = sorted(range(len(bids)), key=bids.__getitem__, reverse=True)
+    shown = order[: len(rates)]
+    displaced, total = [0] * len(shown), 0
+    for k in reversed(range(min(len(shown), len(bids) - 1))):
+        total += bids[order[k + 1]] * (rates[k] - (rates[k + 1] if k + 1 < len(rates) else 0))
+        displaced[k] = total
+    return shown, displaced
+
+
 def position_vcg(owned: OwnedAuction, effective_bids: Sequence[Fraction]) -> PositionOutcome:
     """Rank ads by effective bid (ties to the lowest ad id) and price slots."""
     instance = owned.instance
     if len(effective_bids) != instance.m:
         raise InstanceError(f"expected {instance.m} effective bids, got {len(effective_bids)}")
     bids = exact_scalars(effective_bids, "effective_bids[{}]")
-    order = sorted(range(instance.m), key=lambda j: (-bids[j], j))
-    slot_count = len(owned.slots)
-    assignment: dict[int, int] = {}
-    prices: dict[int, Fraction] = {}
-    utilities = [Fraction(0)] * instance.n
-    for rank, ad in enumerate(order[:slot_count]):
-        rate = owned.slots[rank]
-        displaced = Fraction(0)
-        for lower in range(rank + 1, min(len(order) - 1, slot_count) + 1):
-            above = owned.slots[lower - 1]
-            below = owned.slots[lower] if lower < slot_count else Fraction(0)
-            displaced += bids[order[lower]] * (above - below)
-        price = displaced / rate
-        assignment[ad] = rank
-        prices[ad] = price
+    scale = math.lcm(instance._scale, *[bid.denominator for bid in bids])
+    rscale, rates = _slot_rates(owned)
+    shown, displaced = _clear([int(bid * scale) for bid in bids], rates)
+    utilities = [0] * instance.n
+    for k, ad in enumerate(shown):
         for i in instance.members(ad):
-            utilities[i] += rate * instance.values[i]
-        utilities[owned.owners[ad]] -= rate * price
-    return PositionOutcome(assignment=assignment, prices=prices, utilities=tuple(utilities))
+            utilities[i] += rates[k] * instance._units[i] * (scale // instance._scale)
+        utilities[owned.owners[ad]] -= displaced[k]
+    return PositionOutcome(
+        {ad: k for k, ad in enumerate(shown)},
+        {ad: Fraction(displaced[k], scale * rates[k]) for k, ad in enumerate(shown)},
+        tuple([Fraction(utility, scale * rscale) for utility in utilities]),
+    )
 
 
 def _validate_contracts(owned: OwnedAuction, contracts: Sequence[ContractTerm]) -> None:
@@ -252,6 +266,7 @@ def best_response_contract(
     for term in others:
         if term.supporter == responder:
             raise InstanceError("others must not contain terms from the responder")
+    _validate_contracts(owned, others)
     supported = [
         j
         for j in range(instance.m)
@@ -265,18 +280,32 @@ def best_response_contract(
     total = steps ** len(supported)
     if total > grid.budget:
         raise GridBudgetError(total, grid.budget)
-    levels = [grid.epsilon * k for k in range(steps)]
-    best_utility: Fraction | None = None
-    best_terms: ContractProfile = ()
-    for combo in product(levels, repeat=len(supported)):
-        terms = tuple(
-            ContractTerm.committed(responder, ad, amount)
-            for ad, amount in zip(supported, combo)
-            if amount > 0
-        )
-        outcome = evaluate_contracts(owned, tuple(others) + terms)
-        utility = outcome.utilities[responder]
+    # The responder's utility over Q*L*R: bids and caps over L, shares over Q.
+    dens = [den for t in others for den in (t.subsidy.denominator, t.cap.denominator)]
+    scale = math.lcm(instance._scale, grid.epsilon.denominator, *dens)
+    shares = math.lcm(*[term.fraction.denominator for term in others])
+    base = [int(instance.values[owner] * scale) for owner in owned.owners]
+    for term in others:
+        base[term.ad] += int(term.subsidy * scale)
+    shared = [(t.ad, int(t.fraction * shares), int(t.cap * scale * shares)) for t in others]
+    _, rates = _slot_rates(owned)
+    worth, step = int(instance.values[responder] * scale * shares), int(grid.epsilon * scale)
+    best_utility, best_levels = None, ()
+    for levels in product(range(steps), repeat=len(supported)):
+        pledges = {ad: step * level for ad, level in zip(supported, levels)}
+        shown, displaced = _clear([bid + pledges.get(j, 0) for j, bid in enumerate(base)], rates)
+        utility = 0
+        for k, ad in enumerate(shown):
+            rate, cost = rates[k], displaced[k]
+            if ad in pledges:
+                utility += rate * worth - shares * min(cost, rate * pledges[ad])
+            elif owned.owners[ad] == responder:
+                utility += rate * worth - shares * cost
+                utility += sum([min(p * cost, cap * rate) for j, p, cap in shared if j == ad])
         if best_utility is None or utility > best_utility:
-            best_utility = utility
-            best_terms = terms
-    return best_terms
+            best_utility, best_levels = utility, levels
+    return tuple(
+        ContractTerm.committed(responder, ad, grid.epsilon * level)
+        for ad, level in zip(supported, best_levels)
+        if level
+    )

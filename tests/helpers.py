@@ -3,6 +3,7 @@ test-only reference implementations."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -15,12 +16,16 @@ from coopetition import (
     AuctionInstance,
     BidProfile,
     CefPolytope,
+    ContractProfile,
+    ContractTerm,
     GridBudgetError,
     GridSpec,
     InstanceError,
     LoweringRound,
     LoweringTrace,
     Outcome,
+    OwnedAuction,
+    PositionOutcome,
     efficient_winner,
     enumerate_equilibria_grid,
     settle,
@@ -764,3 +769,143 @@ def format_scalar_by_loops(x: Fraction) -> str:
         return decimal if decimal is not None else f"{x.numerator}/{x.denominator}"
     except ValueError:
         raise InstanceError(f"a number to print has more than {_MAX_DIGITS} digits") from None
+
+
+def position_vcg_by_fractions(owned: OwnedAuction, effective_bids: Sequence[Fraction]) -> PositionOutcome:
+    """Position VCG in Fractions, price by price: the reference for
+    `contracts.position_vcg`, which clears in integer units."""
+    instance = owned.instance
+    bids = [Fraction(bid) for bid in effective_bids]
+    order = sorted(range(instance.m), key=lambda j: (-bids[j], j))
+    slot_count = len(owned.slots)
+    assignment: dict[int, int] = {}
+    prices: dict[int, Fraction] = {}
+    utilities = [Fraction(0)] * instance.n
+    for rank, ad in enumerate(order[:slot_count]):
+        rate = owned.slots[rank]
+        displaced = Fraction(0)
+        for lower in range(rank + 1, min(len(order) - 1, slot_count) + 1):
+            above = owned.slots[lower - 1]
+            below = owned.slots[lower] if lower < slot_count else Fraction(0)
+            displaced += bids[order[lower]] * (above - below)
+        price = displaced / rate
+        assignment[ad] = rank
+        prices[ad] = price
+        for i in instance.members(ad):
+            utilities[i] += rate * instance.values[i]
+        utilities[owned.owners[ad]] -= rate * price
+    return PositionOutcome(assignment=assignment, prices=prices, utilities=tuple(utilities))
+
+
+def evaluate_contracts_by_fractions(
+    owned: OwnedAuction, contracts: Sequence[ContractTerm]
+) -> PositionOutcome:
+    """`contracts.evaluate_contracts` (valid terms only) over the Fraction
+    reference: owners bid value plus subsidies, then each term on a shown ad
+    moves rate * transfer(price) from its supporter to the owner."""
+    instance = owned.instance
+    effective = [instance.values[owned.owners[j]] for j in range(instance.m)]
+    for term in contracts:
+        effective[term.ad] += term.subsidy
+    outcome = position_vcg_by_fractions(owned, effective)
+    utilities = list(outcome.utilities)
+    for term in contracts:
+        if term.ad not in outcome.assignment:
+            continue
+        rate = owned.slots[outcome.assignment[term.ad]]
+        transfer = term.transfer(outcome.prices[term.ad])
+        utilities[term.supporter] -= rate * transfer
+        utilities[owned.owners[term.ad]] += rate * transfer
+    return PositionOutcome(outcome.assignment, outcome.prices, tuple(utilities))
+
+
+def best_response_by_evaluation(
+    owned: OwnedAuction,
+    responder: int,
+    others: Sequence[ContractTerm],
+    grid: GridSpec,
+    max_subsidy: Fraction | None = None,
+) -> tuple[ContractProfile, int]:
+    """The grid search as a loop that builds every subsidy vector's committed
+    terms and evaluates the whole auction: the reference for
+    `contracts.best_response_contract`, for valid `others`. Also returns how
+    many vectors tie at the best utility."""
+    instance = owned.instance
+    supported = [
+        j
+        for j in range(instance.m)
+        if responder in instance.members(j) and owned.owners[j] != responder
+    ]
+    if not supported:
+        return (), 0
+    if max_subsidy is None:
+        max_subsidy = sum(instance.values, Fraction(0))
+    steps = int(max_subsidy / grid.epsilon) + 1
+    if steps ** len(supported) > grid.budget:
+        raise GridBudgetError(steps ** len(supported), grid.budget)
+    levels = [grid.epsilon * k for k in range(steps)]
+    best_utility: Fraction | None = None
+    best_terms: ContractProfile = ()
+    tied = 0
+    for combo in itertools.product(levels, repeat=len(supported)):
+        terms = tuple(
+            ContractTerm.committed(responder, ad, amount)
+            for ad, amount in zip(supported, combo)
+            if amount > 0
+        )
+        outcome = evaluate_contracts_by_fractions(owned, tuple(others) + terms)
+        utility = outcome.utilities[responder]
+        if best_utility is None or utility > best_utility:
+            best_utility, best_terms, tied = utility, terms, 1
+        elif utility == best_utility:
+            tied += 1
+    return best_terms, tied
+
+
+_RATES = (F(1), F(5, 6), F(3, 4), F(2, 3), F(1, 2), F(2, 5), F(1, 3), F(1, 4), F(1, 6))
+
+
+def owned_family(rng: random.Random):
+    """A best-response problem `(owned, responder, others, grid, max_subsidy)`:
+    2-5 advertisers in 2-4 ads, 1-3 slots (fewer than the ads) whose rates
+    mix denominators, and a responder that shares an ad with another member.
+    It owns one ad in five that it is in. `others` holds share-and-cap terms,
+    more often on the responder's own ads. The grid is small, but one
+    problem in ten has a budget of 10, which most such grids exceed."""
+    while True:
+        instance = random_instance(rng, max_n=5, max_m=4)
+        # Any member but the first of an ad: there is another to own it.
+        riders = [i for j in range(instance.m) for i in sorted(instance.members(j))[1:]]
+        if instance.n >= 2 and instance.m >= 2 and riders:
+            break
+    # A rider worth more than most makes a pledge worth its price often.
+    responder = rng.choice(riders)
+    values = dict(zip(instance.names, instance.values))
+    values[instance.names[responder]] += rng.randint(0, 12)
+    ads = [list(instance.member_names(j)) for j in range(instance.m)]
+    instance = AuctionInstance.build(values, ads)
+    owners = tuple(
+        rng.choice(sorted(instance.members(j) - {responder}) or [responder])
+        if rng.random() < 0.7
+        else rng.choice(sorted(instance.members(j)))
+        for j in range(instance.m)
+    )
+    slots = tuple(sorted(rng.sample(_RATES, rng.randint(1, min(3, instance.m - 1))), reverse=True))
+    owned = OwnedAuction(instance=instance, owners=owners, slots=slots)
+    others = []
+    for j in range(instance.m):
+        for i in sorted(instance.members(j) - {owners[j], responder}):
+            if rng.random() < (0.8 if owners[j] == responder else 0.4):
+                others.append(
+                    ContractTerm(
+                        supporter=i,
+                        ad=j,
+                        fraction=rng.choice((F(0), F(1, 3), F(1, 2), F(3, 4), F(1))),
+                        cap=random_value(rng, 12),
+                        subsidy=rng.choice((F(0), random_value(rng, 6))),
+                    )
+                )
+    epsilon = rng.choice((F(1), F(1, 2), F(2, 3), F(5, 4)))
+    max_subsidy = Fraction(rng.randint(0, 12), rng.choice((1, 2)))
+    budget = 10 if rng.random() < 0.1 else 400
+    return owned, responder, tuple(others), GridSpec(epsilon, budget), max_subsidy

@@ -1170,6 +1170,15 @@ class TestContracts:
         assert code == 1 and out == ""
         assert_error_report(err, fmt, expected)
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_subsidy_grid_needs_a_responder(self, capsys, tmp_path, fmt):
+        # Without --responder there is no search for the grid to shape.
+        path = tmp_path / "owned.json"
+        path.write_text(OWNED)
+        code, out, err = run(capsys, ["contracts", str(path), "--subsidy-grid=-1", "--format", fmt])
+        assert code == 1 and out == ""
+        assert_error_report(err, fmt, "--subsidy-grid: needs --responder")
+
     def test_fixed_terms_from_a_file(self, capsys, tmp_path):
         path = tmp_path / "owned.json"
         path.write_text(OWNED)

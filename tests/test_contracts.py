@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -20,7 +21,15 @@ from coopetition import (
     position_vcg,
     serialize_owned_auction,
 )
-from helpers import F, make_instance
+from helpers import (
+    F,
+    best_response_by_evaluation,
+    evaluate_contracts_by_fractions,
+    make_instance,
+    owned_family,
+    position_vcg_by_fractions,
+    random_value,
+)
 
 
 def owned(values, ads, owners, slots) -> OwnedAuction:
@@ -170,6 +179,16 @@ class TestPositionVcg:
         outcome = position_vcg(auction, (F(3), F(2)))
         assert outcome.utilities[1] == F(10) * F("0.5") + F(10) * F("0.25")
 
+    def test_matches_the_fraction_reference(self):
+        # The best-response family, cleared at bids drawn from a small pool
+        # so that ties between ads are common.
+        rng = random.Random(20)
+        for _ in range(300):
+            auction = owned_family(rng)[0]
+            pool = [random_value(rng, 10) for _ in range(3)]
+            bids = [rng.choice(pool) for _ in range(auction.instance.m)]
+            assert position_vcg(auction, bids) == position_vcg_by_fractions(auction, bids)
+
     def test_bid_count_must_match(self):
         with pytest.raises(InstanceError, match="expected 2 effective bids"):
             position_vcg(two_sellers(), (F(1),))
@@ -266,3 +285,34 @@ class TestBestResponse:
             best_response_contract(
                 two_sellers(), 1, (), GridSpec(epsilon=F(1, 4), budget=10)
             )
+
+    def test_invalid_others_are_rejected_without_a_supported_ad(self):
+        # S owns its only ad, so it supports none; the term is still checked.
+        others = (ContractTerm.committed(1, 5, F(1)),)
+        with pytest.raises(InstanceError, match="contract targets unknown ad 5"):
+            best_response_contract(two_sellers(), 0, others, GridSpec(epsilon=F(1)))
+
+    def test_matches_the_evaluation_loop(self):
+        rng = random.Random(30)
+        answers = multi_slot = ties = over_budget = 0
+        for _ in range(300):
+            auction, responder, others, grid, ceiling = owned_family(rng)
+            try:
+                expected, tied = best_response_by_evaluation(
+                    auction, responder, others, grid, ceiling
+                )
+            except GridBudgetError:
+                with pytest.raises(GridBudgetError):
+                    best_response_contract(auction, responder, others, grid, ceiling)
+                over_budget += 1
+                continue
+            best = best_response_contract(auction, responder, others, grid, ceiling)
+            assert best == expected
+            profile = others + best
+            assert evaluate_contracts(auction, profile) == evaluate_contracts_by_fractions(
+                auction, profile
+            )
+            answers += bool(best)
+            multi_slot += bool(best) and len(auction.slots) > 1
+            ties += tied > 1
+        assert answers >= 50 and multi_slot >= 10 and ties >= 1 and over_budget >= 1
