@@ -1,5 +1,6 @@
-"""Golden reports: the exact bytes of `solve egalitarian --trace` and of
-`verify` on a passing and a failing bid file, in all three formats, for the
+"""Golden reports: the exact bytes of `solve egalitarian --trace`, of
+`verify` on a passing and a failing bid file, and of `polytope` with unit
+weights and with one fixed `--weights` vector, in all three formats, for the
 triangle and a seeded rival-family winner (`rival_family(Random(200), 4, 2)`,
 whose first lowering round has a bid reaching zero and a rival going tight
 together, and whose certificate has a zero bid). The inputs and the expected
@@ -24,10 +25,14 @@ from coopetition.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 FORMATS = ("table", "csv", "json")
+# One weight per winning member, in member order, none of them equal.
+WEIGHTS = {"triangle": "1,2,3", "rival": "1/2,3,1,5/4"}
 COMMANDS = {
     "solve-egalitarian": lambda name: ["solve", f"{name}.json", "egalitarian", "--trace"],
     "verify-pass": lambda name: ["verify", f"{name}.json", f"{name}-pass.json"],
     "verify-fail": lambda name: ["verify", f"{name}.json", f"{name}-fail.json"],
+    "polytope": lambda name: ["polytope", f"{name}.json"],
+    "polytope-weighted": lambda name: ["polytope", f"{name}.json", "--weights", WEIGHTS[name]],
 }
 CASES = [
     (name, command, fmt)
