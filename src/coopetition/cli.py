@@ -160,8 +160,11 @@ def _write_json(node: Node, newline: str, chunks: list[str]) -> None:
         inner = newline + "  "
         opening, separator = "[" + inner, "," + inner
         for value in node:
-            chunks.append(opening)
-            _write_json(value, inner, chunks)
+            if isinstance(value, str):  # the common item, written in place
+                chunks.append(opening + _quote(value))
+            else:
+                chunks.append(opening)
+                _write_json(value, inner, chunks)
             opening = separator
         chunks.append(newline + "]")
     else:

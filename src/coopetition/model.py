@@ -402,10 +402,12 @@ class AuctionInstance(Record, _Scaled):
         return self.ads[ad_id].members
 
     def member_names(self, ad_id: int) -> tuple[str, ...]:
-        return tuple(self.names[i] for i in sorted(self.ads[ad_id].members))
+        names = self.names
+        return tuple([names[i] for i in sorted(self.ads[ad_id].members)])
 
     def label(self, ad_id: int) -> str:
-        return f"ad {ad_id} {{{', '.join(self.member_names(ad_id))}}}"
+        names = self.names
+        return f"ad {ad_id} {{{', '.join([names[i] for i in sorted(self.ads[ad_id].members)])}}}"
 
     @classmethod
     def build(

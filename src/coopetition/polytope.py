@@ -51,6 +51,7 @@ from .model import (
     InstanceError,
     InternalError,
     Record,
+    _common_denominator,
     check_bids,
     exact_scalars,
     format_scalar,
@@ -255,8 +256,9 @@ def sample_pareto_equilibrium(
         raise InstanceError("weights must be strictly positive")
     caps = [polytope.instance._units[member] for member in members]
     # Minimizing w . bid is maximizing w . y over the packing rows, y <= value,
-    # with w scaled to ints: one positive factor leaves every pivot the same.
-    scale = math.lcm(*(w.denominator for w in weights))
+    # with w scaled to ints by their lcm, held to the values' scale limit: one
+    # positive factor leaves every pivot the same.
+    scale = _common_denominator(enumerate(w.denominator for w in weights), "weights[{}]", "weights")
     costs = [-w.numerator * (scale // w.denominator) for w in weights]
     det, _, surplus = solve_min(costs, le=surplus_rows(polytope), upper=caps)
     return _verified_bids(polytope, det, surplus, "optimizer left the equilibrium set")
@@ -265,8 +267,15 @@ def sample_pareto_equilibrium(
 def surplus_rows(polytope: CefPolytope) -> list[tuple[tuple[int, ...], int]]:
     """Each envy-free row as (0/1 coefficients in member order, room): the
     row's bidders and room, read off the polytope's own rows."""
-    members, rows = polytope.members, polytope.constraints
-    return [(tuple([1 if k in c.bidders else 0 for k in members]), c.room) for c in rows]
+    members = polytope.members
+    position = {k: p for p, k in enumerate(members)}
+    rows = []
+    for c in polytope.constraints:
+        coefficients = [0] * len(members)
+        for k in c.bidders:
+            coefficients[position[k]] = 1
+        rows.append((tuple(coefficients), c.room))
+    return rows
 
 
 def _verified_bids(polytope: CefPolytope, det: int, surplus: list[int], failure: str) -> BidProfile:

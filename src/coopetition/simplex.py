@@ -13,7 +13,7 @@ returns. Every comparison is exact.
 
 from __future__ import annotations
 
-from operator import index
+from operator import add, index, sub
 from typing import Sequence
 
 Row = tuple[Sequence[int], int]
@@ -27,9 +27,16 @@ def _eliminate(
     `pivot_row` holds det at `pivot`, and every row entering the step is the
     previous determinant times its reduced form, so each entry of the result
     is a minor of the integer rows and the division is exact (Sylvester's
-    identity; Bareiss 1968).
+    identity; Bareiss 1968). When det and previous are both 1, as in most
+    steps over 0/1 packing rows, this is row - factor * pivot_row.
     """
     factor = row[pivot]
+    if det == 1 == previous:
+        if factor == 1:
+            return list(map(sub, row, pivot_row))
+        if factor == -1:
+            return list(map(add, row, pivot_row))
+        return [entry - factor * p for entry, p in zip(row, pivot_row)]
     if previous == 1:
         return [det * entry - factor * p for entry, p in zip(row, pivot_row)]
     return [(det * entry - factor * p) // previous for entry, p in zip(row, pivot_row)]

@@ -32,7 +32,6 @@ from coopetition import (
     total_bid,
 )
 from coopetition.model import _MAX_DIGITS, exact_sum, format_scalar
-from coopetition.simplex import _eliminate
 
 F = Fraction
 
@@ -285,6 +284,17 @@ class UnboundedError(Exception):
     """The objective is unbounded below on the feasible region."""
 
 
+def plain_eliminate(
+    row: list[int], pivot_row: list[int], pivot: int, det: int, previous: int
+) -> list[int]:
+    """The fraction-free step of `simplex._eliminate` in its plain form,
+    (det * entry - row[pivot] * p) // previous on every entry, with no
+    shortcut: the references' own step, so a wrong shortcut in the kernel is
+    not shared by what checks it."""
+    factor = row[pivot]
+    return [(det * entry - factor * p) // previous for entry, p in zip(row, pivot_row)]
+
+
 def solve_min_by_fractions(
     costs: Sequence[Fraction],
     le: Sequence[tuple[Sequence[Fraction], Fraction]] = (),
@@ -391,7 +401,7 @@ def solve_min_by_fractions(
         for r, row in enumerate(tableau):
             if r != leaving:
                 factor = row[e]
-                tableau[r] = _eliminate(row, pivot_row, e, pivot, det)
+                tableau[r] = plain_eliminate(row, pivot_row, e, pivot, det)
                 tableau[r][e] = -factor
         pivot_row[e] = det
         basic[leaving], nonbasic[e] = nonbasic[e], basic[leaving]
@@ -415,8 +425,8 @@ def solve_min_by_every_row(
 ) -> tuple[int, int, list[int]]:
     """`simplex.solve_min` as it rewrote every row at every pivot: Bland's
     entering column by `min` over a list, the ratio test on tuples, and
-    `_eliminate` called on each row, a row with 0 in the entering column
-    included. The reference for `solve_min`, which must return the same
+    `plain_eliminate` called on each row, a row with 0 in the entering
+    column included. The reference for `solve_min`, which must return the same
     (det, value, x) by the same pivots."""
     n, m = len(costs), len(le)
     if len(upper) != n:
@@ -432,7 +442,7 @@ def solve_min_by_every_row(
             raise ValueError(f"upper[{j}]: negative bound {u}; x = 0 must be feasible")
     # Row r reads basic[r] = (rhs - sum of entry * column variable) / det;
     # rows m.. are the objectives in stage order, and the last column is the
-    # rhs. `index` admits ints only: `_eliminate` divides with //.
+    # rhs. `index` admits ints only: `plain_eliminate` divides with //.
     tableau = [[*map(index, coeffs), index(rhs)] for coeffs, rhs in le]
     tableau += [[-index(c) for c in objective] + [0] for objective in objectives]
     # Labels 0..n-1 are the variables, n.. the slacks, which have no cap.
@@ -490,7 +500,7 @@ def solve_min_by_every_row(
         for r, row in enumerate(tableau):
             if r != leaving:
                 factor = row[e]
-                tableau[r] = _eliminate(row, pivot_row, e, pivot, det)
+                tableau[r] = plain_eliminate(row, pivot_row, e, pivot, det)
                 tableau[r][e] = -factor
         pivot_row[e] = det
         basic[leaving], nonbasic[e] = nonbasic[e], basic[leaving]

@@ -309,6 +309,27 @@ class TestSolve:
         assert code == 1 and out == ""
         assert_error_report(err, fmt, "a number to print has more than 4300 digits")
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_weight_scale_past_its_limit_is_rejected_quickly(self, capsys, tmp_path, fmt):
+        # 12 weights over distinct 4001-digit denominators against a
+        # 12-member winner: their lcm crosses 43000 digits at the eleventh
+        # weight, the values' and the bids' limit. Unchecked, the sample
+        # wrote a 44 KB report.
+        names = [f"A{i}" for i in range(12)]
+        path = tmp_path / "winner.json"
+        path.write_text(json.dumps({
+            "advertisers": [{"name": name, "value": "1"} for name in names + ["R"]],
+            "ads": [names, ["R"]],
+        }))
+        weights = ",".join([f"1/{10**4000 + 2 * i + 1}" for i in range(12)])
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["polytope", str(path), "--weights", weights, "--format", fmt])
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert_error_report(
+            err, fmt, "weights[10]: the weights' common denominator has more than 43000 digits"
+        )
+
     def test_huge_weight_is_rejected(self, capsys, triangle_path):
         code, out, err = run(capsys, ["polytope", triangle_path, "--weights", "1,1,1e9999"])
         assert code == 1 and out == ""

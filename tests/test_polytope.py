@@ -10,6 +10,7 @@ import random
 import string
 import subprocess
 import sys
+import time
 from functools import partial
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from coopetition import (
     vcg,
 )
 from coopetition import polytope as polytope_module
-from coopetition.model import exact_sum
+from coopetition.model import InstanceError, exact_sum
 from coopetition.polytope import (
     CefConstraint,
     CefPolytope,
@@ -558,6 +559,20 @@ class TestSamplePareto:
             sample_pareto_equilibrium(polytope, (F(1),))
         with pytest.raises(ValueError, match="strictly positive"):
             sample_pareto_equilibrium(polytope, (F(1), F(0)))
+
+    def test_weights_past_the_scale_limit_name_the_weight_that_crossed_it(self):
+        # 120 weights over distinct 4001-digit denominators against a
+        # 120-member winner: the weights are held to the values' and the
+        # bids' limit, so their lcm stops at the eleventh. Unchecked, the
+        # lcm and the costs over it took seconds.
+        names = [f"A{i}" for i in range(120)]
+        polytope = build_polytope(make_instance(dict.fromkeys(names + ["R"], 1), [names, ["R"]]))
+        weights = [F(1, 10**4000 + 2 * i + 1) for i in range(120)]
+        start = time.perf_counter()
+        with pytest.raises(InstanceError, match=r"^weights\[10\]: the weights' .* 43000 digits$"):
+            sample_pareto_equilibrium(polytope, weights)
+        assert time.perf_counter() - start < 1
+        assert sample_pareto_equilibrium(polytope, weights[:10] + [F(1)] * 110)[0] == 0
 
     def test_weighted_optimum_matches_scipy_on_the_bid_form(self):
         # Winners of 12-20 members, then a slice of 24-48, beyond the

@@ -109,6 +109,26 @@ def test_ratio_test_ties_go_to_the_lowest_label(monkeypatch):
     ]
 
 
+def test_eliminate_is_the_plain_step():
+    # Seeded rows through one step, for det and previous in {1, 2, 3} and
+    # factors -2..2, against (det * entry - factor * p) // previous: the
+    # unit step (det = previous = 1) and its factors of 1 and -1 included.
+    # Entries off the pivot column are multiples of previous, so the
+    # division is exact, as in the kernel.
+    rng = random.Random(31)
+    for det in (1, 2, 3):
+        for previous in (1, 2, 3):
+            for factor in range(-2, 3):
+                for _ in range(20):
+                    pivot = rng.randrange(6)
+                    row = [previous * rng.randint(-9, 9) for _ in range(6)]
+                    pivot_row = [previous * rng.randint(-9, 9) for _ in range(6)]
+                    row[pivot], pivot_row[pivot] = factor, det
+                    expected = [(det * a - factor * p) // previous for a, p in zip(row, pivot_row)]
+                    assert simplex._eliminate(row, pivot_row, pivot, det, previous) == expected
+                    assert expected[pivot] == 0
+
+
 def test_negative_rhs_is_rejected():
     # x = 0 is infeasible, so the slack basis cannot start the single phase.
     with pytest.raises(ValueError, match=r"le\[1\]: negative right-hand side"):
@@ -342,12 +362,13 @@ def test_same_pivots_as_the_kernel_that_rewrote_every_row(monkeypatch):
     # and seldom equal, so its ratio tests do not tie; in `prime_family` with
     # ties, about a third of the rivals tie the winner (one of which may win
     # the tie and so have the smaller winner), and their rows of room 0 tie
-    # at ratio 0, where Bland's rule picks the lowest label.
-    eliminate = simplex._eliminate
+    # at ratio 0, where Bland's rule picks the lowest label. The reference
+    # steps with its own `plain_eliminate`, so it shares no shortcut of
+    # `simplex._eliminate`.
     pivots = {"new": [], "old": []}
     calls = dict.fromkeys(pivots, 0)
 
-    def recorder(kernel):
+    def recorder(kernel, eliminate):
         def recording(row, pivot_row, column, det, previous):
             pivot = (column, tuple(pivot_row), det, previous)
             if not pivots[kernel] or pivots[kernel][-1] != pivot:
@@ -357,8 +378,8 @@ def test_same_pivots_as_the_kernel_that_rewrote_every_row(monkeypatch):
 
         return recording
 
-    monkeypatch.setattr(simplex, "_eliminate", recorder("new"))
-    monkeypatch.setattr(helpers, "_eliminate", recorder("old"))
+    monkeypatch.setattr(simplex, "_eliminate", recorder("new", simplex._eliminate))
+    monkeypatch.setattr(helpers, "plain_eliminate", recorder("old", helpers.plain_eliminate))
     rng = random.Random(26)
     pivoted = 0
     for members, rivals in [(16, 1), (20, 1), (24, 1), (16, 2), (20, 2), (24, 2)]:
