@@ -1,10 +1,10 @@
 """Golden reports: the exact bytes of `solve egalitarian --trace`, of
-`verify` on a passing and a failing bid file, and of `polytope` with unit
-weights and with one fixed `--weights` vector, in all three formats, for the
-triangle and a seeded rival-family winner (`rival_family(Random(200), 4, 2)`,
-whose first lowering round has a bid reaching zero and a rival going tight
-together, and whose certificate has a zero bid). The inputs and the expected
-reports live in `tests/golden/`.
+`verify` on a passing and a failing bid file, of `polytope` with unit
+weights and with one fixed `--weights` vector, and of `oracle --epsilon 1/4`,
+in all three formats, for the triangle and a seeded rival-family winner
+(`rival_family(Random(200), 4, 2)`, whose first lowering round has a bid
+reaching zero and a rival going tight together, and whose certificate has a
+zero bid). The inputs and the expected reports live in `tests/golden/`.
 
 A deliberate change to a report is written back with
 
@@ -33,6 +33,7 @@ COMMANDS = {
     "verify-fail": lambda name: ["verify", f"{name}.json", f"{name}-fail.json"],
     "polytope": lambda name: ["polytope", f"{name}.json"],
     "polytope-weighted": lambda name: ["polytope", f"{name}.json", "--weights", WEIGHTS[name]],
+    "oracle": lambda name: ["oracle", f"{name}.json", "--epsilon", "1/4"],
 }
 CASES = [
     (name, command, fmt)
