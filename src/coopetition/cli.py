@@ -382,15 +382,17 @@ def cmd_polytope(args: argparse.Namespace) -> dict[str, Node]:
 
 def cmd_oracle(args: argparse.Namespace) -> dict[str, Node]:
     _bind("oracle", "egalitarian")
+    from .oracle import _lexmax
     instance = _load_instance(args.path)
     epsilon = parse_scalar(args.epsilon, where="--epsilon")
-    grid = (
-        GridSpec(epsilon=epsilon, budget=args.budget)
-        if args.budget is not None
-        else GridSpec(epsilon=epsilon)
-    )
+    # GridSpec's own checks would name its parameters, not these options.
+    if epsilon <= 0:
+        raise InstanceError("--epsilon: must be positive")
+    if args.budget is not None and args.budget < 1:
+        raise InstanceError("--budget: must be at least 1")
+    grid = GridSpec(epsilon) if args.budget is None else GridSpec(epsilon, args.budget)
     equilibria = enumerate_equilibria_grid(instance, grid)
-    lexmax = lexmax_surplus_grid(instance, grid)
+    lexmax = _lexmax(instance, grid, equilibria)
     exact = vcg(instance)
     brute = vcg_bruteforce(instance)
     egal_bids, egal_outcome, _ = egalitarian_solve(instance)
@@ -403,7 +405,7 @@ def cmd_oracle(args: argparse.Namespace) -> dict[str, Node]:
         "vcg_bruteforce_payments": _named(instance, brute.payments),
         "vcg_agrees": exact == brute,
         "egalitarian_bids": _named(instance, egal_bids),
-        "egalitarian_matches_grid": verify_egalitarian(instance, egal_bids, grid),
+        "egalitarian_matches_grid": verify_egalitarian(instance, egal_bids),
     }
 
 

@@ -5,7 +5,7 @@ the other side of a disagreement: grid enumeration finds every bid vector on
 an epsilon lattice where the winner stays ahead and every positive bidder is
 within epsilon of being undercut; the truthful-payment check searches each
 member's breakpoint value directly instead of using the closed form; the
-egalitarian verdict checks bottleneck rows and the grid, not the lowering.
+egalitarian verdict checks the max-min certificate, not the lowering.
 
 Grids are evaluated exactly, in plain Python integers. Bids, values and
 epsilon are rescaled by a common denominator to integers, so tolerance
@@ -32,9 +32,9 @@ from typing import Sequence
 # without loading this module; they stay importable from here.
 from .model import (
     AuctionInstance, BidProfile, BudgetError, GridBudgetError, GridSpec, InternalError,
-    Outcome, settle,
+    Outcome, check_bids, settle,
 )
-from .polytope import build_polytope, canonical_bids, is_equilibrium
+from .polytope import _row_slacks, build_polytope, is_equilibrium
 
 
 def _winner(instance: AuctionInstance) -> tuple[int, list[Fraction]]:
@@ -166,45 +166,42 @@ def lexmax_surplus_grid(instance: AuctionInstance, grid: GridSpec) -> BidProfile
     their values, so their surplus is 0. Raises BudgetError when the lattice
     holds no equilibrium at all (refine epsilon in that case).
     """
-    values = instance.values
-    best = max(
-        enumerate_equilibria_grid(instance, grid),
-        key=lambda bids: (sorted(v - b for v, b in zip(values, bids)), [-b for b in bids]),
-        default=None,
-    )
-    if best is None:
+    return _lexmax(instance, grid, enumerate_equilibria_grid(instance, grid))
+
+
+def _lexmax(instance: AuctionInstance, grid: GridSpec, equilibria: list[BidProfile]) -> BidProfile:
+    """`lexmax_surplus_grid` on the equilibria one sweep of `grid` found."""
+    if not equilibria:
         raise BudgetError(
             f"no equilibrium on the grid at resolution {grid.epsilon}; refine epsilon"
         )
-    return best
+    values = instance.values
+    return max(equilibria, key=lambda p: (sorted(v - b for v, b in zip(values, p)), [-b for b in p]))
 
 
-def verify_egalitarian(
-    instance: AuctionInstance, bids: Sequence[Fraction], grid: GridSpec
-) -> bool:
+def verify_egalitarian(instance: AuctionInstance, bids: Sequence[Fraction]) -> bool:
     """Exact check that `bids` is the egalitarian equilibrium: an equilibrium in
     which each positive member has a bottleneck, a tight envy-free row where no
-    member's surplus value - bid is larger (max-min fairness, Bertsekas &
-    Gallager, §6.5.2), and no exact grid equilibrium has a larger sorted surplus."""
+    bidder's surplus value - bid is larger. Then no grid equilibrium, exact or
+    not, has a larger sorted surplus. Proof: in surplus coordinates y, IR and
+    CEF are the capped packing polytope P, which holds every grid point, and a
+    member bidding 0 is bottlenecked by its cap; so y is max-min fair on P
+    (Bertsekas & Gallager, §6.5.2), hence its leximin point. A z in P other
+    than y lowers some member: if z raises k, k's tight bottleneck row has a
+    bidder j that z lowers, with y_j <= y_k. With a the least y_j over those z
+    lowers, z raises nobody below a, so it keeps y's entries below a and adds
+    one: its sorted surplus is smaller. Non-members add zeros to both."""
     polytope = build_polytope(instance)
-    if not is_equilibrium(polytope, bids).ok:
+    profile = check_bids(instance, bids)
+    if not is_equilibrium(polytope, profile).ok:
         return False
-    bids = canonical_bids(polytope, bids)
-    surplus = [v - b for v, b in zip(instance.values, bids)]
+    _, surplus, slacks = _row_slacks(polytope, profile)
     bottlenecked = set()
-    for c in polytope.constraints:
-        if sum([bids[k] for k in c.bidders]) == polytope.rhs(c):
+    for c, slack in zip(polytope.constraints, slacks):
+        if slack == 0:
             top = max([surplus[k] for k in c.bidders])
-            bottlenecked.update(k for k in c.bidders if surplus[k] == top)
-    if any(bids[k] and k not in bottlenecked for k in polytope.members):
-        return False
-    # Grid losers bid their values, so their surplus is 0, as the candidate's.
-    candidate = sorted(surplus)
-    for point in enumerate_equilibria_grid(instance, grid):
-        happier = sorted([v - b for v, b in zip(instance.values, point)]) > candidate
-        if happier and is_equilibrium(polytope, point).ok:
-            return False
-    return True
+            bottlenecked.update([k for k in c.bidders if surplus[k] == top])
+    return all(not profile[k] or k in bottlenecked for k in polytope.members)
 
 
 def vcg_bruteforce(instance: AuctionInstance) -> Outcome:

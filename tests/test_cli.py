@@ -1114,6 +1114,45 @@ class TestOracle:
         assert code == 1 and out == ""
         assert json.loads(err)["error"].startswith("cannot read")
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize(
+        "options, expected",
+        [
+            (["--epsilon", "0"], "--epsilon: must be positive"),
+            (["--epsilon=-1"], "--epsilon: must be positive"),
+            (["--epsilon", "1/2", "--budget", "0"], "--budget: must be at least 1"),
+        ],
+    )
+    def test_option_errors_name_the_option(self, capsys, triangle_path, options, expected, fmt):
+        code, out, err = run(capsys, ["oracle", triangle_path, *options, "--format", fmt])
+        assert code == 1 and out == ""
+        assert_error_report(err, fmt, expected)
+
+    def test_one_op_sweeps_the_grid_once(self, capsys, triangle_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        original = coopetition.oracle.enumerate_equilibria_grid
+        for module in (cli, coopetition.oracle):
+            monkeypatch.setattr(module, "enumerate_equilibria_grid", counted)
+        code, out, _ = run(capsys, ["oracle", triangle_path, "--epsilon", "1/4"])
+        assert code == 0 and "equilibrium_count: 5" in out
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_empty_grid_asks_for_refinement(self, capsys, tmp_path, fmt):
+        path = tmp_path / "empty.json"
+        path.write_text(
+            '{"advertisers": [{"name": "A", "value": "2.5"}, {"name": "E", "value": "2.3"}],'
+            ' "ads": [["A"], ["E"]]}'
+        )
+        code, out, err = run(capsys, ["oracle", str(path), "--epsilon", "1", "--format", fmt])
+        assert code == 1 and out == ""
+        assert_error_report(err, fmt, "no equilibrium on the grid at resolution 1; refine epsilon")
+
 
 class TestContracts:
     def test_plain_evaluation(self, capsys, tmp_path):

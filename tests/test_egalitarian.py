@@ -16,7 +16,7 @@ from coopetition import (
     is_equilibrium,
     total_bid,
 )
-from coopetition.oracle import verify_egalitarian
+from coopetition.oracle import lexmax_surplus_grid, verify_egalitarian
 from helpers import (
     F,
     ab_e,
@@ -114,19 +114,17 @@ class TestTrace:
 
 class TestAgainstTheGrid:
     def test_egalitarian_is_the_grid_lexmax(self):
-        grid = GridSpec(epsilon=F(1, 2))
         bids, _, _ = egalitarian_solve(hundreds())
-        assert verify_egalitarian(hundreds(), bids, grid)
+        assert verify_egalitarian(hundreds(), bids)
+        assert lexmax_surplus_grid(hundreds(), GridSpec(epsilon=F(1, 2))) == bids
 
     def test_lopsided_equilibrium_is_rejected(self):
-        grid = GridSpec(epsilon=F(1, 2))
         lopsided = (F(0), F(99), F(99))
         assert is_equilibrium(build_polytope(hundreds()), lopsided).ok
-        assert not verify_egalitarian(hundreds(), lopsided, grid)
+        assert not verify_egalitarian(hundreds(), lopsided)
 
     def test_non_equilibrium_is_rejected_outright(self):
-        grid = GridSpec(epsilon=F(1, 2))
-        assert not verify_egalitarian(hundreds(), (F(100), F(100), F(99)), grid)
+        assert not verify_egalitarian(hundreds(), (F(100), F(100), F(99)))
 
 
 class TestInvariants:

@@ -34,6 +34,7 @@ from helpers import (
     lexmax_surplus_grid_by_scan,
     make_instance,
     random_instance,
+    rival_family,
     triangle,
 )
 
@@ -295,34 +296,60 @@ class TestEgalitarianVerdict:
                     expected = expected and not happier_exact_grid_equilibrium(
                         instance, candidate, grid
                     )
-                    verdict = verify_egalitarian(instance, candidate, grid)
+                    verdict = verify_egalitarian(instance, candidate)
                     assert verdict == expected
                     verdicts.append(verdict)
-                assert verify_egalitarian(instance, bids, grid)
+                assert verify_egalitarian(instance, bids)
         assert verdicts.count(True) >= 2000 and verdicts.count(False) >= 200
 
     def test_no_false_alarm_and_every_wrong_candidate_rejected(self):
         # The unit-weight LP minimum is a wrong candidate where its sorted
-        # surplus differs from the egalitarian one. On 10 of these pairs a
-        # grid point ties the egalitarian sorted surplus within epsilon on an
-        # early entry while lying below it, then passes it by more later.
+        # surplus differs from the egalitarian one.
+        rng = random.Random(702024)
+        wrong = 0
+        for _ in range(300):
+            instance = random_instance(rng, max_n=6, max_m=5)
+            bids, _, _ = egalitarian_solve(instance)
+            assert verify_egalitarian(instance, bids)
+            minimum = unit_minimum(instance)
+            if sorted_surplus(instance, minimum) != sorted_surplus(instance, bids):
+                wrong += 1
+                assert not verify_egalitarian(instance, minimum)
+        assert wrong == 36
+
+    def test_no_exact_grid_equilibrium_beats_the_egalitarian_bids(self):
+        # The same instances, on the pairs whose grid fits the budget. On 10
+        # of them a grid point ties the egalitarian sorted surplus within
+        # epsilon on an early entry while lying below it, then passes it by
+        # more later.
         rng = random.Random(702024)
         pairs = wrong = 0
         for _ in range(300):
             instance = random_instance(rng, max_n=6, max_m=5)
             bids, _, _ = egalitarian_solve(instance)
             minimum = unit_minimum(instance)
+            differs = sorted_surplus(instance, minimum) != sorted_surplus(instance, bids)
             for eps in (F(1, 4), F(1, 8)):
                 grid = GridSpec(epsilon=eps, budget=200_000)
                 try:
-                    assert verify_egalitarian(instance, bids, grid)
+                    assert not happier_exact_grid_equilibrium(instance, bids, grid)
                 except GridBudgetError:
                     continue
                 pairs += 1
-                if sorted_surplus(instance, minimum) != sorted_surplus(instance, bids):
-                    wrong += 1
-                    assert not verify_egalitarian(instance, minimum, grid)
+                wrong += differs
         assert (pairs, wrong) == (289, 35)
+
+    @pytest.mark.parametrize("members", [32, 48])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_wide_winners_are_verified_without_a_grid(self, members, seed):
+        # Lattices of 10^28 points and more: no sweep could decide these.
+        instance = rival_family(random.Random(seed), members, rivals_per_member=2)
+        bids, _, _ = egalitarian_solve(instance)
+        minimum = unit_minimum(instance)
+        assert bottleneck_failure(instance, bids) is None
+        assert bottleneck_failure(instance, minimum) is not None
+        assert verify_egalitarian(instance, bids)
+        assert not verify_egalitarian(instance, minimum)
 
 
 class TestVcgBruteforce:
