@@ -4,7 +4,12 @@ weights and with one fixed `--weights` vector, and of `oracle --epsilon 1/4`,
 in all three formats, for the triangle and a seeded rival-family winner
 (`rival_family(Random(200), 4, 2)`, whose first lowering round has a bid
 reaching zero and a rival going tight together, and whose certificate has a
-zero bid). The inputs and the expected reports live in `tests/golden/`.
+zero bid). Also the exact bytes of `contracts`, in all three formats, on two
+owned auctions: the triangle owned by A, D and E with two slots and a
+`--contracts` file whose first term's cap binds and whose second term's share
+binds, and the entrant market, where M's `--responder` search on the grid
+`1/4:11` pledges 8 on the ad S owns. The inputs and the expected reports live
+in `tests/golden/`.
 
 A deliberate change to a report is written back with
 
@@ -34,13 +39,20 @@ COMMANDS = {
     "polytope": lambda name: ["polytope", f"{name}.json"],
     "polytope-weighted": lambda name: ["polytope", f"{name}.json", "--weights", WEIGHTS[name]],
     "oracle": lambda name: ["oracle", f"{name}.json", "--epsilon", "1/4"],
+    "contracts": lambda name: ["contracts", f"{name}.json", *CONTRACT_OPTIONS[name]],
+}
+# The owned auctions and their `contracts` options.
+CONTRACT_OPTIONS = {
+    "owned": ["--contracts", "owned-terms.json"],
+    "entrant": ["--responder", "M", "--subsidy-grid", "1/4:11"],
 }
 CASES = [
     (name, command, fmt)
     for name in ("triangle", "rival")
     for command in COMMANDS
+    if command != "contracts"
     for fmt in FORMATS
-]
+] + [(name, "contracts", fmt) for name in CONTRACT_OPTIONS for fmt in FORMATS]
 
 
 def report(name: str, command: str, fmt: str) -> str:
