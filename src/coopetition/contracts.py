@@ -12,9 +12,12 @@ The auction is a position auction with ad-independent click rates r_k, zero
 below the last slot: ads rank by effective bid, and slot k's rate times its
 per-click price is displaced_k, the sum over lower ranks l of bid_l *
 (r_{l-1} - r_l). A member of several shown ads collects value at the sum of
-their rates. One kernel clears in integer units, bids over L and rates over
-R, so displaced_k is an int over L*R and no price is divided out. The best
-response reads only the responder's utility off it, one int per vector; it
+their rates. One kernel, `_settle`, clears and settles in integer units:
+bids over L, rates over R and shares over Q, so displaced_k is an int over
+L*R, a term moves min(share * displaced_k, cap * r_k) over Q*L*R from its
+supporter to the owner, and no price is divided out. position_vcg (no
+terms), evaluate_contracts and the best response all read their outcome off
+it; the search reads only the responder's utility, one int per vector,
 builds no record per vector and counts the vectors against the budget first.
 """
 
@@ -101,9 +104,6 @@ class ContractTerm(Record):
         amount = parse_scalar(amount, "amount")
         return cls(supporter=supporter, ad=ad, fraction=Fraction(1), cap=amount, subsidy=amount)
 
-    def transfer(self, price: Fraction) -> Fraction:
-        return min(self.fraction * price, self.cap)
-
 
 ContractProfile = tuple[ContractTerm, ...]
 
@@ -158,16 +158,45 @@ def _slot_rates(owned: OwnedAuction) -> tuple[int, list[int]]:
     return rscale, [int(rate * rscale) for rate in owned.slots]
 
 
-def _clear(bids: Sequence[int], rates: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The clearing kernel: the shown ads by rank (ties to the lowest ad id)
-    and each one's displaced_k, for int bids over L and rates over R."""
+def _settle(
+    owned: OwnedAuction, bids: list[int], terms: list, scale: int, shares: int, rates: list[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """The settlement kernel: int bids over L = scale, rates over R, terms
+    (ad, supporter, share over Q = shares, cap over Q*L). It returns the shown
+    ads by rank (ties to the lowest ad id), each one's displaced_k over L*R,
+    and every advertiser's utility over Q*L*R."""
+    instance = owned.instance
     order = sorted(range(len(bids)), key=bids.__getitem__, reverse=True)
     shown = order[: len(rates)]
     displaced, total = [0] * len(shown), 0
     for k in reversed(range(min(len(shown), len(bids) - 1))):
         total += bids[order[k + 1]] * (rates[k] - (rates[k + 1] if k + 1 < len(rates) else 0))
         displaced[k] = total
-    return shown, displaced
+    utilities, unit = [0] * instance.n, scale // instance._scale * shares
+    for k, ad in enumerate(shown):
+        for i in instance.members(ad):
+            utilities[i] += rates[k] * instance._units[i] * unit
+        utilities[owned.owners[ad]] -= shares * displaced[k]
+    for ad, supporter, share, cap in terms:
+        if ad in shown:
+            k = shown.index(ad)
+            transfer = min(share * displaced[k], cap * rates[k])
+            utilities[supporter] -= transfer
+            utilities[owned.owners[ad]] += transfer
+    return shown, displaced, utilities
+
+
+def _outcome(
+    owned: OwnedAuction, bids: Sequence[int], terms: Sequence[tuple], scale: int, shares: int
+) -> PositionOutcome:
+    """Settle and read the kernel's ints back as the outcome's Fractions."""
+    rscale, rates = _slot_rates(owned)
+    shown, displaced, utilities = _settle(owned, bids, terms, scale, shares, rates)
+    return PositionOutcome(
+        {ad: k for k, ad in enumerate(shown)},
+        {ad: Fraction(displaced[k], scale * rates[k]) for k, ad in enumerate(shown)},
+        tuple([Fraction(utility, shares * scale * rscale) for utility in utilities]),
+    )
 
 
 def position_vcg(owned: OwnedAuction, effective_bids: Sequence[Fraction]) -> PositionOutcome:
@@ -177,70 +206,52 @@ def position_vcg(owned: OwnedAuction, effective_bids: Sequence[Fraction]) -> Pos
         raise InstanceError(f"expected {instance.m} effective bids, got {len(effective_bids)}")
     bids = exact_scalars(effective_bids, "effective_bids[{}]")
     scale = math.lcm(instance._scale, *[bid.denominator for bid in bids])
-    rscale, rates = _slot_rates(owned)
-    shown, displaced = _clear([int(bid * scale) for bid in bids], rates)
-    utilities = [0] * instance.n
-    for k, ad in enumerate(shown):
-        for i in instance.members(ad):
-            utilities[i] += rates[k] * instance._units[i] * (scale // instance._scale)
-        utilities[owned.owners[ad]] -= displaced[k]
-    return PositionOutcome(
-        {ad: k for k, ad in enumerate(shown)},
-        {ad: Fraction(displaced[k], scale * rates[k]) for k, ad in enumerate(shown)},
-        tuple([Fraction(utility, scale * rscale) for utility in utilities]),
-    )
+    return _outcome(owned, [int(bid * scale) for bid in bids], (), scale, 1)
+
+
+def _scaled(
+    owned: OwnedAuction, contracts: Sequence[ContractTerm], *denominators: int
+) -> tuple[list[int], list[tuple[int, int, int, int]], int, int]:
+    """The kernel's inputs for owners bidding value plus subsidies: the bids
+    and the terms in ints, L (a multiple of every denominator given) and Q."""
+    instance = owned.instance
+    dens = [den for t in contracts for den in (t.subsidy.denominator, t.cap.denominator)]
+    scale = math.lcm(instance._scale, *denominators, *dens)
+    shares = math.lcm(*[term.fraction.denominator for term in contracts])
+    bids = [instance._units[owner] * (scale // instance._scale) for owner in owned.owners]
+    terms = []
+    for t in contracts:
+        bids[t.ad] += int(t.subsidy * scale)
+        terms.append((t.ad, t.supporter, int(t.fraction * shares), int(t.cap * scale * shares)))
+    return bids, terms, scale, shares
 
 
 def _validate_contracts(owned: OwnedAuction, contracts: Sequence[ContractTerm]) -> None:
-    seen = set()
+    instance, seen = owned.instance, set()
     for term in contracts:
-        instance = owned.instance
         if not 0 <= term.ad < instance.m:
             raise InstanceError(f"contract targets unknown ad {term.ad}")
+        name, ad = instance.names[term.supporter], instance.label(term.ad)
         if term.supporter not in instance.members(term.ad):
-            raise InstanceError(
-                f"contract: {instance.names[term.supporter]!r} is not a member of "
-                f"{instance.label(term.ad)}"
-            )
+            raise InstanceError(f"contract: {name!r} is not a member of {ad}")
         if term.supporter == owned.owners[term.ad]:
-            raise InstanceError(
-                f"contract: {instance.names[term.supporter]!r} owns {instance.label(term.ad)} "
-                f"and cannot support it"
-            )
-        key = (term.supporter, term.ad)
-        if key in seen:
-            raise InstanceError(
-                f"contract: duplicate term from {instance.names[term.supporter]!r} on "
-                f"{instance.label(term.ad)}"
-            )
-        seen.add(key)
+            raise InstanceError(f"contract: {name!r} owns {ad} and cannot support it")
+        if (term.supporter, term.ad) in seen:
+            raise InstanceError(f"contract: duplicate term from {name!r} on {ad}")
+        seen.add((term.supporter, term.ad))
 
 
-def evaluate_contracts(
-    owned: OwnedAuction, contracts: Sequence[ContractTerm]
-) -> PositionOutcome:
+def evaluate_contracts(owned: OwnedAuction, contracts: Sequence[ContractTerm]) -> PositionOutcome:
     """Clear the position auction under the given contract terms.
 
-    Owners bid their value plus the declared subsidies on their ad; after
-    clearing, each term moves rate * min(fraction * price, cap) from the
-    supporter to the owner. With no contracts this is exactly position_vcg
-    on truthful owner bids.
+    Owners bid their value plus the declared subsidies on their ad; the
+    settlement kernel clears that and moves rate * min(fraction * price, cap)
+    per term from the supporter to the owner, by the rule the best response
+    maximizes. With no contracts this is exactly position_vcg on truthful
+    owner bids.
     """
     _validate_contracts(owned, contracts)
-    instance = owned.instance
-    effective = [instance.values[owned.owners[j]] for j in range(instance.m)]
-    for term in contracts:
-        effective[term.ad] += term.subsidy
-    outcome = position_vcg(owned, effective)
-    utilities = list(outcome.utilities)
-    for term in contracts:
-        if term.ad not in outcome.assignment:
-            continue
-        rate = owned.slots[outcome.assignment[term.ad]]
-        transfer = term.transfer(outcome.prices[term.ad])
-        utilities[term.supporter] -= rate * transfer
-        utilities[owned.owners[term.ad]] += rate * transfer
-    return PositionOutcome(outcome.assignment, outcome.prices, tuple(utilities))
+    return _outcome(owned, *_scaled(owned, contracts))
 
 
 def best_response_contract(
@@ -280,28 +291,15 @@ def best_response_contract(
     total = steps ** len(supported)
     if total > grid.budget:
         raise GridBudgetError(total, grid.budget)
-    # The responder's utility over Q*L*R: bids and caps over L, shares over Q.
-    dens = [den for t in others for den in (t.subsidy.denominator, t.cap.denominator)]
-    scale = math.lcm(instance._scale, grid.epsilon.denominator, *dens)
-    shares = math.lcm(*[term.fraction.denominator for term in others])
-    base = [int(instance.values[owner] * scale) for owner in owned.owners]
-    for term in others:
-        base[term.ad] += int(term.subsidy * scale)
-    shared = [(t.ad, int(t.fraction * shares), int(t.cap * scale * shares)) for t in others]
+    bids, terms, scale, shares = _scaled(owned, others, grid.epsilon.denominator)
     _, rates = _slot_rates(owned)
-    worth, step = int(instance.values[responder] * scale * shares), int(grid.epsilon * scale)
-    best_utility, best_levels = None, ()
+    step, best_utility, best_levels = int(grid.epsilon * scale), None, ()
     for levels in product(range(steps), repeat=len(supported)):
-        pledges = {ad: step * level for ad, level in zip(supported, levels)}
-        shown, displaced = _clear([bid + pledges.get(j, 0) for j, bid in enumerate(base)], rates)
-        utility = 0
-        for k, ad in enumerate(shown):
-            rate, cost = rates[k], displaced[k]
-            if ad in pledges:
-                utility += rate * worth - shares * min(cost, rate * pledges[ad])
-            elif owned.owners[ad] == responder:
-                utility += rate * worth - shares * cost
-                utility += sum([min(p * cost, cap * rate) for j, p, cap in shared if j == ad])
+        vector, pledges = bids[:], terms[:]
+        for ad, level in zip(supported, levels):
+            vector[ad] += step * level
+            pledges.append((ad, responder, shares, step * level * shares))
+        utility = _settle(owned, vector, pledges, scale, shares, rates)[2][responder]
         if best_utility is None or utility > best_utility:
             best_utility, best_levels = utility, levels
     return tuple(

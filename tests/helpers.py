@@ -812,7 +812,7 @@ def evaluate_contracts_by_fractions(
 ) -> PositionOutcome:
     """`contracts.evaluate_contracts` (valid terms only) over the Fraction
     reference: owners bid value plus subsidies, then each term on a shown ad
-    moves rate * transfer(price) from its supporter to the owner."""
+    moves rate * min(fraction * price, cap) from its supporter to the owner."""
     instance = owned.instance
     effective = [instance.values[owned.owners[j]] for j in range(instance.m)]
     for term in contracts:
@@ -823,7 +823,7 @@ def evaluate_contracts_by_fractions(
         if term.ad not in outcome.assignment:
             continue
         rate = owned.slots[outcome.assignment[term.ad]]
-        transfer = term.transfer(outcome.prices[term.ad])
+        transfer = min(term.fraction * outcome.prices[term.ad], term.cap)
         utilities[term.supporter] -= rate * transfer
         utilities[owned.owners[term.ad]] += rate * transfer
     return PositionOutcome(outcome.assignment, outcome.prices, tuple(utilities))

@@ -85,17 +85,30 @@ class TestOwnedAuction:
             parse_owned_auction(json.dumps(doc))
 
 
+def settled_transfers(term: ContractTerm, prices) -> list:
+    """What `evaluate_contracts` moves from S to O per click under `term` on
+    ad 0 in one-slot markets where O owns ad 0 {O, S} and outbids the rival
+    R, whose value sets ad 0's price. The shown ad's price is checked too."""
+    transfers = []
+    for price in prices:
+        auction = owned({"O": 200, "S": 1, "R": price}, [["O", "S"], ["R"]], ["O", "R"], ["1"])
+        outcome = evaluate_contracts(auction, (term,))
+        assert (outcome.assignment, outcome.prices) == ({0: 0}, {0: price})
+        transfer = outcome.utilities[0] - (200 - price)
+        assert outcome.utilities[1:] == (1 - transfer, F(0))
+        transfers.append(transfer)
+    return transfers
+
+
 class TestContractTerm:
     def test_committed_pledges_everything_up_to_the_amount(self):
         term = ContractTerm.committed(1, 0, F("8.25"))
         assert (term.fraction, term.cap, term.subsidy) == (F(1), F("8.25"), F("8.25"))
-        assert term.transfer(F(100)) == F("8.25")
-        assert term.transfer(F(2)) == F(2)
+        assert settled_transfers(term, [F(100), F(2)]) == [F("8.25"), F(2)]
 
     def test_share_with_cap(self):
         term = ContractTerm(supporter=1, ad=0, fraction=F(1, 2), cap=F(1, 4), subsidy=F(0))
-        assert term.transfer(F("0.4")) == F("0.2")
-        assert term.transfer(F(2)) == F(1, 4)
+        assert settled_transfers(term, [F("0.4"), F(2)]) == [F("0.2"), F(1, 4)]
 
     @pytest.mark.parametrize(
         "kwargs",
