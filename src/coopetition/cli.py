@@ -430,6 +430,10 @@ def _parse_contract_terms(text: str, owned: OwnedAuction) -> list[ContractTerm]:
         if not isinstance(ad, int) or isinstance(ad, bool) or not 0 <= ad < instance.m:
             raise InstanceError(f"{where}: ad must be an index in [0, {instance.m})")
         committed = "amount" in entry
+        if committed and entry.keys() & {"fraction", "cap", "subsidy"}:
+            raise InstanceError(
+                f'{where}: give either "amount" or "fraction", "cap" and "subsidy", not both'
+            )
         fields = ("amount",) if committed else ("fraction", "cap", "subsidy")
         scalars = {name: parse_scalar(entry.get(name), where=f"{where}.{name}") for name in fields}
         try:
@@ -496,9 +500,9 @@ def cmd_contracts(args: argparse.Namespace) -> dict[str, Node]:
             raise InstanceError(f"--responder: unknown advertiser {args.responder!r}")
         responder = instance.index(args.responder)
         grid_text = "1" if args.subsidy_grid is None else args.subsidy_grid
-        step_text, _, max_text = grid_text.partition(":")
+        step_text, colon, max_text = grid_text.partition(":")
         step = parse_scalar(step_text, where="--subsidy-grid step")
-        ceiling = parse_scalar(max_text, where="--subsidy-grid max") if max_text else None
+        ceiling = parse_scalar(max_text, where="--subsidy-grid max") if colon else None
         # The library's own checks would name its parameters, not these options.
         if step <= 0:
             raise InstanceError("--subsidy-grid step: must be positive")

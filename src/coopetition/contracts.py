@@ -159,7 +159,7 @@ def _slot_rates(owned: OwnedAuction) -> tuple[int, list[int]]:
 
 
 def _settle(
-    owned: OwnedAuction, bids: list[int], terms: list, scale: int, shares: int, rates: list[int]
+    owned: OwnedAuction, bids: list[int], terms: Sequence, scale: int, shares: int, rates: list[int]
 ) -> tuple[list[int], list[int], list[int]]:
     """The settlement kernel: int bids over L = scale, rates over R, terms
     (ad, supporter, share over Q = shares, cap over Q*L). It returns the shown
@@ -231,13 +231,13 @@ def _validate_contracts(owned: OwnedAuction, contracts: Sequence[ContractTerm]) 
     for term in contracts:
         if not 0 <= term.ad < instance.m:
             raise InstanceError(f"contract targets unknown ad {term.ad}")
-        name, ad = instance.names[term.supporter], instance.label(term.ad)
+        name, label = instance.names[term.supporter], instance.label(term.ad)
         if term.supporter not in instance.members(term.ad):
-            raise InstanceError(f"contract: {name!r} is not a member of {ad}")
+            raise InstanceError(f"contract: {name!r} is not a member of {label}")
         if term.supporter == owned.owners[term.ad]:
-            raise InstanceError(f"contract: {name!r} owns {ad} and cannot support it")
+            raise InstanceError(f"contract: {name!r} owns {label} and cannot support it")
         if (term.supporter, term.ad) in seen:
-            raise InstanceError(f"contract: duplicate term from {name!r} on {ad}")
+            raise InstanceError(f"contract: duplicate term from {name!r} on {label}")
         seen.add((term.supporter, term.ad))
 
 

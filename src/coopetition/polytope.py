@@ -252,8 +252,9 @@ def sample_pareto_equilibrium(
             f"expected {len(members)} weights (one per winning member), got {len(weights)}"
         )
     weights = exact_scalars(weights, "weights[{}]")
-    if any(w <= 0 for w in weights):
-        raise InstanceError("weights must be strictly positive")
+    for k, w in enumerate(weights):
+        if w <= 0:
+            raise InstanceError(f"weights[{k}]: must be strictly positive")
     caps = [polytope.instance._units[member] for member in members]
     # Minimizing w . bid is maximizing w . y over the packing rows, y <= value,
     # with w scaled to ints by their lcm, held to the values' scale limit: one

@@ -1060,6 +1060,20 @@ class TestPolytope:
         assert report["revenue"] == "2"
         assert any("B + C >= 1" in row for row in report["constraints"])
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize(
+        "weights, expected",
+        [
+            ("0,1,1", "weights[0]: must be strictly positive"),
+            ("1,-1/2,0", "weights[1]: must be strictly positive"),
+        ],
+    )
+    def test_non_positive_weight_is_named(self, capsys, triangle_path, weights, expected, fmt):
+        argv = ["polytope", triangle_path, "--weights", weights, "--format", fmt]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert_error_report(err, fmt, expected)
+
     def test_weight_count_mismatch_is_an_error(self, capsys, triangle_path):
         code, _, err = run(capsys, ["polytope", triangle_path, "--weights", "1,2"])
         assert code == 1
@@ -1231,6 +1245,16 @@ class TestContracts:
         assert_error_report(err, fmt, expected)
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_empty_subsidy_maximum_is_an_error_report(self, capsys, tmp_path, fmt):
+        # A colon promises a maximum; an empty one is no "no maximum".
+        path = tmp_path / "owned.json"
+        path.write_text(OWNED)
+        argv = ["contracts", str(path), "--responder", "M", "--subsidy-grid", "1/4:"]
+        code, out, err = run(capsys, [*argv, "--format", fmt])
+        assert code == 1 and out == ""
+        assert_error_report(err, fmt, "--subsidy-grid max: not an exact number: ''")
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_subsidy_grid_needs_a_responder(self, capsys, tmp_path, fmt):
         # Without --responder there is no search for the grid to shape.
         path = tmp_path / "owned.json"
@@ -1273,6 +1297,24 @@ class TestContracts:
         )
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": message}
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("extra", ['"fraction": "1/2", "cap": "9"', '"subsidy": "0"'])
+    def test_term_mixing_both_forms_is_an_error_report(self, capsys, tmp_path, extra, fmt):
+        # A committed amount next to a share, cap or subsidy is not read as
+        # either form: the user's numbers would be silently dropped.
+        path = tmp_path / "owned.json"
+        path.write_text(OWNED)
+        terms = tmp_path / "terms.json"
+        terms.write_text(
+            '{"contracts": [{"supporter": "M", "ad": 0, "amount": "8"},'
+            f' {{"supporter": "M", "ad": 1, "amount": "1", {extra}}}]}}'
+        )
+        argv = ["contracts", str(path), "--contracts", str(terms), "--format", fmt]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        expected = 'give either "amount" or "fraction", "cap" and "subsidy", not both'
+        assert_error_report(err, fmt, f"contracts[1]: {expected}")
 
     def test_malformed_terms_are_an_error(self, capsys, tmp_path):
         path = tmp_path / "owned.json"
