@@ -17,10 +17,7 @@ shows a float approximation when the decimal does not terminate. The exit
 status is 0 for a report, 1 for an `InstanceError` (bad input or a limit
 reached) and 2 for argparse's usage errors. Any other exception is a bug of
 the package, reported as "internal error: Type: ..." with exit status 3.
-
-Contract files hold {"contracts": [...]} where each term is either
-{"supporter": name, "ad": index, "amount": x} (a committed pledge) or the
-explicit {"supporter", "ad", "fraction", "cap", "subsidy"} form.
+The contract file's format is described in `contracts`.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ from .model import (
     InternalError,
     display_scalar,
     format_scalar,
-    load_document,
     parse_bids,
     parse_instance,
     parse_scalar,
@@ -409,47 +405,6 @@ def cmd_oracle(args: argparse.Namespace) -> dict[str, Node]:
     }
 
 
-def _parse_contract_terms(text: str, owned: OwnedAuction) -> list[ContractTerm]:
-    instance = owned.instance
-    try:
-        doc = load_document(text)
-    except InstanceError as exc:
-        raise InstanceError(f"contract file is {exc}") from None
-    if not isinstance(doc, dict) or not isinstance(doc.get("contracts"), list):
-        raise InstanceError('contract file must hold {"contracts": [...]}')
-    terms = []
-    for k, entry in enumerate(doc["contracts"]):
-        where = f"contracts[{k}]"
-        if not isinstance(entry, dict):
-            raise InstanceError(f"{where}: expected an object")
-        name = entry.get("supporter")
-        if not isinstance(name, str) or name not in instance.names:
-            raise InstanceError(f"{where}: unknown supporter {name!r}")
-        supporter = instance.index(name)
-        ad = entry.get("ad")
-        if not isinstance(ad, int) or isinstance(ad, bool) or not 0 <= ad < instance.m:
-            raise InstanceError(f"{where}: ad must be an index in [0, {instance.m})")
-        committed = "amount" in entry
-        if committed and entry.keys() & {"fraction", "cap", "subsidy"}:
-            raise InstanceError(
-                f'{where}: give either "amount" or "fraction", "cap" and "subsidy", not both'
-            )
-        fields = ("amount",) if committed else ("fraction", "cap", "subsidy")
-        scalars = {name: parse_scalar(entry.get(name), where=f"{where}.{name}") for name in fields}
-        try:
-            if committed:
-                term = ContractTerm.committed(supporter, ad, scalars["amount"])
-            else:
-                term = ContractTerm(supporter=supporter, ad=ad, **scalars)
-        except InstanceError as exc:
-            # A term's checks open with the field they reject ("cap must be
-            # non-negative"); a committed amount is both the cap and the subsidy.
-            field, _, problem = str(exc).partition(" ")
-            raise InstanceError(f"{where}.{'amount' if committed else field}: {problem}") from None
-        terms.append(term)
-    return terms
-
-
 def _term_node(owned: OwnedAuction, term: ContractTerm) -> dict[str, Node]:
     return {
         "supporter": owned.instance.names[term.supporter],
@@ -479,13 +434,10 @@ def cmd_contracts(args: argparse.Namespace) -> dict[str, Node]:
     if args.subsidy_grid is not None and args.responder is None:
         raise InstanceError("--subsidy-grid: needs --responder")
     _bind("contracts")
+    from .contracts import _read_contract_terms
     owned = parse_owned_auction(_read_text(args.path))
     instance = owned.instance
-    terms = (
-        _parse_contract_terms(_read_text(args.contracts), owned)
-        if args.contracts
-        else []
-    )
+    terms = _read_contract_terms(_read_text(args.contracts), owned) if args.contracts else []
     report: dict[str, Node] = {
         "command": "contracts",
         "owners": {

@@ -19,6 +19,11 @@ supporter to the owner, and no price is divided out. position_vcg (no
 terms), evaluate_contracts and the best response all read their outcome off
 it; the search reads only the responder's utility, one int per vector,
 builds no record per vector and counts the vectors against the budget first.
+
+Contract files hold {"contracts": [...]} where each term is either
+{"supporter": name, "ad": index, "amount": x} (a committed pledge) or the
+explicit {"supporter", "ad", "fraction", "cap", "subsidy"} form. Each term is
+checked as it is read, and an error names its term, `contracts[k]`.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import json
 import math
 from fractions import Fraction
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 # benchmarks/spans.py wraps contracts.parse_instance by name in its traced
 # run, so the name stays bound here although nothing in this module calls it.
@@ -91,17 +96,19 @@ class ContractTerm(Record):
         fraction, cap = parse_scalar(fraction, "fraction"), parse_scalar(cap, "cap")
         subsidy = parse_scalar(subsidy, "subsidy")
         if not 0 <= fraction <= 1:
-            raise InstanceError("fraction must be in [0, 1]")
+            raise InstanceError("fraction: must be in [0, 1]")
         if cap < 0:
-            raise InstanceError("cap must be non-negative")
+            raise InstanceError("cap: must be non-negative")
         if subsidy < 0:
-            raise InstanceError("subsidy must be non-negative")
+            raise InstanceError("subsidy: must be non-negative")
         self._set_fields(supporter, ad, fraction, cap, subsidy)
 
     @classmethod
     def committed(cls, supporter: int, ad: int, amount: Fraction) -> "ContractTerm":
         """Pledge a flat amount: pay the whole price up to `amount` per click."""
         amount = parse_scalar(amount, "amount")
+        if amount < 0:
+            raise InstanceError("amount: must be non-negative")
         return cls(supporter=supporter, ad=ad, fraction=Fraction(1), cap=amount, subsidy=amount)
 
 
@@ -138,11 +145,45 @@ def parse_owned_auction(text: str) -> OwnedAuction:
         if not isinstance(name, str) or name not in instance.names:
             raise InstanceError(f"owners[{j}]: unknown advertiser {name!r}")
         owners.append(instance.index(name))
-    slots_doc = doc.get("slots")
-    if not isinstance(slots_doc, list) or not slots_doc:
+    slots = doc.get("slots")
+    if not isinstance(slots, list) or not slots:
         raise InstanceError("slots: expected a non-empty list of click rates")
-    slots = tuple(parse_scalar(rate, where=f"slots[{k}]") for k, rate in enumerate(slots_doc))
     return OwnedAuction(instance=instance, owners=tuple(owners), slots=slots)
+
+
+def _read_contract_terms(text: str, owned: OwnedAuction) -> list[ContractTerm]:
+    """A contract file's terms, each read and checked against `owned` before
+    the next, so errors come in document order, located at `contracts[k]`."""
+    try:
+        doc = load_document(text)
+    except InstanceError as exc:
+        raise InstanceError(f"contract file is {exc}") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("contracts"), list):
+        raise InstanceError('contract file must hold {"contracts": [...]}')
+    names = owned.instance.names
+
+    def terms() -> Iterable[ContractTerm]:
+        for k, entry in enumerate(doc["contracts"]):
+            where = f"contracts[{k}]"
+            if not isinstance(entry, dict):
+                raise InstanceError(f"{where}: expected an object")
+            name = entry.get("supporter")
+            if not isinstance(name, str) or name not in names:
+                raise InstanceError(f"{where}: unknown supporter {name!r}")
+            committed = "amount" in entry
+            if committed and entry.keys() & {"fraction", "cap", "subsidy"}:
+                raise InstanceError(
+                    f'{where}: give either "amount" or "fraction", "cap" and "subsidy", not both'
+                )
+            read = ContractTerm.committed if committed else ContractTerm
+            fields = ("amount",) if committed else ("fraction", "cap", "subsidy")
+            try:  # the term's own checks name the field; the term is named here
+                term = read(names.index(name), entry.get("ad"), *map(entry.get, fields))
+            except InstanceError as exc:
+                raise InstanceError(f"{where}.{exc}") from None
+            yield term
+
+    return _validate_contracts(owned, terms())
 
 
 def serialize_owned_auction(owned: OwnedAuction) -> str:
@@ -226,19 +267,23 @@ def _scaled(
     return bids, terms, scale, shares
 
 
-def _validate_contracts(owned: OwnedAuction, contracts: Sequence[ContractTerm]) -> None:
-    instance, seen = owned.instance, set()
-    for term in contracts:
+def _validate_contracts(owned: OwnedAuction, contracts: Iterable[ContractTerm]) -> list:
+    """The terms, each checked against `owned` as it comes; an error names
+    the term by its position, `contracts[k]`."""
+    instance, seen, terms = owned.instance, set(), []
+    for k, term in enumerate(contracts):
         if not 0 <= term.ad < instance.m:
-            raise InstanceError(f"contract targets unknown ad {term.ad}")
+            raise InstanceError(f"contracts[{k}].ad: unknown ad index {term.ad}")
         name, label = instance.names[term.supporter], instance.label(term.ad)
         if term.supporter not in instance.members(term.ad):
-            raise InstanceError(f"contract: {name!r} is not a member of {label}")
+            raise InstanceError(f"contracts[{k}]: {name!r} is not a member of {label}")
         if term.supporter == owned.owners[term.ad]:
-            raise InstanceError(f"contract: {name!r} owns {label} and cannot support it")
+            raise InstanceError(f"contracts[{k}]: {name!r} owns {label} and cannot support it")
         if (term.supporter, term.ad) in seen:
-            raise InstanceError(f"contract: duplicate term from {name!r} on {label}")
+            raise InstanceError(f"contracts[{k}]: duplicate term from {name!r} on {label}")
         seen.add((term.supporter, term.ad))
+        terms.append(term)
+    return terms
 
 
 def evaluate_contracts(owned: OwnedAuction, contracts: Sequence[ContractTerm]) -> PositionOutcome:

@@ -331,7 +331,8 @@ class AuctionInstance(Record, _Scaled):
 
     Invariants: values are non-negative, member sets are non-empty, pairwise
     distinct and reference declared advertisers, and every advertiser is in
-    an ad. `_set_checked` checks those that the document reader leaves open.
+    an ad. The constructor reads the equivalent instance document, as
+    `instance_from_document` does, after the checks a document cannot make.
     """
 
     __slots__ = ("names", "values", "ads")
@@ -342,23 +343,18 @@ class AuctionInstance(Record, _Scaled):
     def __init__(
         self, names: tuple[str, ...], values: tuple[Fraction, ...], ads: tuple[Ad, ...]
     ) -> None:
-        if not names:
-            raise InstanceError("at least one advertiser is required")
-        if len(set(names)) != len(names):
-            raise InstanceError("advertiser names must be unique")
         if len(values) != len(names):
             raise InstanceError("one value per advertiser is required")
-        values = exact_scalars(values, "advertisers[{}].value")
-        if not ads:
-            raise InstanceError("at least one ad is required")
         indices = frozenset(range(len(names)))
         for position, ad in enumerate(ads):
-            if not ad.members:
-                raise InstanceError(f"ads[{position}]: empty ad")
             if not ad.members <= indices:
                 bad = next(i for i in ad.members if i not in indices)
                 raise InstanceError(f"ads[{position}]: unknown advertiser index {bad}")
-        self._set_checked(names, values, [value.as_integer_ratio() for value in values], ads)
+        doc = {
+            "advertisers": [{"name": name, "value": v} for name, v in zip(names, values)],
+            "ads": [[names[i] for i in ad.members] for ad in ads],
+        }
+        self._set_checked(*_read_document(doc))
 
     def _set_checked(self, names: tuple, values: tuple, ratios: list, ads: tuple) -> None:
         """Check that no value is negative, the scale has at most 43,000 digits,
@@ -440,12 +436,16 @@ def parse_instance(text: str) -> AuctionInstance:
 
 
 def instance_from_document(doc: object) -> AuctionInstance:
-    """Validate a decoded instance document, reporting the failing location.
+    """Validate a decoded instance document, reporting the failing location."""
+    instance = AuctionInstance.__new__(AuctionInstance)
+    instance._set_checked(*_read_document(doc))
+    return instance
 
-    One pass reads each plain value straight to a reduced int pair (a
-    located `parse_scalar` reads any other), one looks each ad's members up;
-    the instance is built without re-checking names and indices made here.
-    """
+
+def _read_document(doc: object) -> tuple[tuple, tuple, list, tuple]:
+    """An instance document's names, values, values' reduced int pairs and ads.
+    One pass reads each plain value straight to a reduced int pair (a located
+    `parse_scalar` reads any other), one looks each ad's members up."""
     if not isinstance(doc, dict):
         raise InstanceError("top level: expected an object")
     advertisers = doc.get("advertisers")
@@ -486,10 +486,7 @@ def instance_from_document(doc: object) -> AuctionInstance:
                     raise InstanceError(f"ads[{j}]: duplicate member {name!r}")
                 seen.add(name)
         ads.append(Ad(members))
-    instance = AuctionInstance.__new__(AuctionInstance)
-    values = tuple([Fraction(*ratio) for ratio in ratios])
-    instance._set_checked(tuple(index), values, ratios, tuple(ads))
-    return instance
+    return tuple(index), tuple([Fraction(*ratio) for ratio in ratios]), ratios, tuple(ads)
 
 
 def serialize_instance(instance: AuctionInstance) -> str:

@@ -302,7 +302,7 @@ class TestBestResponse:
     def test_invalid_others_are_rejected_without_a_supported_ad(self):
         # S owns its only ad, so it supports none; the term is still checked.
         others = (ContractTerm.committed(1, 5, F(1)),)
-        with pytest.raises(InstanceError, match="contract targets unknown ad 5"):
+        with pytest.raises(InstanceError, match=r"^contracts\[0\]\.ad: unknown ad index 5$"):
             best_response_contract(two_sellers(), 0, others, GridSpec(epsilon=F(1)))
 
     def test_matches_the_evaluation_loop(self):
