@@ -43,6 +43,7 @@ from .model import (  # noqa: F401
     GridSpec,
     InstanceError,
     Record,
+    _check_index,
     exact_scalars,
     format_scalar,
     instance_from_document,
@@ -67,6 +68,7 @@ class OwnedAuction(Record):
         if len(owners) != instance.m:
             raise InstanceError("one owner per ad is required")
         for j, owner in enumerate(owners):
+            _check_index(owner, instance.n, f"owners[{j}]")
             if owner not in instance.members(j):
                 raise InstanceError(f"ads[{j}]: owner {instance.names[owner]!r} is not a member")
         if not slots:
@@ -267,13 +269,13 @@ def _scaled(
     return bids, terms, scale, shares
 
 
-def _validate_contracts(owned: OwnedAuction, contracts: Iterable[ContractTerm]) -> list:
+def _validate_contracts(owned: OwnedAuction, terms: Iterable[ContractTerm]) -> list[ContractTerm]:
     """The terms, each checked against `owned` as it comes; an error names
     the term by its position, `contracts[k]`."""
-    instance, seen, terms = owned.instance, set(), []
-    for k, term in enumerate(contracts):
-        if not 0 <= term.ad < instance.m:
-            raise InstanceError(f"contracts[{k}].ad: unknown ad index {term.ad}")
+    instance, seen, checked = owned.instance, set(), []
+    for k, term in enumerate(terms):
+        _check_index(term.supporter, instance.n, f"contracts[{k}].supporter")
+        _check_index(term.ad, instance.m, f"contracts[{k}].ad", "ad")
         name, label = instance.names[term.supporter], instance.label(term.ad)
         if term.supporter not in instance.members(term.ad):
             raise InstanceError(f"contracts[{k}]: {name!r} is not a member of {label}")
@@ -282,8 +284,8 @@ def _validate_contracts(owned: OwnedAuction, contracts: Iterable[ContractTerm]) 
         if (term.supporter, term.ad) in seen:
             raise InstanceError(f"contracts[{k}]: duplicate term from {name!r} on {label}")
         seen.add((term.supporter, term.ad))
-        terms.append(term)
-    return terms
+        checked.append(term)
+    return checked
 
 
 def evaluate_contracts(owned: OwnedAuction, contracts: Sequence[ContractTerm]) -> PositionOutcome:
@@ -319,6 +321,7 @@ def best_response_contract(
     if max_subsidy is not None and max_subsidy < 0:
         raise InstanceError(f"max_subsidy must be non-negative, got {format_scalar(max_subsidy)}")
     instance = owned.instance
+    _check_index(responder, instance.n, "responder")
     for term in others:
         if term.supporter == responder:
             raise InstanceError("others must not contain terms from the responder")

@@ -138,9 +138,11 @@ class GridSpec(Record):
     def __init__(self, epsilon: Fraction, budget: int = 10_000_000) -> None:
         epsilon = parse_scalar(epsilon, "epsilon")
         if epsilon <= 0:
-            raise InstanceError("epsilon must be positive")
+            raise InstanceError("epsilon: must be positive")
+        if isinstance(budget, bool) or not isinstance(budget, int):
+            raise InstanceError(f"budget: expected an int, got {type(budget).__name__}")
         if budget < 1:
-            raise InstanceError("budget must be at least 1")
+            raise InstanceError("budget: must be at least 1")
         self._set_fields(epsilon, budget)
 
 
@@ -173,6 +175,12 @@ def _check_literal_size(text: str, where: str) -> None:
             f"{where}: exponent larger than {_MAX_DIGITS} in magnitude, "
             f"the number would have more than {_MAX_DIGITS} digits"
         )
+
+
+def _check_index(value: object, count: int, where: str, what: str = "advertiser") -> None:
+    """An InstanceError at `where` unless `value` is an int, not a bool, in [0, count)."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < count:
+        raise InstanceError(f"{where}: unknown {what} index {value!r}")
 
 
 def _common_denominator(denominators: Iterable[tuple[object, int]], place: str, what: str) -> int:
@@ -345,11 +353,9 @@ class AuctionInstance(Record, _Scaled):
     ) -> None:
         if len(values) != len(names):
             raise InstanceError("one value per advertiser is required")
-        indices = frozenset(range(len(names)))
         for position, ad in enumerate(ads):
-            if not ad.members <= indices:
-                bad = next(i for i in ad.members if i not in indices)
-                raise InstanceError(f"ads[{position}]: unknown advertiser index {bad}")
+            for i in ad.members:
+                _check_index(i, len(names), f"ads[{position}]")
         doc = {
             "advertisers": [{"name": name, "value": v} for name, v in zip(names, values)],
             "ads": [[names[i] for i in ad.members] for ad in ads],

@@ -144,6 +144,18 @@ class TestSolve:
         assert code == 0
         assert "welfare tie" in out
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("name", ['""', "1", "null"])
+    def test_a_name_that_is_no_string_is_an_error_report(self, capsys, tmp_path, name, fmt):
+        path = tmp_path / "named.json"
+        path.write_text(
+            '{"advertisers": [{"name": "A", "value": "1"}, {"name": ' + name + ', "value": "1"}],'
+            ' "ads": [["A"]]}'
+        )
+        code, out, err = run(capsys, ["solve", str(path), "vcg", "--format", fmt])
+        assert code == 1 and out == ""
+        assert_error_report(err, fmt, "advertisers[1].name: expected a non-empty string")
+
     def test_missing_file_is_an_error_report(self, capsys):
         code, out, err = run(capsys, ["solve", "no-such.json", "vcg"])
         assert code == 1 and out == ""
@@ -1315,6 +1327,63 @@ class TestContracts:
         assert code == 1 and out == ""
         expected = 'give either "amount" or "fraction", "cap" and "subsidy", not both'
         assert_error_report(err, fmt, f"contracts[1]: {expected}")
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize(
+        "document, expected",
+        [
+            ("[]", 'contract file must hold {"contracts": [...]}'),
+            ('{"contracts": {}}', 'contract file must hold {"contracts": [...]}'),
+            ('{"contracts": [3]}', "contracts[0]: expected an object"),
+            ('{"contracts": [{"supporter": "M", "ad": 0, "amount": "1"}, "M"]}',
+             "contracts[1]: expected an object"),
+            ('{"contracts": [{"supporter": "M", "ad": 5, "amount": "1"}]}',
+             "contracts[0].ad: unknown ad index 5"),
+            ('{"contracts": [{"supporter": "M", "ad": true, "amount": "1"}]}',
+             "contracts[0].ad: unknown ad index True"),
+            ('{"contracts": [{"supporter": "S", "ad": 1, "amount": "1"}]}',
+             "contracts[0]: 'S' is not a member of ad 1 {M, D}"),
+            ('{"contracts": [{"supporter": "S", "ad": 0, "amount": "1"}]}',
+             "contracts[0]: 'S' owns ad 0 {S, M} and cannot support it"),
+            ('{"contracts": [{"supporter": "M", "ad": 0, "amount": "1"},'
+             ' {"supporter": "M", "ad": 0, "amount": "2"}]}',
+             "contracts[1]: duplicate term from 'M' on ad 0 {S, M}"),
+            # Terms are checked in document order: the first bad term is named.
+            ('{"contracts": [{"supporter": "S", "ad": 1, "amount": "1"},'
+             ' {"supporter": "M", "ad": 0, "amount": "x"}]}',
+             "contracts[0]: 'S' is not a member of ad 1 {M, D}"),
+            ('{"contracts": [{"supporter": "M", "ad": 0, "amount": "x"},'
+             ' {"supporter": "S", "ad": 1, "amount": "1"}]}',
+             "contracts[0].amount: not an exact number: 'x'"),
+        ],
+        ids=["list", "object", "entry", "second-entry", "ad-range", "ad-bool", "member", "owner",
+             "duplicate", "order", "order-reversed"],
+    )
+    def test_contract_file_errors_name_their_term(self, capsys, tmp_path, document, expected, fmt):
+        path = tmp_path / "owned.json"
+        path.write_text(OWNED)
+        terms = tmp_path / "terms.json"
+        terms.write_text(document)
+        argv = ["contracts", str(path), "--contracts", str(terms), "--format", fmt]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert_error_report(err, fmt, expected)
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_unknown_responder_is_an_error_report(self, capsys, tmp_path, fmt):
+        path = tmp_path / "owned.json"
+        path.write_text(OWNED)
+        code, out, err = run(capsys, ["contracts", str(path), "--responder", "Z", "--format", fmt])
+        assert code == 1 and out == ""
+        assert_error_report(err, fmt, "--responder: unknown advertiser 'Z'")
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_empty_slot_list_is_an_error_report(self, capsys, tmp_path, fmt):
+        path = tmp_path / "owned.json"
+        path.write_text(OWNED.replace('"slots": ["1"]', '"slots": []'))
+        code, out, err = run(capsys, ["contracts", str(path), "--format", fmt])
+        assert code == 1 and out == ""
+        assert_error_report(err, fmt, "slots: expected a non-empty list of click rates")
 
     def test_malformed_terms_are_an_error(self, capsys, tmp_path):
         path = tmp_path / "owned.json"

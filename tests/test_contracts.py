@@ -60,6 +60,12 @@ def two_sellers_plus_entrant() -> OwnedAuction:
     )
 
 
+# The owned triangle: A owns ad 0 {A, B, C}, D owns ad 1 {A, D}, E owns ad 2 {B, E}.
+def owned_triangle() -> OwnedAuction:
+    ads = [["A", "B", "C"], ["A", "D"], ["B", "E"]]
+    return owned({name: 1 for name in "ABCDE"}, ads, ["A", "D", "E"], ["1", "1/2"])
+
+
 class TestOwnedAuction:
     def test_owner_must_be_a_member(self):
         with pytest.raises(InstanceError, match="owner 'E' is not a member"):
@@ -69,6 +75,26 @@ class TestOwnedAuction:
     def test_slots_strictly_decrease_within_unit(self, slots):
         with pytest.raises(InstanceError):
             owned({"A": 2, "E": 3}, [["A"], ["E"]], ["A", "E"], slots)
+
+    @pytest.mark.parametrize(
+        "owners, message",
+        [
+            ((0, 9, 4), "owners[1]: unknown advertiser index 9"),
+            ((0, -1, 4), "owners[1]: unknown advertiser index -1"),
+            ((0, 3, True), "owners[2]: unknown advertiser index True"),
+            ((0, 3), "one owner per ad is required"),
+        ],
+    )
+    def test_owners_are_indices_in_range(self, owners, message):
+        triangle = owned_triangle()
+        with pytest.raises(InstanceError) as caught:
+            OwnedAuction(triangle.instance, owners, triangle.slots)
+        assert str(caught.value) == message
+
+    def test_a_slot_ladder_is_not_empty(self):
+        with pytest.raises(InstanceError) as caught:
+            OwnedAuction(owned_triangle().instance, (0, 3, 4), ())
+        assert str(caught.value) == "at least one slot is required"
 
     def test_round_trip(self):
         auction = two_sellers()
@@ -123,6 +149,21 @@ class TestContractTerm:
         base = {"supporter": 0, "ad": 0, "fraction": F(1), "cap": F(0), "subsidy": F(0)}
         with pytest.raises(ValueError):
             ContractTerm(**{**base, **kwargs})
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: ContractTerm(1, 0, F(3, 2), F(1), F(0)), "fraction: must be in [0, 1]"),
+            (lambda: ContractTerm(1, 0, F(1), F(-1), F(0)), "cap: must be non-negative"),
+            (lambda: ContractTerm(1, 0, F(1), F(1), F(-1)), "subsidy: must be non-negative"),
+            (lambda: ContractTerm.committed(1, 0, F(-1)), "amount: must be non-negative"),
+        ],
+        ids=["fraction", "cap", "subsidy", "amount"],
+    )
+    def test_range_errors_name_the_field(self, make, message):
+        with pytest.raises(InstanceError) as caught:
+            make()
+        assert str(caught.value) == message
 
 
 class TestPositionVcg:
@@ -244,6 +285,55 @@ class TestEvaluateContracts:
     def test_term_validation(self, terms, message):
         with pytest.raises(InstanceError, match=message):
             evaluate_contracts(two_sellers(), terms)
+
+
+class TestTermIndices:
+    """A term's supporter and ad are ints, not bools, in range, and every
+    term error names the term's position."""
+
+    @pytest.mark.parametrize(
+        "supporter, ad, message",
+        [
+            (99, 0, "contracts[0].supporter: unknown advertiser index 99"),
+            (-1, 0, "contracts[0].supporter: unknown advertiser index -1"),
+            (True, 0, "contracts[0].supporter: unknown advertiser index True"),
+            (3, 5, "contracts[0].ad: unknown ad index 5"),
+            (3, -1, "contracts[0].ad: unknown ad index -1"),
+            (3, True, "contracts[0].ad: unknown ad index True"),
+            (3, "x", "contracts[0].ad: unknown ad index 'x'"),
+        ],
+    )
+    def test_out_of_range_indices_are_located(self, supporter, ad, message):
+        others = (ContractTerm.committed(supporter, ad, F(1)),)
+        for call in (
+            lambda: evaluate_contracts(owned_triangle(), others),
+            lambda: best_response_contract(owned_triangle(), 2, others, GridSpec(F(1))),
+        ):
+            with pytest.raises(InstanceError) as caught:
+                call()
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ([(1, 1)], "contracts[0]: 'B' is not a member of ad 1 {A, D}"),
+            ([(2, 0), (0, 0)], "contracts[1]: 'A' owns ad 0 {A, B, C} and cannot support it"),
+            ([(1, 0), (2, 0), (1, 0)], "contracts[2]: duplicate term from 'B' on ad 0 {A, B, C}"),
+        ],
+        ids=["member", "owner", "duplicate"],
+    )
+    def test_term_errors_name_the_term(self, terms, message):
+        contracts = [ContractTerm.committed(supporter, ad, F(1)) for supporter, ad in terms]
+        with pytest.raises(InstanceError) as caught:
+            evaluate_contracts(owned_triangle(), contracts)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("responder", [99, -1, True, "B"])
+    def test_a_responder_is_an_index_in_range(self, responder):
+        # An advertiser that does not exist has no best response, not "stay out".
+        with pytest.raises(InstanceError) as caught:
+            best_response_contract(owned_triangle(), responder, (), GridSpec(F(1)))
+        assert str(caught.value) == f"responder: unknown advertiser index {responder!r}"
 
 
 class TestBestResponse:

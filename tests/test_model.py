@@ -460,6 +460,41 @@ class TestOnePassReader:
             assert str(caught.value) == message
 
 
+class TestConstructorReadsAsDocuments:
+    """`AuctionInstance(...)` checks one value per name and the member
+    indices, then reads the equivalent instance document, so it rejects what
+    a document would, with the document's located message."""
+
+    @pytest.mark.parametrize(
+        "names, values, ads, message",
+        [
+            ((1,), (1,), [{0}], "advertisers[0].name: expected a non-empty string"),
+            (("",), (1,), [{0}], "advertisers[0].name: expected a non-empty string"),
+            (("A", None), (1, 1), [{0, 1}], "advertisers[1].name: expected a non-empty string"),
+            ((), (), [], "advertisers: expected a non-empty list"),
+            (("A", "A"), (1, 2), [{0}, {1}], "advertisers[1].name: duplicate advertiser 'A'"),
+            (("A",), (1,), [], "ads: expected a non-empty list"),
+            (("A",), (1,), [{0}, set()], "ads[1]: expected a non-empty list of advertiser names"),
+            (("A", "B"), (1,), [{0, 1}], "one value per advertiser is required"),
+            (("A", "B"), (1, 1), [{0}, {True}], "ads[1]: unknown advertiser index True"),
+            (("A", "B"), (1, 1), [{0}, {"B"}], "ads[1]: unknown advertiser index 'B'"),
+        ],
+        ids=["int-name", "empty-name", "none-name", "no-names", "duplicate-name", "no-ads",
+             "empty-ad", "value-count", "bool-index", "str-index"],
+    )
+    def test_errors_are_the_documents(self, names, values, ads, message):
+        with pytest.raises(InstanceError) as caught:
+            AuctionInstance(names, values, tuple(Ad(frozenset(ad)) for ad in ads))
+        assert str(caught.value) == message
+
+    def test_a_list_of_names_builds_the_documents_instance(self):
+        ads = [Ad(frozenset({0, 1})), Ad(frozenset({1}))]
+        instance = AuctionInstance(["A", "B"], ["1/2", 2], ads)
+        assert instance == make_instance({"A": "1/2", "B": 2}, [["A", "B"], ["B"]])
+        assert (instance.names, instance.values) == (("A", "B"), (F(1, 2), F(2)))
+        assert instance.label(0) == "ad 0 {A, B}"
+
+
 class TestParseBids:
     def test_full_profile(self):
         instance = ab_e()
@@ -802,6 +837,30 @@ class TestInstanceScale:
         for clone in (copy.copy(instance), copy.deepcopy(instance), pickle.loads(payload)):
             assert clone == instance
             assert (clone._scale, clone._units, clone._totals) == (6, (2, 15, 0), (17, 15, 0))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((F(0),), "epsilon: must be positive"),
+        ((F(-1, 2),), "epsilon: must be positive"),
+        ((F(1), "5"), "budget: expected an int, got str"),
+        ((F(1), 1.5), "budget: expected an int, got float"),
+        ((F(1), True), "budget: expected an int, got bool"),
+        ((F(1), None), "budget: expected an int, got NoneType"),
+        ((F(1), 0), "budget: must be at least 1"),
+    ],
+)
+def test_grid_spec_errors_name_the_parameter(args, message):
+    with pytest.raises(InstanceError) as caught:
+        coopetition.GridSpec(*args)
+    assert str(caught.value) == message
+
+
+def test_check_bids_counts_the_profile():
+    with pytest.raises(InstanceError) as caught:
+        coopetition.check_bids(ab_e(), [F(1), F(2)])
+    assert str(caught.value) == "bid profile has 2 entries, instance has 3 advertisers"
 
 
 def test_record_defaults_and_repr():
